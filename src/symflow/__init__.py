@@ -7,10 +7,8 @@ involution and independence.  A batch CLI lives in :mod:`symflow.cli`.
 """
 
 from .matrix_core import (
-    ConvergenceError,
     anticommutator,
     commutator,
-    eig_sym,
     frobenius_inner,
     max_abs,
     numerical_rank,

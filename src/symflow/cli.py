@@ -24,6 +24,7 @@ from .matrix_core import random_skew, random_sym, skew_matrix, sym_matrix
 from .invariants import gradient_table, invariant_count
 from .poisson import (
     RankInstabilityError,
+    SkewCanonicalForm,
     canonical_form,
     canonical_skew_matrix,
     frozen_casimir_gradients,
@@ -270,23 +271,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, cfg: RunConfig):
+def _run_suite(name: str, cfg: RunConfig, form: SkewCanonicalForm):
     tol = cfg.tolerances
     if name == "involution":
-        return involution_certificate(cfg.n_skew, cfg.samples, cfg.seed, tol=tol["identity"])
+        return involution_certificate(form, cfg.samples, cfg.seed, tol=tol["identity"])
     if name == "independence":
-        form = canonical_form(cfg.n_skew, tol["rank"])
         return independence_certificate(form, cfg.samples, rank_tol=tol["rank"], seed=cfg.seed)
     if name == "casimir":
-        form = canonical_form(cfg.n_skew, tol["rank"])
         return casimir_certificate(form, cfg.samples, cfg.seed, tol=tol["casimir"], rank_tol=tol["rank"])
     if name == "leaf_dims":
-        form = canonical_form(cfg.n_skew, tol["rank"])
         return leaf_dimension_certificate(form, min(cfg.samples, 5), cfg.seed, rank_tol=tol["rank"])
     if name == "recursion":
-        return recursion_certificate(cfg.n_skew, cfg.samples, cfg.seed, tol=tol["recursion"])
+        return recursion_certificate(form, cfg.samples, cfg.seed, tol=tol["recursion"])
     if name == "lax":
-        return lax_certificate(cfg.n_skew, cfg.samples, cfg.seed, tol=tol["lax"])
+        return lax_certificate(form, cfg.samples, cfg.seed, tol=tol["lax"])
     if name == "sectional2x2":
         return sectional_certificate(max(cfg.samples, 1000), cfg.seed)
     raise ConfigError(f"unknown suite {name!r}")
@@ -294,17 +292,16 @@ def _run_suite(name: str, cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig) -> int:
     _echo_config(cfg)
+    form = canonical_form(cfg.n_skew, cfg.tolerances["rank"])
     failed = False
     for name in cfg.suites:
-        cert = _run_suite(name, cfg)
+        cert = _run_suite(name, cfg, form)
         payload = cert.to_dict()
         payload["verdict"] = (
             "not assessed" if cert.passed is None else ("pass" if cert.passed else "fail")
         )
         if name == "independence":
-            payload["summary"] = integrability_summary(
-                canonical_form(cfg.n_skew, cfg.tolerances["rank"])
-            ).to_dict()
+            payload["summary"] = integrability_summary(form).to_dict()
         _write_json(cfg.out_dir / f"certificate_{name}.json", payload)
         if cert.passed is False:
             failed = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_square, commutator, eig_sym, max_abs, symmetrize
+from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
 from .lie_structure import BlockDecomp
 from .poisson import SkewCanonicalForm, canonical_form, lie_poisson_casimirs
@@ -38,10 +38,12 @@ class FlowDivergenceError(RuntimeError):
 
 
 def vector_field(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
-    """Right-hand side [x^2, n] = x^2 n - n x^2; symmetric for symmetric x."""
-    x = as_square(x)
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
+    """Right-hand side [x^2, n] = x^2 n - n x^2; symmetric for symmetric x.
+
+    Inputs are not re-validated here: :func:`integrate` checks x0 and N once
+    at entry, and non-finite intermediate RK4 stages must reach its
+    divergence check.
+    """
     x2 = x @ x
     return x2 @ n_skew - n_skew @ x2
 
@@ -181,7 +183,7 @@ def integrate(
         table = invariant_table(state, n_skew)
         inv_rows.append([table.values[key] for key in labels])
         cas_rows.append(lie_poisson_casimirs(form, form.to_canonical(state)))
-        spec_rows.append(eig_sym(state)[0])
+        spec_rows.append(np.linalg.eigvalsh(state))
 
     record(0.0, x)
     resym_max = 0.0

@@ -1,6 +1,6 @@
 """Dense real matrix substrate: symmetric/skew constructors, commutators,
-the trace inner product, a cyclic-Jacobi symmetric eigensolver, and a
-pivoted Gram-Schmidt numerical rank.
+the trace inner product, and a pivoted Gram-Schmidt numerical rank.
+Eigendecompositions are left to ``numpy.linalg.eigh``.
 
 All functions are pure and operate on plain ``numpy`` float arrays.  The
 validating constructors (:func:`sym_matrix`, :func:`skew_matrix`) are the
@@ -10,7 +10,6 @@ assume both.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +17,6 @@ import numpy as np
 #: Asymmetry above this (max-abs, on the raw input) is rejected instead of
 #: being projected away; below it the constructors project exactly.
 ASYM_REJECT_TOL = 1e-8
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative eigensolve failed to reach its target within the sweep cap."""
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -114,72 +109,6 @@ def random_skew(n: int, rng: np.random.Generator, normalized: bool = True) -> np
         if nrm > 0:
             x = x / nrm
     return x
-
-
-def eig_sym(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Parameters
-    ----------
-    a : symmetric (n, n) array.  Only the symmetric part is used.
-    tol : relative off-diagonal target; sweeps stop once the off-diagonal
-        Frobenius mass is below ``tol * ||a||_F``.
-    max_sweeps : sweep cap before :class:`ConvergenceError` is raised.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues ascending; eigenvector matrix orthogonal with columns
-        matching the eigenvalue order, a = Q diag(w) Q^T.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = symmetrize(as_square(a))
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-    scale = frob_norm(a)
-    if scale == 0.0:
-        return np.zeros(n), q
-
-    def offdiag(m):
-        return frob_norm(m - np.diag(m.diagonal()))
-
-    for _ in range(max_sweeps):
-        if offdiag(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = float(a[p, r])
-                if apr == 0.0:
-                    continue
-                # Golub & Van Loan sym.schur2 rotation annihilating a[p, r],
-                # with the asymptotic branch guarding against overflow when
-                # the pivot is many orders below the diagonal gap
-                diff = float(a[r, r] - a[p, p])
-                if abs(diff) > 1e8 * abs(apr):
-                    t = apr / diff
-                else:
-                    tau = diff / (2.0 * apr)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                qp, qr = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    else:
-        raise ConvergenceError(f"Jacobi eigensolve did not converge in {max_sweeps} sweeps")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]
 
 
 def numerical_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9) -> int:

@@ -19,8 +19,6 @@ import numpy as np
 from .matrix_core import (
     _check_same_square,
     as_square,
-    eig_sym,
-    frob_norm,
     frobenius_inner,
     max_abs,
     numerical_rank,
@@ -140,12 +138,14 @@ def canonical_skew_matrix(frequencies, nullity: int = 0) -> np.ndarray:
 def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalForm:
     """Orthogonal canonical form of a skew-symmetric matrix.
 
-    Eigendecomposes the positive-semidefinite matrix -N^2, whose eigenvalues
-    come in pairs v_i^2 identifying invariant 2-planes plus a kernel.  Each
-    near-equal frequency group is sharpened by one inverse-iteration step,
-    then split into planes: a unit vector u is completed with the image -Nu
-    projected back into the group span and orthogonalized, so the plane
-    carries the block [[0, v], [-v, 0]] with v = u . N w > 0.  Kernel
+    Eigendecomposes the positive-semidefinite matrix -N^2 with
+    ``numpy.linalg.eigh``; its eigenvalues come in pairs v_i^2 identifying
+    invariant 2-planes plus a kernel.  Each near-equal frequency group is
+    sharpened by one inverse-iteration step, then split into planes: a unit
+    vector u is completed with the image -Nu projected back into the group
+    span and orthogonalized, so the plane carries the block [[0, v], [-v, 0]]
+    with v = u . N w > 0; the remainder of the group is re-based on the
+    leading left singular vectors of its deflated columns.  Kernel
     membership is decided by |N u| <= rank_tol * v_max.  Frequencies are
     returned in descending order.
 
@@ -159,10 +159,10 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
         raise ValueError("matrix is not skew-symmetric")
     n = n_skew.shape[0]
     gram = symmetrize(-n_skew @ n_skew)
-    _, vecs = eig_sym(gram, tol=1e-14)
+    _, vecs = np.linalg.eigh(gram)
     # |N u| measures the frequency of each eigendirection to first order;
     # the eigenvalues of -N^2 would only resolve it to sqrt(eps).
-    freqs_all = np.array([np.linalg.norm(n_skew @ vecs[:, i]) for i in range(n)])
+    freqs_all = np.linalg.norm(n_skew @ vecs, axis=0)
     v_max = float(freqs_all.max(initial=0.0))
 
     kernel_cols = [i for i in range(n) if freqs_all[i] <= rank_tol * v_max or v_max == 0.0]
@@ -225,25 +225,20 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
             u_vecs.append(u)
             w_vecs.append(w)
             freqs.append(v)
-            # Deflate the extracted plane out of the group, then rebuild an
-            # orthonormal basis of the remainder by pivoted Gram-Schmidt.
-            # One column of the remainder is linearly dependent (w lived in
-            # the group span), so exactly two dimensions disappear.
-            rest = basis[:, 1:].copy()
+            # Deflate the extracted plane out of the group, then re-base the
+            # remainder on its leading left singular vectors.  One column of
+            # the remainder is linearly dependent (w lived in the group
+            # span), so exactly two dimensions disappear.
+            rest = basis[:, 1:]
             for qv in (u, w):
-                rest -= np.outer(qv, qv @ rest)
+                rest = rest - np.outer(qv, qv @ rest)
             target = basis.shape[1] - 2
-            cols = [rest[:, j] for j in range(rest.shape[1])]
-            kept: list[np.ndarray] = []
-            while len(kept) < target:
-                norms = [float(np.linalg.norm(c)) for c in cols]
-                j_best = int(np.argmax(norms))
-                if norms[j_best] < 1e-6:
-                    raise ValueError("lost orthogonality while splitting a frequency group")
-                col = cols.pop(j_best) / norms[j_best]
-                kept.append(col)
-                cols = [c - (col @ c) * col for c in cols]
-            basis = np.column_stack(kept) if kept else np.zeros((n, 0))
+            if target == 0:
+                break
+            left, sing, _ = np.linalg.svd(rest, full_matrices=False)
+            if sing[target - 1] < 1e-6:
+                raise ValueError("lost orthogonality while splitting a frequency group")
+            basis = left[:, :target]
 
     order = np.argsort(-np.asarray(freqs), kind="stable")
     freqs = np.asarray(freqs)[order]
@@ -429,13 +424,13 @@ def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarr
     return grads
 
 
-def sym_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of Sym(n) for the trace inner product."""
+def sym_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of Sym(n) for the trace inner product, stacked (m, n, n)."""
     basis = [_sym_unit(n, i, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             basis.append(_sym_unit(n, i, j) / np.sqrt(2.0))
-    return basis
+    return np.stack(basis)
 
 
 def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, which: str) -> np.ndarray:
@@ -447,19 +442,13 @@ def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, which: str) -> np.ndarra
     """
     if which not in ("lie_poisson", "frozen"):
         raise ValueError(f"unknown tensor {which!r}")
+    _check_same_square(x, n_skew)
     basis = sym_basis(x.shape[0])
-    m = len(basis)
-    out = np.empty((m, m))
-    images = []
-    for e in basis:
-        if which == "lie_poisson":
-            images.append(lie_poisson_tensor(x, e, n_skew))
-        else:
-            images.append(frozen_tensor(e, n_skew))
-    for i, e in enumerate(basis):
-        for j in range(m):
-            out[i, j] = frobenius_inner(e, images[j])
-    return out
+    left = basis @ x if which == "lie_poisson" else basis
+    # With L = x (Lie-Poisson) or the identity (frozen), entry (i, j) is
+    # trace(E_i L E_j N) - trace(E_i N E_j L) = m[i, j] - m[j, i] by cyclicity.
+    m = np.einsum("iab,jba->ij", left, basis @ n_skew)
+    return m - m.T
 
 
 def rank_certified(vectors, tol: float) -> int:

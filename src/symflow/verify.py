@@ -28,7 +28,6 @@ from .invariants import (
 from .poisson import (
     RankInstabilityError,
     SkewCanonicalForm,
-    canonical_form,
     frozen_bracket,
     frozen_casimir_gradients,
     frozen_tensor,
@@ -74,7 +73,7 @@ class Certificate:
 
 
 def involution_certificate(
-    n_skew: np.ndarray,
+    form: SkewCanonicalForm,
     samples: int,
     seed: int,
     tol: float = IDENTITY_TOL,
@@ -86,8 +85,7 @@ def involution_certificate(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    form = canonical_form(n_skew)
-    n = n_skew.shape[0]
+    n, n_skew = form.n, form.skew
     keys = admissible_indices(n)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -325,7 +323,7 @@ def leaf_dimension_certificate(
 
 
 def recursion_certificate(
-    n_skew: np.ndarray,
+    form: SkewCanonicalForm,
     samples: int,
     seed: int,
     tol: float = 1e-11,
@@ -333,8 +331,7 @@ def recursion_certificate(
     """Worst recursion residual over all admissible index pairs."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    form = canonical_form(n_skew)
-    n = n_skew.shape[0]
+    n, n_skew = form.n, form.skew
     rng = np.random.default_rng(seed)
     worst = 0.0
     details = []
@@ -356,7 +353,7 @@ def recursion_certificate(
 
 
 def lax_certificate(
-    n_skew: np.ndarray,
+    form: SkewCanonicalForm,
     samples: int,
     seed: int,
     tol: float = 1e-12,
@@ -365,8 +362,7 @@ def lax_certificate(
     """Worst parametric commutator defect over a lambda grid."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    form = canonical_form(n_skew)
-    n = n_skew.shape[0]
+    n, n_skew = form.n, form.skew
     rng = np.random.default_rng(seed)
     worst = 0.0
     details = []

@@ -62,15 +62,17 @@ class TestSimulate:
         assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
     def test_numerical_abort_exit_3(self, tmp_path):
-        config = dict(
-            BASE,
-            n=2,
-            N={"canonical": {"v": [1.0], "d": 0}},
-            X0={"explicit": [[100.0, 3.0], [3.0, -40.0]]},
-            integrator={"step": 0.5, "t_end": 50.0},
-        )
-        code, _ = run(tmp_path, "simulate", config)
-        assert code == 3
+        # the second state overflows inside an RK4 stage, not at a step end
+        for i, x0 in enumerate(([[100.0, 3.0], [3.0, -40.0]], [[10.0, 0.3], [0.3, -4.0]])):
+            config = dict(
+                BASE,
+                n=2,
+                N={"canonical": {"v": [1.0], "d": 0}},
+                X0={"explicit": x0},
+                integrator={"step": 0.5, "t_end": 50.0},
+            )
+            code, _ = run(tmp_path, "simulate", config, out=f"out{i}")
+            assert code == 3
 
     def test_json_format(self, tmp_path):
         code, out = run(tmp_path, "simulate", BASE, extra=("--format", "json"))
@@ -107,6 +109,18 @@ class TestVerify:
         assert payload["verdict"] == "not assessed"
         assert payload["summary"]["counted"] == 9
         assert payload["summary"]["required"] == 8
+
+    def test_rank_tol_sets_reported_structure(self, tmp_path):
+        # a frequency of 1e-11 is kernel at the default rank tolerance and
+        # image at 1e-12; every certificate must report the form of --rank-tol
+        config = dict(
+            BASE, N={"canonical": {"v": [1.0, 1e-11], "d": 0}},
+            suites=["involution", "independence", "recursion", "lax"], samples=1,
+        )
+        run(tmp_path, "verify", config, extra=("--rank-tol", "1e-12"))
+        for suite in config["suites"]:
+            payload = json.loads((tmp_path / "out" / f"certificate_{suite}.json").read_text())
+            assert (payload["p"], payload["d"]) == (2, 0), suite
 
     def test_malformed_structure_exit_2(self, tmp_path):
         config = {"n": 2, "N": {"explicit": [[0.0, 1.0], [1.0, 0.0]]}}

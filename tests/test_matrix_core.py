@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symflow.matrix_core import (
-    ConvergenceError,
     anticommutator,
     commutator,
-    eig_sym,
     frobenius_inner,
     max_abs,
     numerical_rank,
@@ -139,56 +137,6 @@ class TestFrobeniusInner:
         x = sym_matrix(np.reshape(xs, (3, 3)) + np.reshape(xs, (3, 3)).T)
         y = sym_matrix(np.reshape(ys, (3, 3)) + np.reshape(ys, (3, 3)).T)
         assert frobenius_inner(x, y) == pytest.approx(frobenius_inner(y, x), abs=1e-12)
-
-
-class TestEigSym:
-    def test_diagonal(self):
-        w, q = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0], atol=0, rtol=0)
-        assert max_abs(q @ q.T - np.eye(3)) < 1e-14
-
-    def test_offdiagonal_pair(self):
-        # characteristic polynomial mu^2 - 1
-        w, _ = eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-15)
-
-    def test_identity(self):
-        w, _ = eig_sym(np.eye(5))
-        assert np.allclose(w, np.ones(5), atol=0, rtol=0)
-
-    def test_zero_matrix(self):
-        w, q = eig_sym(np.zeros((4, 4)))
-        assert np.array_equal(w, np.zeros(4))
-        assert np.array_equal(q, np.eye(4))
-
-    @pytest.mark.parametrize("n", [2, 5, 8, 12])
-    def test_reconstruction(self, n):
-        rng = np.random.default_rng(n)
-        x = random_sym(n, rng, normalized=False)
-        tol = 1e-12
-        w, q = eig_sym(x, tol=tol)
-        scale = np.linalg.norm(x)
-        assert np.linalg.norm(x - q @ np.diag(w) @ q.T) <= 10 * tol * scale
-        assert max_abs(q @ q.T - np.eye(n)) <= tol * 10
-        for i in range(n):
-            assert np.linalg.norm(x @ q[:, i] - w[i] * q[:, i]) <= tol * scale * 10
-
-    def test_paired_eigenvalues(self):
-        # -N^2 of a skew matrix has eigenvalues in exact pairs
-        rng = np.random.default_rng(9)
-        nsk = random_skew(6, rng)
-        gram = -nsk @ nsk
-        w, q = eig_sym((gram + gram.T) / 2, tol=1e-14)
-        assert np.linalg.norm(gram - q @ np.diag(w) @ q.T) < 1e-13
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.eye(2), tol=0.0)
-
-    def test_sweep_cap(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ConvergenceError):
-            eig_sym(random_sym(8, rng), max_sweeps=1, tol=1e-15)
 
 
 class TestNumericalRank:

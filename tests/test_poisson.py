@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import (
-    eig_sym,
     frobenius_inner,
     max_abs,
     numerical_rank,
@@ -161,13 +160,29 @@ class TestCanonicalForm:
         assert np.all(np.diff(form.frequencies) <= 0)
 
     def test_rotated_canonical_recovers_frequencies(self):
+        # equal and near-equal frequency groups exercise the group splitting
         rng = np.random.default_rng(13)
-        g = rng.standard_normal((5, 5))
-        q, _ = np.linalg.qr(g)
-        nsk = q @ canonical_skew_matrix([2.0, 1.0], 1) @ q.T
-        form = canonical_form((nsk - nsk.T) / 2)
-        assert np.allclose(form.frequencies, [2.0, 1.0], atol=1e-12)
-        assert (form.p, form.d) == (2, 1)
+        cases = [
+            ([2.0, 1.0], 1),
+            ([1.0, 1.0, 1.0], 0),
+            ([1.0, 1.0, 1.0, 0.5], 2),
+            ([1.0, 1.0 + 1e-9, 0.7], 1),
+        ]
+        for freqs, d in cases:
+            n = 2 * len(freqs) + d
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            nsk = q @ canonical_skew_matrix(freqs, d) @ q.T
+            form = canonical_form((nsk - nsk.T) / 2)
+            assert (form.p, form.d) == (len(freqs), d)
+            assert np.allclose(form.frequencies, sorted(freqs, reverse=True), rtol=0, atol=1e-12)
+            b = form.basis
+            rotated = b @ form.skew @ b.T
+            proj = np.zeros((n, n))
+            proj[:2 * form.p, :2 * form.p] = np.eye(2 * form.p)
+            assert max_abs(b @ b.T - np.eye(n)) <= CANONICAL_TOL
+            assert max_abs(rotated - form.canonical_skew) <= CANONICAL_TOL
+            assert max_abs(form.pseudo_inverse @ rotated - proj) <= CANONICAL_TOL
+            assert max_abs(rotated @ form.pseudo_inverse - proj) <= CANONICAL_TOL
 
     def test_equal_frequency_grouping(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))

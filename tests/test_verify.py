@@ -22,7 +22,7 @@ from symflow.verify import (
 class TestInvolution:
     def test_passes_n4(self):
         rng = np.random.default_rng(0)
-        cert = involution_certificate(random_skew(4, rng), samples=10, seed=1)
+        cert = involution_certificate(canonical_form(random_skew(4, rng)), samples=10, seed=1)
         assert cert.passed
         assert cert.max_residual <= 1e-10
         assert cert.sample_count == 10
@@ -30,20 +30,20 @@ class TestInvolution:
 
     def test_vacuous_n2(self):
         # single member: no pairs beyond self, residual exactly zero
-        cert = involution_certificate(canonical_skew_matrix([1.0]), samples=3, seed=2)
+        cert = involution_certificate(canonical_form(canonical_skew_matrix([1.0])), samples=3, seed=2)
         assert cert.passed
         assert cert.max_residual == 0.0
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(3)
-        nsk = random_skew(4, rng)
-        c1 = involution_certificate(nsk, samples=4, seed=9)
-        c2 = involution_certificate(nsk, samples=4, seed=9)
+        form = canonical_form(random_skew(4, rng))
+        c1 = involution_certificate(form, samples=4, seed=9)
+        c2 = involution_certificate(form, samples=4, seed=9)
         assert c1.max_residual == c2.max_residual
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            involution_certificate(canonical_skew_matrix([1.0]), samples=0, seed=0)
+            involution_certificate(canonical_form(canonical_skew_matrix([1.0])), samples=0, seed=0)
 
 
 class TestIndependence:
@@ -144,13 +144,13 @@ class TestLeafDimensionCertificate:
 class TestRecursionAndLax:
     def test_recursion_certificate(self):
         rng = np.random.default_rng(15)
-        cert = recursion_certificate(random_skew(5, rng), samples=5, seed=16)
+        cert = recursion_certificate(canonical_form(random_skew(5, rng)), samples=5, seed=16)
         assert cert.passed
         assert cert.max_residual <= 1e-11
 
     def test_lax_certificate(self):
         rng = np.random.default_rng(17)
-        cert = lax_certificate(random_skew(6, rng), samples=5, seed=18)
+        cert = lax_certificate(canonical_form(random_skew(6, rng)), samples=5, seed=18)
         assert cert.passed
         assert cert.max_residual <= 1e-12
 
