@@ -47,14 +47,11 @@ from .poisson import (
 )
 from .invariants import (
     InvariantTable,
-    MatrixPoly,
     admissible_indices,
     gradient_table,
     invariant_count,
-    invariant_gradient,
     invariant_table,
-    poly_power,
-    recursion_residual,
+    recursion_residuals,
 )
 from .dynamics import (
     FlowDivergenceError,

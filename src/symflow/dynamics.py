@@ -16,7 +16,7 @@ import numpy as np
 
 from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
-from .lie_structure import BlockDecomp
+from .lie_structure import BlockDecomp, from_blocks, split_blocks
 from .poisson import SkewCanonicalForm, canonical_form, lie_poisson_casimirs
 
 logger = logging.getLogger(__name__)
@@ -226,30 +226,27 @@ def integrate_blocks(
 ) -> tuple[np.ndarray, list[BlockDecomp]]:
     """RK4 on the block-coordinate flow; the kernel block stays put.
 
-    Returns the time grid and the block states.  Matches conjugating the
-    full flow for the assembled matrices, which the tests pin down through
-    :func:`symflow.lie_structure.from_blocks`.
+    Steps the assembled matrix under the full flow with N = [[core, 0],
+    [0, 0]], whose kernel rows and columns are exactly zero, so the kernel
+    block of every RK4 stage is too: this is :func:`block_vector_field` in
+    the coordinates of :func:`symflow.lie_structure.from_blocks`.  Returns
+    the time grid and the block states.
     """
+    m = b0.image_block.shape[0]
+    if core_skew.shape != (m, m) or m % 2:
+        raise ValueError("core block must be even-sized and match the image block")
+    n_skew = np.zeros((b0.n, b0.n))
+    n_skew[:m, :m] = core_skew
+    x = from_blocks(b0)
     h = config.step
     times = [0.0]
     blocks = [b0]
-    cur = b0
     for step_index in range(1, config.n_steps + 1):
-        s, a, bk = cur.image_block, cur.coupling, cur.kernel_block
-
-        def f(si, ai):
-            d = block_vector_field(BlockDecomp(si, ai, bk), core_skew)
-            return d.image_block, d.coupling
-
-        ks1, ka1 = f(s, a)
-        ks2, ka2 = f(s + 0.5 * h * ks1, a + 0.5 * h * ka1)
-        ks3, ka3 = f(s + 0.5 * h * ks2, a + 0.5 * h * ka2)
-        ks4, ka4 = f(s + h * ks3, a + h * ka3)
-        s_new = symmetrize(s + (h / 6.0) * (ks1 + 2 * ks2 + 2 * ks3 + ks4))
-        a_new = a + (h / 6.0) * (ka1 + 2 * ka2 + 2 * ka3 + ka4)
-        if not (np.isfinite(s_new).all() and np.isfinite(a_new).all()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _rk4_step(x, n_skew, h)
+        if not np.isfinite(x).all():
             raise FlowDivergenceError(step_index * h)
-        cur = BlockDecomp(image_block=s_new, coupling=a_new, kernel_block=bk)
+        x = symmetrize(x)
         times.append(step_index * h)
-        blocks.append(cur)
+        blocks.append(split_blocks(x, m // 2))
     return np.asarray(times), blocks

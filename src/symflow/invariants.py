@@ -6,10 +6,12 @@ coefficients vanish identically (transposing a product flips the sign of
 every N factor), leaving the family indexed by (k, 2r) with 0 <= 2r < k.
 The top coefficient is the constant trace(N^k)/k and is not counted.
 
-Values and gradients are extracted from matrix-coefficient polynomial
-arithmetic: the gradient of the (k, 2r) member is the coefficient of t^{2r}
-in (X + t N)^{k-1}, which is symmetric for even powers.  The table stores
-the 1/k-normalized coefficients; the bare multi-index sum differs by the
+Values, gradients and the recursion residuals all come from one
+coefficient stack: for each k the (k+1, n, n) array of the coefficients of
+(X + t N)^k, built from the stack for k-1 by multiplying with X and with N.
+The gradient of the (k, 2r) member is the coefficient of t^{2r} in
+(X + t N)^{k-1}, which is symmetric for even powers.  The table stores the
+1/k-normalized coefficients; the bare multi-index sum differs by the
 factor k.
 """
 
@@ -27,65 +29,20 @@ from .poisson import frozen_tensor, lie_poisson_tensor
 ODD_COEFF_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MatrixPoly:
-    """Polynomial in a scalar parameter with square-matrix coefficients."""
+def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int):
+    """Yield the (k+1, n, n) coefficient stack of (X + t N)^k for k = 1..k_max.
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        shape = self.coeffs[0].shape
-        if any(c.shape != shape for c in self.coeffs):
-            raise ValueError("coefficients have inconsistent shapes")
-
-    @staticmethod
-    def of(coeffs) -> "MatrixPoly":
-        """Build from a coefficient list, trimming trailing zero blocks."""
-        coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-        while len(coeffs) > 1 and max_abs(coeffs[-1]) == 0.0:
-            coeffs.pop()
-        return MatrixPoly(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, j: int) -> np.ndarray:
-        """Coefficient of parameter^j; zero matrix beyond the degree."""
-        if j < 0:
-            raise ValueError("negative power")
-        if j > self.degree:
-            return np.zeros_like(self.coeffs[0])
-        return self.coeffs[j]
-
-    def __mul__(self, other: "MatrixPoly") -> "MatrixPoly":
-        out = [np.zeros_like(self.coeffs[0]) for _ in range(self.degree + other.degree + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a @ b
-        return MatrixPoly.of(out)
-
-    def eval(self, t: float) -> np.ndarray:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = c + t * acc
-        return acc
-
-
-def poly_power(x: np.ndarray, n_skew: np.ndarray, k: int) -> MatrixPoly:
-    """(X + t N)^k as a matrix-coefficient polynomial in t."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    x = as_square(x)
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
-    base = MatrixPoly.of([x, n_skew])
-    acc = base
-    for _ in range(k - 1):
-        acc = acc * base
-    return acc
+    Row j of the stack is the coefficient of t^j.  Each stack is built from
+    the previous one, so a consumer walking k upwards keeps at most two.
+    """
+    acc = np.stack([x, n_skew])
+    for k in range(1, k_max + 1):
+        if k > 1:
+            new = np.zeros((k + 1,) + x.shape)
+            new[:-1] += acc @ x
+            new[1:] += acc @ n_skew
+            acc = new
+        yield acc
 
 
 def invariant_count(n: int) -> int:
@@ -115,19 +72,21 @@ class InvariantTable:
         return np.asarray([self.values[key] for key in self.keys()])
 
 
+def _check_pair(x, n_skew) -> np.ndarray:
+    x = as_square(x)
+    if x.shape != n_skew.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
+    return x
+
+
 def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> InvariantTable:
     n = x.shape[0]
     table = InvariantTable(n=n, gradients={} if with_gradients else None)
-    base = MatrixPoly.of([x, n_skew])
     scale_base = frob_norm(x) + frob_norm(n_skew)
-    power = base  # (X + tN)^k for the current k
-    prev = None  # exponent k - 1, which carries the gradients
-    for k in range(1, n):
-        if k > 1:
-            prev = power
-            power = power * base
+    prev = None  # stack of (X + tN)^{k-1}, which carries the gradients
+    for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
         for j in range(0, k):
-            tr = float(np.trace(power.coefficient(j))) / k
+            tr = float(np.trace(power[j])) / k
             if j % 2 == 1:
                 if abs(tr) > ODD_COEFF_TOL * max(1.0, scale_base**k):
                     raise ArithmeticError(
@@ -137,53 +96,38 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> Invaria
                 continue
             table.values[(k, j)] = tr
             if with_gradients:
-                grad = np.eye(n) if k == 1 else symmetrize(prev.coefficient(j))
-                table.gradients[(k, j)] = grad
+                table.gradients[(k, j)] = np.eye(n) if k == 1 else symmetrize(prev[j])
+        prev = power
     return table
 
 
 def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> InvariantTable:
     """Values of every admissible (k, 2r) member at the state x."""
-    x = as_square(x)
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
-    return _harvest(x, n_skew, with_gradients=False)
+    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=False)
 
 
 def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> InvariantTable:
     """Values and gradients of every admissible member at the state x."""
-    x = as_square(x)
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
-    return _harvest(x, n_skew, with_gradients=True)
+    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=True)
 
 
-def invariant_gradient(x: np.ndarray, n_skew: np.ndarray, k: int, two_r: int) -> np.ndarray:
-    """Gradient of the (k, 2r) member: coefficient of t^{2r} in (X + t N)^{k-1}.
+def recursion_residuals(x: np.ndarray, n_skew: np.ndarray) -> dict:
+    """Residuals of the two-structure recursion, keyed by (k, r) in ascending order.
 
-    Valid for any k >= 1 with 0 <= 2r <= k-1 even; unlike the table it is
-    not capped at k = n-1, which the recursion residual needs.
+    For every 1 <= r <= k <= n-1 with k - r even, applies the Lie-Poisson
+    tensor to the gradient of the (k, k-r) member and the frozen tensor to
+    the gradient of the (k+1, k-r) member; the difference vanishes
+    identically.  The (k+1)-member gradients come from (X + t N)^k, one
+    power beyond the table.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if two_r % 2 != 0 or not 0 <= two_r <= k - 1:
-        raise ValueError(f"(k, 2r) = ({k}, {two_r}) is not an admissible gradient index")
-    if k == 1:
-        return np.eye(x.shape[0])
-    return symmetrize(poly_power(x, n_skew, k - 1).coefficient(two_r))
-
-
-def recursion_residual(x: np.ndarray, n_skew: np.ndarray, k: int, r: int) -> float:
-    """Residual of the two-structure recursion between adjacent members.
-
-    Applies the Lie-Poisson tensor to the gradient of the (k, k-r) member
-    and the frozen tensor to the gradient of the (k+1, k-r) member; the
-    difference vanishes identically.  Requires 1 <= r <= k with k - r even.
-    """
-    if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k, got (k, r) = ({k}, {r})")
-    if (k - r) % 2 != 0:
-        raise ValueError(f"k - r = {k - r} is odd; no member carries that index")
-    g_low = invariant_gradient(x, n_skew, k, k - r)
-    g_high = invariant_gradient(x, n_skew, k + 1, k - r)
-    return max_abs(lie_poisson_tensor(x, g_low, n_skew) - frozen_tensor(g_high, n_skew))
+    x = _check_pair(x, n_skew)
+    n = x.shape[0]
+    out = {}
+    prev = None  # stack of (X + tN)^{k-1}
+    for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
+        for r in range(2 - k % 2, k + 1, 2):
+            g_low = np.eye(n) if k == 1 else symmetrize(prev[k - r])
+            g_high = symmetrize(power[k - r])
+            out[(k, r)] = max_abs(lie_poisson_tensor(x, g_low, n_skew) - frozen_tensor(g_high, n_skew))
+        prev = power
+    return out

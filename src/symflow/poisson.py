@@ -150,7 +150,8 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     returned in descending order.
 
     Raises ``ValueError`` if the constructed form misses its structural
-    invariants at :data:`CANONICAL_TOL`.
+    invariants at :data:`CANONICAL_TOL`, or if its kernel block exceeds the
+    rank cut ``rank_tol * v_max``.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
@@ -259,23 +260,35 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
         n=n, p=p, d=d, skew=n_skew, basis=q,
         frequencies=freqs, core=core, pseudo_inverse=pseudo,
     )
-    _validate_form(form)
+    _validate_form(form, max(CANONICAL_TOL, rank_tol * v_max))
     return form
 
 
-def _validate_form(form: SkewCanonicalForm) -> None:
-    q, n = form.basis, form.n
+def _validate_form(form: SkewCanonicalForm, kernel_tol: float) -> None:
+    """Raise unless the form meets its invariants at :data:`CANONICAL_TOL`.
+
+    The kernel-kernel block of ``q N q^T`` is held to ``kernel_tol`` instead:
+    it carries exactly the directions the rank cut |N u| <= rank_tol * v_max
+    put in the kernel, so it is as large as that cut allows.
+    """
+    q, n, m = form.basis, form.n, 2 * form.p
     ortho = max_abs(q @ q.T - np.eye(n))
-    block = max_abs(q @ form.skew @ q.T - form.canonical_skew)
-    proj = np.zeros((n, n))
-    proj[:2 * form.p, :2 * form.p] = np.eye(2 * form.p)
     rotated = q @ form.skew @ q.T
+    offset = rotated - form.canonical_skew
+    kernel = max_abs(offset[m:, m:])
+    offset[m:, m:] = 0.0
+    proj = np.zeros((n, n))
+    proj[:m, :m] = np.eye(m)
     inv_left = max_abs(form.pseudo_inverse @ rotated - proj)
     inv_right = max_abs(rotated @ form.pseudo_inverse - proj)
-    worst = max(ortho, block, inv_left, inv_right)
+    worst = max(ortho, max_abs(offset), inv_left, inv_right)
     if worst > CANONICAL_TOL:
         raise ValueError(
             f"canonical form failed its invariants (defect {worst:.3e} > {CANONICAL_TOL:.1e})"
+        )
+    if kernel > kernel_tol:
+        raise ValueError(
+            f"canonical form's kernel block {kernel:.3e} exceeds the rank cut {kernel_tol:.1e}"
         )
 
 

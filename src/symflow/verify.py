@@ -23,7 +23,7 @@ from .invariants import (
     admissible_indices,
     gradient_table,
     invariant_count,
-    recursion_residual,
+    recursion_residuals,
 )
 from .poisson import (
     RankInstabilityError,
@@ -335,14 +335,12 @@ def recursion_certificate(
     rng = np.random.default_rng(seed)
     worst = 0.0
     details = []
-    pairs = [(k, r) for k in range(1, n) for r in range(1, k + 1) if (k - r) % 2 == 0]
     for s in range(samples):
-        x = random_sym(n, rng)
+        residuals = recursion_residuals(random_sym(n, rng), n_skew)
         sample_worst, worst_pair = 0.0, None
-        for (k, r) in pairs:
-            res = recursion_residual(x, n_skew, k, r)
+        for pair, res in residuals.items():
             if res > sample_worst:
-                sample_worst, worst_pair = res, (k, r)
+                sample_worst, worst_pair = res, pair
         worst = max(worst, sample_worst)
         details.append({"sample": s, "max_residual": sample_worst, "worst_pair": worst_pair})
     return Certificate(

@@ -122,6 +122,17 @@ class TestVerify:
             payload = json.loads((tmp_path / "out" / f"certificate_{suite}.json").read_text())
             assert (payload["p"], payload["d"]) == (2, 0), suite
 
+    def test_rank_tol_above_canonical_tol(self, tmp_path):
+        # a frequency of 1e-6 is kernel at --rank-tol 1e-5, far above the
+        # 1e-10 the canonical form meets elsewhere; the run must not exit 2
+        suites = ["involution", "independence", "casimir", "leaf_dims", "recursion", "lax"]
+        config = dict(BASE, N={"canonical": {"v": [1.0, 1e-6], "d": 0}}, suites=suites)
+        code, out = run(tmp_path, "verify", config, extra=("--rank-tol", "1e-5"))
+        assert code in (0, 1)
+        for suite in suites:
+            payload = json.loads((out / f"certificate_{suite}.json").read_text())
+            assert (payload["p"], payload["d"]) == (1, 2), suite
+
     def test_malformed_structure_exit_2(self, tmp_path):
         config = {"n": 2, "N": {"explicit": [[0.0, 1.0], [1.0, 0.0]]}}
         code, _ = run(tmp_path, "verify", config)

@@ -5,18 +5,14 @@ import pytest
 
 from symflow.matrix_core import frobenius_inner, max_abs, random_skew, random_sym
 from symflow.invariants import (
-    MatrixPoly,
+    _power_stacks,
     admissible_indices,
     gradient_table,
     invariant_count,
-    invariant_gradient,
     invariant_table,
-    poly_power,
-    recursion_residual,
+    recursion_residuals,
 )
 from symflow.poisson import canonical_skew_matrix, frozen_tensor
-
-N2 = canonical_skew_matrix([1.0])
 
 
 def trace_coefficient_oracle(x, nsk, k, j):
@@ -36,45 +32,51 @@ def trace_coefficient_oracle(x, nsk, k, j):
     return total
 
 
-class TestMatrixPoly:
+def c04_pairs(n):
+    """The (k, r) pairs the acceptance recursion check covers at size n."""
+    return [(k, r) for k in range(1, n) for r in range(1, k + 1) if (k - r) % 2 == 0]
+
+
+class TestPowerStacks:
     def test_power_one(self):
         rng = np.random.default_rng(0)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        poly = poly_power(x, nsk, 1)
-        assert poly.degree == 1
-        assert np.array_equal(poly.coefficient(0), x)
-        assert np.array_equal(poly.coefficient(1), nsk)
+        (stack,) = _power_stacks(x, nsk, 1)
+        assert np.array_equal(stack, np.stack([x, nsk]))
 
     def test_power_two_expansion(self):
         rng = np.random.default_rng(1)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        poly = poly_power(x, nsk, 2)
-        assert np.array_equal(poly.coefficient(0), x @ x)
-        assert np.array_equal(poly.coefficient(1), x @ nsk + nsk @ x)
-        assert np.array_equal(poly.coefficient(2), nsk @ nsk)
+        _, stack = _power_stacks(x, nsk, 2)
+        assert np.array_equal(stack[0], x @ x)
+        assert np.array_equal(stack[1], x @ nsk + nsk @ x)
+        assert np.array_equal(stack[2], nsk @ nsk)
 
-    def test_middle_trace_vanishes(self):
-        # trace(xn + nx) = 0 for symmetric x, skew n
+    def test_stack_count_and_shapes(self):
+        x, nsk = np.eye(4), canonical_skew_matrix([1.0, 2.0])
+        assert list(_power_stacks(x, nsk, 0)) == []
+        shapes = [stack.shape for stack in _power_stacks(x, nsk, 5)]
+        assert shapes == [(k + 1, 4, 4) for k in range(1, 6)]
+
+    def test_trace_oracle_every_coefficient(self):
+        # every (k, j), odd structural zeros included, against the word sum
         rng = np.random.default_rng(2)
-        x, nsk = random_sym(4, rng), random_skew(4, rng)
-        assert abs(np.trace(poly_power(x, nsk, 2).coefficient(1))) <= 1e-14
-
-    def test_power_validation(self):
-        with pytest.raises(ValueError):
-            poly_power(np.eye(2), N2, 0)
+        for n in range(2, 7):
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            for k, stack in enumerate(_power_stacks(x, nsk, n - 1), start=1):
+                for j in range(k + 1):
+                    oracle = trace_coefficient_oracle(x, nsk, k, j)
+                    assert np.trace(stack[j]) == pytest.approx(oracle, abs=1e-12)
+                    if j % 2 == 1:
+                        assert abs(np.trace(stack[j])) <= 1e-13
 
     def test_eval_matches_direct(self):
         rng = np.random.default_rng(3)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        poly = poly_power(x, nsk, 3)
+        *_, stack = _power_stacks(x, nsk, 3)
         for t in (-1.0, 0.3, 2.0):
             direct = np.linalg.matrix_power(x + t * nsk, 3)
-            assert max_abs(poly.eval(t) - direct) <= 1e-12
-
-    def test_trailing_zero_trim(self):
-        poly = MatrixPoly.of([np.eye(2), np.zeros((2, 2))])
-        assert poly.degree == 0
-        assert np.array_equal(poly.coefficient(5), np.zeros((2, 2)))
+            assert max_abs(np.polynomial.polynomial.polyval(t, stack) - direct) <= 1e-12
 
 
 class TestCounts:
@@ -204,42 +206,28 @@ class TestGradientTable:
             fd = (plus.values[key] - minus.values[key]) / (2 * eps)
             assert fd == pytest.approx(frobenius_inner(grad, y), abs=1e-6)
 
-    def test_single_gradient_accessor(self):
-        rng = np.random.default_rng(16)
-        x, nsk = random_sym(5, rng), random_skew(5, rng)
-        table = gradient_table(x, nsk)
-        for key, grad in table.gradients.items():
-            assert np.array_equal(invariant_gradient(x, nsk, *key), grad)
-
-    def test_gradient_index_validation(self):
-        with pytest.raises(ValueError):
-            invariant_gradient(np.eye(2), N2, 3, 1)  # odd power
-        with pytest.raises(ValueError):
-            invariant_gradient(np.eye(2), N2, 2, 2)  # out of range
-        with pytest.raises(ValueError):
-            invariant_gradient(np.eye(2), N2, 0, 0)
-
 
 class TestRecursion:
     def test_first_rung_exact(self):
         # k = 1, r = 1 compares the flow generated through both structures
         rng = np.random.default_rng(17)
         x, nsk = random_sym(4, rng), random_skew(4, rng)
-        assert recursion_residual(x, nsk, 1, 1) <= 1e-15
+        assert recursion_residuals(x, nsk)[(1, 1)] <= 1e-15
 
     def test_nontrivial_example(self):
         # (k, r) = (3, 1): gradients of the (3, 2) and (4, 2) members
         rng = np.random.default_rng(18)
         for n in (4, 5, 6):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            assert recursion_residual(x, nsk, 3, 1) <= 1e-14
+            assert recursion_residuals(x, nsk)[(3, 1)] <= 1e-14
 
     def test_hamiltonian_chain(self):
         # r = k: the plain trace-power Hamiltonians chain through both tensors
         rng = np.random.default_rng(19)
         x, nsk = random_sym(6, rng), random_skew(6, rng)
+        residuals = recursion_residuals(x, nsk)
         for k in range(1, 6):
-            assert recursion_residual(x, nsk, k, k) <= 1e-13
+            assert residuals[(k, k)] <= 1e-13
 
     def test_structure_power_is_frozen_casimir(self):
         rng = np.random.default_rng(20)
@@ -251,13 +239,11 @@ class TestRecursion:
     def test_all_admissible_indices_small(self):
         rng = np.random.default_rng(21)
         x, nsk = random_sym(5, rng), random_skew(5, rng)
-        for k in range(1, 5):
-            for r in range(1, k + 1):
-                if (k - r) % 2 == 0:
-                    assert recursion_residual(x, nsk, k, r) <= 1e-13
+        assert max(recursion_residuals(x, nsk).values()) <= 1e-13
 
-    def test_inadmissible_raises(self):
-        with pytest.raises(ValueError):
-            recursion_residual(np.eye(2), N2, 3, 2)  # k - r odd
-        with pytest.raises(ValueError):
-            recursion_residual(np.eye(2), N2, 2, 0)  # r out of range
+    def test_keys_match_c04_pairs(self):
+        # ascending order too: the certificate's worst_pair breaks ties by it
+        rng = np.random.default_rng(22)
+        for n in range(2, 9):
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            assert list(recursion_residuals(x, nsk)) == c04_pairs(n)

@@ -11,6 +11,8 @@ from symflow.matrix_core import (
 from symflow.poisson import (
     CANONICAL_TOL,
     RankInstabilityError,
+    SkewCanonicalForm,
+    _validate_form,
     canonical_form,
     canonical_skew_matrix,
     frozen_bracket,
@@ -183,6 +185,32 @@ class TestCanonicalForm:
             assert max_abs(rotated - form.canonical_skew) <= CANONICAL_TOL
             assert max_abs(form.pseudo_inverse @ rotated - proj) <= CANONICAL_TOL
             assert max_abs(rotated @ form.pseudo_inverse - proj) <= CANONICAL_TOL
+
+    def test_rank_cut_bounds_only_the_kernel_block(self):
+        # 1e-6 falls under the cut at rank_tol 1e-5: the kernel block holds
+        # it, and every other invariant still meets CANONICAL_TOL
+        nsk = canonical_skew_matrix([1.0, 1e-6])
+        form = canonical_form(nsk, 1e-5)
+        assert (form.p, form.d) == (1, 2)
+        b, m = form.basis, 2 * form.p
+        offset = b @ nsk @ b.T - form.canonical_skew
+        assert 1e-10 < max_abs(offset[m:, m:]) <= 1e-5
+        offset[m:, m:] = 0.0
+        assert max_abs(offset) <= CANONICAL_TOL
+        assert max_abs(b @ b.T - np.eye(4)) <= CANONICAL_TOL
+
+    def test_kernel_block_beyond_cut_raises(self):
+        # a hand-built form that puts the 1e-3 plane in the kernel
+        nsk = canonical_skew_matrix([1.0, 1e-3])
+        core = canonical_skew_matrix([1.0])
+        form = SkewCanonicalForm(
+            n=4, p=1, d=2, skew=nsk, basis=np.eye(4)[[0, 2, 1, 3]],
+            frequencies=np.array([1.0]), core=core,
+            pseudo_inverse=np.pad(-core, ((0, 2), (0, 2))),
+        )
+        _validate_form(form, 1e-2)
+        with pytest.raises(ValueError, match="kernel block"):
+            _validate_form(form, 1e-5)
 
     def test_equal_frequency_grouping(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))
