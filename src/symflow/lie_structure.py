@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import commutator, frobenius_inner, max_abs, _check_same_square
+from .matrix_core import commutator, frobenius_inner, max_abs
 
 
 def n_bracket(x: np.ndarray, y: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
     """x n y - y n x; symmetric whenever x, y are symmetric and n skew."""
-    _check_same_square(x, y)
-    _check_same_square(x, n_skew)
     return x @ n_skew @ y - y @ n_skew @ x
 
 
@@ -30,8 +28,6 @@ def hom_defect(x: np.ndarray, y: np.ndarray, n_skew: np.ndarray) -> float:
 
 def invariant_form(x: np.ndarray, y: np.ndarray, n_skew: np.ndarray) -> float:
     """trace(n x n y), the ad-invariant pairing of the bracket."""
-    _check_same_square(x, y)
-    _check_same_square(x, n_skew)
     return float(np.einsum("ij,ji->", n_skew @ x, n_skew @ y))
 
 
@@ -40,7 +36,6 @@ def quadratic_field(x: np.ndarray, n_skew: np.ndarray, z: np.ndarray) -> np.ndar
     z = np.asarray(z, dtype=float)
     if z.shape != (x.shape[0],):
         raise ValueError(f"vector length {z.shape} does not match matrix size {x.shape}")
-    _check_same_square(x, n_skew)
     return n_skew @ (x @ z)
 
 

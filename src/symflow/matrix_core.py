@@ -1,6 +1,7 @@
 """Dense real matrix substrate: symmetric/skew constructors, commutators,
-the trace inner product, and a pivoted Gram-Schmidt numerical rank.
-Eigendecompositions are left to ``numpy.linalg.eigh``.
+the trace inner product, and a pivoted Gram-Schmidt numerical rank in array
+form, whose one elimination gives the rank at a tolerance and one decade
+above it.  Eigendecompositions are left to ``numpy.linalg.eigh``.
 
 All functions are pure and operate on plain ``numpy`` float arrays.  The
 validating constructors (:func:`sym_matrix`, :func:`skew_matrix`) are the
@@ -66,28 +67,18 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _check_same_square(a: np.ndarray, b: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba."""
-    _check_same_square(a, b)
     return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab + ba.  For a symmetric and b skew the result is skew-symmetric."""
-    _check_same_square(a, b)
     return a @ b + b @ a
 
 
 def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
     """trace(x y), the inner product making Sym(n) self-dual."""
-    _check_same_square(x, y)
     return float(np.einsum("ij,ji->", x, y))
 
 
@@ -112,40 +103,45 @@ def random_skew(n: int, rng: np.random.Generator, normalized: bool = True) -> np
 
 
 def numerical_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9) -> int:
-    """Numerical rank of a set of vectors (matrices are flattened).
+    """Numerical rank of a set of vectors.
 
-    Modified Gram-Schmidt with column pivoting; counts pivot norms exceeding
-    ``tol`` times the largest pivot norm.
+    The first axis indexes the vectors and trailing axes are flattened, so
+    a list of matrices and a stacked ``(k, n, n)`` array give the same rank.
+    Modified Gram-Schmidt with column pivoting; counts the pivots before the
+    first pivot norm at most ``tol`` times the first (largest) one.
+    """
+    return _decade_ranks(vectors, tol)[0]
+
+
+def _decade_ranks(vectors, tol: float) -> tuple[int, int]:
+    """Numerical ranks at ``tol`` and at ``10 * tol`` from one elimination.
+
+    Each step pivots on the largest remaining norm (ties go to the lowest
+    index) and removes its direction from the rest.  The pivot sequence does
+    not depend on the tolerance, only the stopping point does, so the pass
+    run to ``tol`` also holds the stopping point of ``10 * tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = [vectors[:, j] for j in range(vectors.shape[1])]
-    else:
-        cols = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if len(cols) == 0:
+    try:
+        work = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise ValueError("vectors have inconsistent lengths") from exc
+    if work.ndim == 0 or len(work) == 0:
         raise ValueError("numerical_rank of an empty set")
-    length = cols[0].size
-    if any(c.size != length for c in cols):
-        raise ValueError("vectors have inconsistent lengths")
-    work = np.column_stack(cols)
+    work = work.reshape(len(work), work[0].size)
 
-    rank = 0
-    reference = None
-    remaining = list(range(work.shape[1]))
-    while remaining:
-        norms = [float(np.linalg.norm(work[:, j])) for j in remaining]
-        j_best = int(np.argmax(norms))
-        best = norms[j_best]
-        if reference is None:
-            if best == 0.0:
-                return 0
-            reference = best
-        if best <= tol * reference:
+    pivots = []
+    while len(work):
+        norms = np.linalg.norm(work, axis=1)
+        j = int(np.argmax(norms))
+        pivots.append(norms[j])
+        if norms[j] <= tol * pivots[0]:
             break
-        pivot = remaining.pop(j_best)
-        qvec = work[:, pivot] / best
-        rank += 1
-        for j in remaining:
-            work[:, j] -= (qvec @ work[:, j]) * qvec
-    return rank
+        qvec = work[j] / norms[j]
+        work = np.delete(work, j, axis=0)
+        work -= np.outer(work @ qvec, qvec)
+    # Pivot norms fall only up to roundoff; the running minimum counts the
+    # pivots before the first one at or below each cut.
+    running = np.minimum.accumulate(pivots)
+    return int(np.sum(running > tol * pivots[0])), int(np.sum(running > 10.0 * tol * pivots[0]))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matrix_core import max_abs, numerical_rank, random_sym
+from .matrix_core import _decade_ranks, max_abs, numerical_rank, random_sym
 from .invariants import (
     admissible_indices,
     gradient_table,
@@ -150,8 +150,7 @@ def independence_certificate(
                 v = grads[key].ravel()
                 nrm = np.linalg.norm(v)
                 vecs.append(v / nrm if nrm > 0 else v)
-            rank = numerical_rank(vecs, rank_tol)
-            rank_loose = numerical_rank(vecs, 10.0 * rank_tol)
+            rank, rank_loose = _decade_ranks(vecs, rank_tol)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= max_resamples:
                 break
@@ -249,7 +248,7 @@ def casimir_certificate(
     frozen_rank = None
     if frozen_grads:
         frozen_residual = max(max_abs(frozen_tensor(e, n_can)) for e in frozen_grads)
-        frozen_rank = numerical_rank([e.ravel() for e in frozen_grads], rank_tol)
+        frozen_rank = numerical_rank(frozen_grads, rank_tol)
         worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
 
     rng = np.random.default_rng(seed)
@@ -258,7 +257,7 @@ def casimir_certificate(
         x = random_sym(n, rng)
         grads = lie_poisson_casimir_gradients(form, x)
         residual = max(max_abs(lie_poisson_tensor(x, g, n_can)) for g in grads) if grads else 0.0
-        lp_rank = numerical_rank([g.ravel() for g in grads], rank_tol) if grads else 0
+        lp_rank = numerical_rank(grads, rank_tol) if grads else 0
         rank_ok = rank_ok and lp_rank == lp_expected_rank
         worst = max(worst, residual, float(abs(lp_rank - lp_expected_rank)))
         details.append({"sample": s, "lie_poisson_residual": residual, "lie_poisson_rank": lp_rank})

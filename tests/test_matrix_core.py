@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symflow.matrix_core import (
+    _decade_ranks,
     anticommutator,
     commutator,
     frobenius_inner,
@@ -158,6 +159,10 @@ class TestNumericalRank:
         with pytest.raises(ValueError):
             numerical_rank([np.zeros(3), np.zeros(4)], 1e-9)
 
+    def test_nonpositive_tol_raises(self):
+        with pytest.raises(ValueError):
+            numerical_rank([np.ones(2)], 0.0)
+
     @pytest.mark.parametrize("r", [1, 3, 5])
     def test_constructed_rank(self, r):
         rng = np.random.default_rng(r)
@@ -165,7 +170,71 @@ class TestNumericalRank:
         mix = rng.standard_normal((r, 10))
         vectors = [basis @ mix[:, j] for j in range(10)]
         assert numerical_rank(vectors, 1e-9) == r
+        assert numerical_rank(np.stack(vectors), 1e-9) == r
 
     def test_matrices_are_flattened(self):
         ms = [np.eye(3), 2.0 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
         assert numerical_rank(ms, 1e-9) == 2
+        assert numerical_rank(np.stack(ms), 1e-9) == 2
+
+
+def loop_rank(vectors, tol):
+    """Column-by-column pivoted modified Gram-Schmidt, the reference form."""
+    work = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
+    rank, reference = 0, None
+    remaining = list(range(work.shape[1]))
+    while remaining:
+        norms = [float(np.linalg.norm(work[:, j])) for j in remaining]
+        j_best = int(np.argmax(norms))
+        best = norms[j_best]
+        if reference is None:
+            if best == 0.0:
+                return 0
+            reference = best
+        if best <= tol * reference:
+            break
+        pivot = remaining.pop(j_best)
+        qvec = work[:, pivot] / best
+        rank += 1
+        for j in remaining:
+            work[:, j] -= (qvec @ work[:, j]) * qvec
+    return rank
+
+
+class TestDecadeRanks:
+    """One elimination gives the ranks at tol and 10 tol of the loop form."""
+
+    TOL = 1e-9
+
+    def check(self, vectors):
+        expected = (loop_rank(vectors, self.TOL), loop_rank(vectors, 10.0 * self.TOL))
+        assert _decade_ranks(vectors, self.TOL) == expected
+        assert numerical_rank(vectors, self.TOL) == expected[0]
+        return expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noise_swept_through_the_decade(self, seed):
+        rng = np.random.default_rng(seed)
+        low = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 12))
+        noise = rng.standard_normal((9, 12))
+        scale = np.linalg.norm(low, axis=1).max() / np.linalg.norm(noise, axis=1).max()
+        pairs = [
+            self.check(low + eps * scale * noise)
+            for eps in np.geomspace(0.1 * self.TOL, 100.0 * self.TOL, 13)
+        ]
+        # the sweep must reach both sides of each cut and the gap between them
+        assert any(tight != loose for tight, loose in pairs)
+        assert pairs[0] == (3, 3) and pairs[-1] == (9, 9)
+
+    def test_duplicates(self):
+        # equal norms: argmax ties
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 6))
+        assert self.check([a, b, a, b, a + b, b]) == (2, 2)
+        e1, e2, e3 = np.eye(3)
+        assert self.check([2.0 * e2, e1, 2.0 * e2, e2 + 1e-8 * e3, e1]) == (3, 2)
+
+    def test_zero_vectors(self):
+        e1, e2 = np.eye(3)[:2]
+        assert self.check([np.zeros(3), e1, np.zeros(3), e2]) == (2, 2)
+        assert self.check([np.zeros(3), np.zeros(3)]) == (0, 0)

@@ -382,13 +382,15 @@ class TestLeafDimensions:
     def test_rank_instability_flagged(self):
         # singular values straddling the tolerance decade must not be
         # silently rounded either way
-        cols = [np.array([1.0, 0.0]), np.array([0.0, 5e-9])]
-        with pytest.raises(RankInstabilityError):
-            rank_certified(cols, 1e-9)
+        vecs = [np.array([1.0, 0.0]), np.array([0.0, 5e-9])]
+        for given in (vecs, np.array(vecs)):
+            with pytest.raises(RankInstabilityError):
+                rank_certified(given, 1e-9)
 
     def test_rank_certified_clean_case(self):
-        cols = [np.array([1.0, 0.0]), np.array([0.0, 0.5])]
-        assert rank_certified(cols, 1e-9) == 2
+        vecs = [np.array([1.0, 0.0]), np.array([0.0, 0.5])]
+        assert rank_certified(vecs, 1e-9) == 2
+        assert rank_certified(np.array(vecs), 1e-9) == 2
 
 
 class TestCompatibility:
