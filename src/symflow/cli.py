@@ -80,29 +80,45 @@ class RunConfig:
     formats: list
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _convert(cast, value, name: str):
+    """cast(value), with a wrong type or value reported as a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be {cast.__name__}, got {value!r}") from exc
+
+
 def _build_n(spec, n_hint, seed) -> np.ndarray:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("N must be an object with exactly one of: canonical, explicit, random")
     kind, payload = next(iter(spec.items()))
     if kind == "canonical":
+        payload = _object(payload, "canonical N")
         freqs = payload.get("v") or []
-        d = int(payload.get("d", 0))
+        d = _convert(int, payload.get("d", 0), "canonical N field d")
         if not freqs and d == 0:
             raise ConfigError("canonical N needs a frequency list v")
         try:
             return canonical_skew_matrix([float(v) for v in freqs], d)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"canonical N rejected: {exc}") from exc
     if kind == "explicit":
         try:
             return skew_matrix(np.asarray(payload, dtype=float))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"explicit N rejected: {exc}") from exc
     if kind == "random":
         if n_hint is None:
             raise ConfigError("random N needs the config field n")
-        rng = np.random.default_rng(int(payload.get("seed", seed)))
-        return random_skew(int(n_hint), rng)
+        payload = _object(payload, "random N")
+        rng = np.random.default_rng(_convert(int, payload.get("seed", seed), "random N field seed"))
+        return random_skew(n_hint, rng)
     raise ConfigError(f"unknown N kind {kind!r}")
 
 
@@ -115,13 +131,14 @@ def _build_x0(spec, n, seed) -> np.ndarray:
     if kind == "explicit":
         try:
             x0 = sym_matrix(np.asarray(payload, dtype=float))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"explicit X0 rejected: {exc}") from exc
         if x0.shape[0] != n:
             raise ConfigError(f"X0 size {x0.shape[0]} does not match n = {n}")
         return x0
     if kind == "random":
-        rng = np.random.default_rng(int(payload.get("seed", seed)))
+        payload = _object(payload, "random X0")
+        rng = np.random.default_rng(_convert(int, payload.get("seed", seed), "random X0 field seed"))
         return random_sym(n, rng)
     raise ConfigError(f"unknown X0 kind {kind!r}")
 
@@ -139,19 +156,20 @@ def load_config(path) -> dict:
 def resolve_config(raw: dict, args) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
+    seed = _convert(int, args.seed if args.seed is not None else raw.get("seed", 0), "seed")
+    n_hint = None if raw.get("n") is None else _convert(int, raw["n"], "n")
 
     n_spec = raw.get("N")
     if n_spec is None:
         raise ConfigError("config is missing N")
-    n_skew = _build_n(n_spec, raw.get("n"), seed)
+    n_skew = _build_n(n_spec, n_hint, seed)
     n = n_skew.shape[0]
-    if raw.get("n") is not None and int(raw["n"]) != n:
+    if n_hint is not None and n_hint != n:
         raise ConfigError(f"config n = {raw['n']} but N has size {n}")
 
     x0 = _build_x0(raw.get("X0"), n, seed)
 
-    integ = raw.get("integrator", {})
+    integ = _object(raw.get("integrator", {}), "integrator")
     try:
         integrator = IntegratorConfig(
             step=float(integ.get("step", 1e-3)),
@@ -159,33 +177,38 @@ def resolve_config(raw: dict, args) -> RunConfig:
             scheme=integ.get("scheme", "rk4"),
             monitor_stride=int(integ.get("monitor_stride", 10)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator config: {exc}") from exc
 
     suites = raw.get("suites", list(ALL_SUITES))
     if suites == "all":
         suites = list(ALL_SUITES)
+    if not isinstance(suites, list):
+        raise ConfigError(f'suites must be "all" or a list of suite names, got {suites!r}')
     bad = [s for s in suites if s not in ALL_SUITES]
     if bad:
         raise ConfigError(f"unknown suites {bad}; valid: {list(ALL_SUITES)}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(raw.get("tolerances", {}))
+    for key, value in _object(raw.get("tolerances", {}), "tolerances").items():
+        tolerances[key] = _convert(float, value, f"tolerance {key}")
     if args.tol is not None:
         tolerances["identity"] = float(args.tol)
     if args.rank_tol is not None:
         tolerances["rank"] = float(args.rank_tol)
 
-    output = raw.get("output", {})
-    out_dir = Path(args.out if args.out is not None else output.get("dir", "out"))
+    output = _object(raw.get("output", {}), "output")
+    out_dir = _convert(Path, args.out if args.out is not None else output.get("dir", "out"), "output dir")
     formats = output.get("formats", ["csv"])
     if args.format is not None:
         formats = [args.format]
+    if not isinstance(formats, list):
+        raise ConfigError(f"output formats must be a list, got {formats!r}")
     bad = [f for f in formats if f not in ("csv", "json")]
     if bad:
         raise ConfigError(f"unknown formats {bad}")
 
-    samples = int(raw.get("samples", 20))
+    samples = _convert(int, raw.get("samples", 20), "samples")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
 
@@ -196,15 +219,9 @@ def resolve_config(raw: dict, args) -> RunConfig:
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.16e}"
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.16e", delimiter=",", header=",".join(header), comments="")
 
 
 def _write_json(path: Path, payload) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from symflow.cli import main
+from symflow.cli import _write_csv, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -143,6 +143,32 @@ class TestVerify:
         code, _ = run(tmp_path, "verify", config)
         assert code == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"samples": "abc"},
+        {"seed": "s"},
+        {"N": {"canonical": {"v": [1.0], "d": "x"}}},
+        {"N": {"canonical": [1.0]}},
+        {"suites": 5},
+        {"tolerances": {"lax": "big"}},
+        {"samples": [1]},
+        {"n": "x"},
+        {"N": {"canonical": {"v": 5}}},
+        {"N": {"random": 3}},
+        {"X0": {"random": [1]}},
+        {"integrator": 5},
+        {"integrator": {"step": [1]}},
+        {"output": {"formats": 5}},
+    ])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, fields):
+        code, _ = run(tmp_path, "verify", dict(BASE, **fields))
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_malformed_output_dir_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(BASE, output={"dir": 5}))
+        assert main(["verify", "--config", config]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestInvariantsCommand:
     def test_n4_count(self, tmp_path):
@@ -229,3 +255,23 @@ class TestConfigHandling:
         assert n.shape == (4, 4)
         assert np.array_equal(n, -n.T)
         assert np.asarray(payload["X0"]).shape == (4, 4)
+
+
+def per_value_csv(header, rows) -> str:
+    """The per-value formatter the CSV writer replaced, the reference form."""
+    lines = [",".join(header)] + [",".join(f"{float(v):.16e}" for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [
+        np.array([[0.0, -0.0, 5e-324, -5e-324],
+                  [1e300, -1e300, np.nan, np.inf],
+                  [-np.inf, 1.0 / 3.0, -2.5e-17, 123456789.125]]),
+        [[1, 0, 0.25], [3, 2, -1.5e-8], [4, 2, 7.0]],  # (k, two_r, value), as in invariants.csv
+        [],
+    ])
+    def test_bytes_match_per_value_formatter(self, tmp_path, rows):
+        header = [f"c{i}" for i in range(len(rows[0]) if len(rows) else 2)]
+        _write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from symflow.matrix_core import max_abs, random_skew
-from symflow.poisson import canonical_form, canonical_skew_matrix
+from symflow.invariants import admissible_indices, gradient_table
+from symflow.matrix_core import max_abs, random_skew, random_sym
+from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
 from symflow.verify import (
     casimir_certificate,
     flow_generation_defect,
@@ -17,6 +18,51 @@ from symflow.verify import (
     sectional_certificate,
     sectional_comparison_2x2,
 )
+
+
+def loop_involution_details(form, samples, seed):
+    """Pair-by-pair bracket loop, the reference form of involution_certificate."""
+    keys = admissible_indices(form.n)
+    rng = np.random.default_rng(seed)
+    details = []
+    for s in range(samples):
+        x = random_sym(form.n, rng)
+        grads = gradient_table(x, form.skew).gradients
+        worst, pair, bracket = 0.0, None, None
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                lp = abs(lie_poisson_bracket(grads[a], grads[b], x, form.skew))
+                fr = abs(frozen_bracket(grads[a], grads[b], form.skew))
+                for val, name in ((lp, "lie_poisson"), (fr, "frozen")):
+                    if val > worst:
+                        worst, pair, bracket = val, (a, b), name
+        details.append({"sample": s, "max_abs_bracket": worst, "worst_pair": pair, "worst_bracket": bracket})
+    return details
+
+
+def loop_sectional(samples, seed, min_gap=0.1):
+    """One draw and one 2x2 comparison per sample, the reference form of
+    sectional_certificate; returns the closest sample's detail and the draw count."""
+    rng = np.random.default_rng(seed)
+    smallest, closest, draws = np.inf, None, 0
+    for s in range(samples):
+        while True:
+            a, b, d, alpha, beta = rng.uniform(-1.0, 1.0, size=5)
+            draws += 1
+            if abs(a - d) > min_gap and alpha != 0.0:
+                break
+        sectional, flow, _ = sectional_comparison_2x2(alpha, beta, np.array([[a, b], [b, d]]))
+        diff = max_abs(sectional - flow)
+        if diff < smallest:
+            smallest = diff
+            closest = {"sample": s, "point": [a, b, d, alpha, beta], "difference": diff}
+    return closest, draws
+
+
+def both_forms(alpha, beta, x):
+    """The scalar comparison, and the middle state of a stacked call on three copies."""
+    stacked = sectional_comparison_2x2(np.full(3, alpha), np.full(3, beta), np.stack([x] * 3))
+    return [sectional_comparison_2x2(alpha, beta, x), tuple(part[1] for part in stacked)]
 
 
 class TestInvolution:
@@ -44,6 +90,29 @@ class TestInvolution:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             involution_certificate(canonical_form(canonical_skew_matrix([1.0])), samples=0, seed=0)
+
+    def check_against_loop(self, form, samples, seed):
+        cert = involution_certificate(form, samples=samples, seed=seed)
+        expected = loop_involution_details(form, samples, seed)
+        assert cert.details == expected
+        assert cert.max_residual == max(item["max_abs_bracket"] for item in expected)
+        return cert
+
+    def test_matches_pair_loop_single_member(self):
+        cert = self.check_against_loop(canonical_form(canonical_skew_matrix([1.0])), 3, 4)
+        assert all(item["worst_pair"] is None for item in cert.details)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_pair_loop_random_structure(self, n):
+        rng = np.random.default_rng(100 + n)
+        self.check_against_loop(canonical_form(random_skew(n, rng)), 3, n)
+
+    def test_matches_pair_loop_wide_frequencies(self):
+        # frequencies 1..4 at n = 8 put the roundoff just above the default
+        # tolerance; the array form must keep the loop's bits and verdict
+        form = canonical_form(canonical_skew_matrix([1.0, 2.0, 3.0, 4.0]))
+        cert = self.check_against_loop(form, 4, 0)
+        assert cert.passed is False
 
 
 class TestIndependence:
@@ -159,43 +228,74 @@ class TestSectional:
     def test_frozen_point(self):
         # direct evaluation at a=1, b=1, d=2, alpha=beta=1
         x = np.array([[1.0, 1.0], [1.0, 2.0]])
-        sectional, flow, differ = sectional_comparison_2x2(1.0, 1.0, x)
-        assert np.allclose(sectional, [[-2.0, 0.0], [0.0, 4.0]], atol=0, rtol=0)
-        assert np.allclose(flow, [[-6.0, -3.0], [-3.0, 6.0]], atol=0, rtol=0)
-        assert differ
+        for sectional, flow, differ in both_forms(1.0, 1.0, x):
+            assert np.allclose(sectional, [[-2.0, 0.0], [0.0, 4.0]], atol=0, rtol=0)
+            assert np.allclose(flow, [[-6.0, -3.0], [-3.0, 6.0]], atol=0, rtol=0)
+            assert differ
 
     def test_diagonal_free_case(self):
         # b = 0 kills the sectional side entirely but not the flow
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        sectional, flow, differ = sectional_comparison_2x2(1.0, 1.0, x)
-        assert max_abs(sectional) == 0.0
-        assert np.allclose(flow, [[0.0, -3.0], [-3.0, 0.0]], atol=0, rtol=0)
-        assert differ
+        for sectional, flow, differ in both_forms(1.0, 1.0, x):
+            assert max_abs(sectional) == 0.0
+            assert np.allclose(flow, [[0.0, -3.0], [-3.0, 0.0]], atol=0, rtol=0)
+            assert differ
 
     def test_coincidence_locus(self):
         # a = d with b = 0 makes both sides vanish
         x = np.array([[1.5, 0.0], [0.0, 1.5]])
-        sectional, flow, differ = sectional_comparison_2x2(2.0, 1.0, x)
-        assert max_abs(sectional) == 0.0 and max_abs(flow) == 0.0
-        assert not differ
+        for sectional, flow, differ in both_forms(2.0, 1.0, x):
+            assert max_abs(sectional) == 0.0 and max_abs(flow) == 0.0
+            assert not differ
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
             sectional_comparison_2x2(0.0, 1.0, np.eye(2))
+        for position in range(3):
+            alpha = np.ones(3)
+            alpha[position] = 0.0
+            with pytest.raises(ValueError, match="alpha must be nonzero"):
+                sectional_comparison_2x2(alpha, np.ones(3), np.stack([np.eye(2)] * 3))
 
     def test_certificate_separation(self):
         cert = sectional_certificate(1000, seed=0)
         assert cert.passed
         assert cert.details[0]["min_difference"] >= 1e-3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("samples,min_gap", [(1, 0.1), (40, 0.1), (1000, 0.1), (50, 1.5)])
+    def test_matches_per_sample_loop(self, seed, samples, min_gap):
+        closest, draws = loop_sectional(samples, seed, min_gap)
+        if min_gap == 1.5:
+            # about one draw in sixteen is accepted, so batches are topped up
+            assert draws > samples
+        cert = sectional_certificate(samples, seed, min_gap=min_gap)
+        assert cert.details == [{"min_difference": closest["difference"], "separation": 1e-3}, closest]
+
+    def test_stack_matches_per_state(self):
+        rng = np.random.default_rng(21)
+        a, b, d, alpha, beta = rng.uniform(-1.0, 1.0, size=(5, 2, 3))
+        x = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+        sectional, flow, differ = sectional_comparison_2x2(alpha, beta, x)
+        assert sectional.shape == flow.shape == (2, 3, 2, 2) and differ.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = sectional_comparison_2x2(alpha[idx], beta[idx], x[idx])
+            assert np.array_equal(sectional[idx], one[0]) and np.array_equal(flow[idx], one[1])
+            assert differ[idx] == one[2]
+
     def test_flow_side_matches_vector_field(self):
         from symflow.dynamics import vector_field
         rng = np.random.default_rng(19)
         n2 = canonical_skew_matrix([1.0])
+        states = []
         for _ in range(5):
             a, b, d = rng.uniform(-1, 1, 3)
             x = np.array([[a, b], [b, d]])
             _, flow, _ = sectional_comparison_2x2(1.0, 1.0, x)
+            assert max_abs(flow - vector_field(x, n2)) <= 1e-14
+            states.append(x)
+        _, flows, _ = sectional_comparison_2x2(np.ones(5), np.ones(5), np.stack(states))
+        for x, flow in zip(states, flows):
             assert max_abs(flow - vector_field(x, n2)) <= 1e-14
 
 
