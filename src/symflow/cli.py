@@ -94,6 +94,23 @@ def _convert(cast, value, name: str):
         raise ConfigError(f"{name} must be {cast.__name__}, got {value!r}") from exc
 
 
+def integral(value) -> int:
+    """A JSON number without a fractional part; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} has a fractional part")
+    return int(value)
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """An integral config field of at least ``minimum``, else a ConfigError."""
+    number = _convert(integral, value, name)
+    if number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
 def _build_n(spec, n_hint, seed) -> np.ndarray:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("N must be an object with exactly one of: canonical, explicit, random")
@@ -101,7 +118,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
     if kind == "canonical":
         payload = _object(payload, "canonical N")
         freqs = payload.get("v") or []
-        d = _convert(int, payload.get("d", 0), "canonical N field d")
+        d = _integer(payload.get("d", 0), "canonical N field d", 0)
         if not freqs and d == 0:
             raise ConfigError("canonical N needs a frequency list v")
         try:
@@ -117,7 +134,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
         if n_hint is None:
             raise ConfigError("random N needs the config field n")
         payload = _object(payload, "random N")
-        rng = np.random.default_rng(_convert(int, payload.get("seed", seed), "random N field seed"))
+        rng = np.random.default_rng(_integer(payload.get("seed", seed), "random N field seed", 0))
         return random_skew(n_hint, rng)
     raise ConfigError(f"unknown N kind {kind!r}")
 
@@ -138,7 +155,7 @@ def _build_x0(spec, n, seed) -> np.ndarray:
         return x0
     if kind == "random":
         payload = _object(payload, "random X0")
-        rng = np.random.default_rng(_convert(int, payload.get("seed", seed), "random X0 field seed"))
+        rng = np.random.default_rng(_integer(payload.get("seed", seed), "random X0 field seed", 0))
         return random_sym(n, rng)
     raise ConfigError(f"unknown X0 kind {kind!r}")
 
@@ -156,8 +173,8 @@ def load_config(path) -> dict:
 def resolve_config(raw: dict, args) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    seed = _convert(int, args.seed if args.seed is not None else raw.get("seed", 0), "seed")
-    n_hint = None if raw.get("n") is None else _convert(int, raw["n"], "n")
+    seed = _integer(args.seed if args.seed is not None else raw.get("seed", 0), "seed", 0)
+    n_hint = None if raw.get("n") is None else _integer(raw["n"], "n", 1)
 
     n_spec = raw.get("N")
     if n_spec is None:
@@ -175,7 +192,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
             step=float(integ.get("step", 1e-3)),
             t_end=float(integ.get("t_end", 1.0)),
             scheme=integ.get("scheme", "rk4"),
-            monitor_stride=int(integ.get("monitor_stride", 10)),
+            monitor_stride=_integer(integ.get("monitor_stride", 10), "integrator field monitor_stride", 1),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integrator config: {exc}") from exc
@@ -208,9 +225,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
     if bad:
         raise ConfigError(f"unknown formats {bad}")
 
-    samples = _convert(int, raw.get("samples", 20), "samples")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    samples = _integer(raw.get("samples", 20), "samples", 1)
 
     return RunConfig(
         n=n, n_skew=n_skew, x0=x0, integrator=integrator, suites=list(suites),
@@ -220,8 +235,26 @@ def resolve_config(raw: dict, args) -> RunConfig:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    """Write rows as "%.16e" CSV; columns whose float64 bytes agree in every row are formatted once."""
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim == 1:  # a flat sequence is one column; an empty one writes the header only
+        table = table[:, None]
+    # equal bits give equal text: slot[j] numbers the bit pattern of column
+    # j, picks[k] is the first column of slot k, and each row formats only
+    # the picked columns and copies each text to every column of its slot
+    seen, picks, slot = {}, [], []
+    for j, column in enumerate(table.T):
+        k = seen.setdefault(column.tobytes(), len(picks))
+        if k == len(picks):
+            picks.append(j)
+        slot.append(k)
+    picks = np.array(picks, dtype=np.intp)
+    fmt = ",".join(["%.16e"] * len(picks))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt="%.16e", delimiter=",", header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            texts = (fmt % tuple(row[picks])).split(",")
+            fh.write(",".join([texts[k] for k in slot]) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
 from .lie_structure import BlockDecomp, from_blocks, split_blocks
-from .poisson import SkewCanonicalForm, canonical_form, lie_poisson_casimirs
+from .poisson import canonical_form, lie_poisson_casimirs
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +109,6 @@ class Trajectory:
     casimir_values: np.ndarray  # (len(monitor_times), n_casimirs)
     spectra: np.ndarray  # (len(monitor_times), n), ascending eigenvalues
     resym_max: float = 0.0
-    form: SkewCanonicalForm | None = None
 
     @staticmethod
     def _drift(values: np.ndarray) -> np.ndarray:
@@ -174,8 +173,10 @@ def integrate(
     form = canonical_form(n_skew, rank_tol)
     labels = admissible_indices(n)
 
-    times = [0.0]
-    states = [x.copy()]
+    h = config.step
+    times = np.arange(config.n_steps + 1, dtype=float) * h
+    states = np.empty((config.n_steps + 1, n, n))
+    states[0] = x
     monitor_times, inv_rows, cas_rows, spec_rows = [], [], [], []
 
     def record(t: float, state: np.ndarray) -> None:
@@ -188,7 +189,6 @@ def integrate(
     record(0.0, x)
     resym_max = 0.0
     warned = False
-    h = config.step
     for step_index in range(1, config.n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             x = _rk4_step(x, n_skew, h)
@@ -201,21 +201,19 @@ def integrate(
             logger.warning("symmetric projection of %.3e at t = %.6g", correction, t)
             warned = True
         x = symmetrize(x)
-        times.append(t)
-        states.append(x.copy())
+        states[step_index] = x
         if step_index % config.monitor_stride == 0 or step_index == config.n_steps:
             record(t, x)
 
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=times,
+        states=states,
         monitor_times=np.asarray(monitor_times),
         invariant_labels=labels,
         invariant_values=np.asarray(inv_rows),
         casimir_values=np.asarray(cas_rows),
         spectra=np.asarray(spec_rows),
         resym_max=resym_max,
-        form=form,
     )
 
 

@@ -1,9 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from symflow.cli import _write_csv, main
+from symflow.dynamics import IntegratorConfig, integrate
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -79,6 +81,19 @@ class TestSimulate:
         assert code == 0
         assert (out / "trajectory.json").exists()
         assert not (out / "trajectory.csv").exists()
+
+    def test_trajectory_matches_savetxt(self, tmp_path):
+        code, out = run(tmp_path, "simulate", BASE)
+        assert code == 0
+        echo = json.loads((out / "runconfig.json").read_text())
+        traj = integrate(np.asarray(echo["X0"]), np.asarray(echo["N"]),
+                         IntegratorConfig(**echo["integrator"]))
+        n = echo["n"]
+        header = ["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]
+        expected = io.StringIO()
+        np.savetxt(expected, np.hstack([traj.times[:, None], traj.states.reshape(len(traj.times), -1)]),
+                   fmt="%.16e", delimiter=",", header=",".join(header), comments="")
+        assert (out / "trajectory.csv").read_bytes() == expected.getvalue().encode()
 
     def test_values_round_trip(self, tmp_path):
         _, out = run(tmp_path, "simulate", BASE)
@@ -158,11 +173,47 @@ class TestVerify:
         {"integrator": 5},
         {"integrator": {"step": [1]}},
         {"output": {"formats": 5}},
+        {"samples": 2.7},
+        {"samples": True},
+        {"seed": True},
+        {"seed": 3.5},
+        {"n": 4.5},
+        {"N": {"canonical": {"v": [1.0, 2.0], "d": 0.5}}},
+        {"N": {"random": {"seed": 2.5}}},
+        {"X0": {"random": {"seed": True}}},
+        {"integrator": {"step": 0.001, "t_end": 0.2, "monitor_stride": 1.9}},
+        {"seed": -1, "X0": {"random": {}}},
+        {"seed": -1, "N": {"random": {}}},
+        {"X0": {"random": {"seed": -5}}},
+        {"N": {"random": {"seed": -5}}},
+        {"n": -1, "N": {"random": {}}},
     ])
     def test_malformed_field_exit_2(self, tmp_path, capsys, fields):
         code, _ = run(tmp_path, "verify", dict(BASE, **fields))
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        # JSON does not tell 3 from 3.0; a count without a fractional part is accepted
+        floats = dict(
+            BASE, n=4.0, seed=3.0, samples=5.0,
+            N={"canonical": {"v": [1.0, 2.0], "d": 0.0}},
+            X0={"random": {"seed": 11.0}},
+            integrator={"step": 0.001, "t_end": 0.2, "monitor_stride": 50.0},
+        )
+        code_int, out_int = run(tmp_path, "simulate", BASE, out="ints")
+        code_float, out_float = run(tmp_path, "simulate", floats, out="floats")
+        assert code_int == code_float == 0
+        echo = json.loads((out_float / "runconfig.json").read_text())
+        assert [echo["n"], echo["seed"], echo["samples"], echo["integrator"]["monitor_stride"]] == [4, 3, 5, 50]
+        for name in ("trajectory.csv", "monitors.csv"):
+            assert (out_int / name).read_bytes() == (out_float / name).read_bytes()
+
+    @pytest.mark.parametrize("config", [BASE, dict(BASE, X0={"random": {}})])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, config):
+        code, _ = run(tmp_path, "simulate", config, extra=("--seed", "-1"))
+        assert code == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
 
     def test_malformed_output_dir_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(BASE, output={"dir": 5}))
@@ -263,6 +314,24 @@ def per_value_csv(header, rows) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def state_table(n, steps, seed=0):
+    """[t | X] rows of exactly symmetric states, as simulate writes them."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((steps, n, n))
+    states = (a + a.transpose(0, 2, 1)) / 2.0
+    return np.hstack([np.arange(steps)[:, None] * 1e-3, states.reshape(steps, -1)])
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def one_row_differs():
+    rows = np.repeat(np.random.default_rng(1).standard_normal((6, 1)), 3, axis=1)
+    rows[4, 1] = np.nextafter(rows[4, 1], np.inf)
+    return rows
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("rows", [
         np.array([[0.0, -0.0, 5e-324, -5e-324],
@@ -270,6 +339,17 @@ class TestCsvWriter:
                   [-np.inf, 1.0 / 3.0, -2.5e-17, 123456789.125]]),
         [[1, 0, 0.25], [3, 2, -1.5e-8], [4, 2, 7.0]],  # (k, two_r, value), as in invariants.csv
         [],
+        pytest.param(np.array([[1.5, 1.5], [0.0, -0.0], [2.0, 2.0]]), id="signed-zeros"),
+        pytest.param(np.array([[np.nan, np.nan, nan_with_payload(1), -np.nan],
+                               [np.nan, np.nan, nan_with_payload(1), -np.nan]]), id="nan-columns"),
+        pytest.param(np.full((4, 5), 0.1), id="all-equal"),
+        pytest.param(np.arange(5.0)[:, None] / 3.0, id="one-column"),
+        pytest.param(np.array([[1.0, 2.0, 1.0, -0.0, 0.0]]), id="one-row"),
+        pytest.param(state_table(1, 40), id="states-n1"),
+        pytest.param(state_table(2, 40), id="states-n2"),
+        pytest.param(state_table(8, 40), id="states-n8"),
+        pytest.param(state_table(32, 5), id="states-n32"),
+        pytest.param(one_row_differs(), id="one-row-differs"),
     ])
     def test_bytes_match_per_value_formatter(self, tmp_path, rows):
         header = [f"c{i}" for i in range(len(rows[0]) if len(rows) else 2)]

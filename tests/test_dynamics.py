@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from symflow.matrix_core import max_abs, random_skew, random_sym
+from symflow.matrix_core import max_abs, random_skew, random_sym, symmetrize
 from symflow.lie_structure import BlockDecomp, from_blocks
 from symflow.poisson import canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
+    _rk4_step,
     block_vector_field,
     integrate,
     integrate_blocks,
@@ -130,7 +131,33 @@ class TestIntegratorConfig:
         assert cfg.n_steps == 0
 
 
+def list_integrate(x0, n_skew, config):
+    """The list-based state loop integrate replaced, the reference form."""
+    x = symmetrize(x0)
+    times, states = [0.0], [x.copy()]
+    for step_index in range(1, config.n_steps + 1):
+        x = symmetrize(_rk4_step(x, n_skew, config.step))
+        times.append(step_index * config.step)
+        states.append(x.copy())
+    return np.asarray(times), np.asarray(states)
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("n_skew, t_end", [
+        (np.zeros((1, 1)), 0.3),
+        (N2, 0.3),
+        (canonical_skew_matrix([0.7, 1.1, 1.3, 1.6]), 0.3),
+        (N2, 0.0),
+    ])
+    def test_states_match_list_loop(self, n_skew, t_end):
+        x0 = random_sym(n_skew.shape[0], np.random.default_rng(17))
+        config = IntegratorConfig(step=0.01, t_end=t_end, monitor_stride=7)
+        traj = integrate(x0, n_skew, config)
+        times, states = list_integrate(x0, n_skew, config)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.states.shape == (config.n_steps + 1, *n_skew.shape)
+
     def test_equilibrium_is_exactly_constant(self):
         cfg = IntegratorConfig(step=0.01, t_end=0.5)
         traj = integrate(0.7 * np.eye(2), N2, cfg)
