@@ -13,7 +13,9 @@ abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,7 +92,7 @@ def _convert(cast, value, name: str):
     """cast(value), with a wrong type or value reported as a ConfigError."""
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be {cast.__name__}, got {value!r}") from exc
 
 
@@ -101,6 +103,16 @@ def integral(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} has a fractional part")
     return int(value)
+
+
+def real(value) -> float:
+    """A finite JSON number as a float; booleans, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    number = float(value)  # OverflowError for an integer beyond the float range
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -122,7 +134,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
         if not freqs and d == 0:
             raise ConfigError("canonical N needs a frequency list v")
         try:
-            return canonical_skew_matrix([float(v) for v in freqs], d)
+            return canonical_skew_matrix([_convert(real, v, "canonical N field v") for v in freqs], d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"canonical N rejected: {exc}") from exc
     if kind == "explicit":
@@ -189,8 +201,8 @@ def resolve_config(raw: dict, args) -> RunConfig:
     integ = _object(raw.get("integrator", {}), "integrator")
     try:
         integrator = IntegratorConfig(
-            step=float(integ.get("step", 1e-3)),
-            t_end=float(integ.get("t_end", 1.0)),
+            step=_convert(real, integ.get("step", 1e-3), "integrator field step"),
+            t_end=_convert(real, integ.get("t_end", 1.0), "integrator field t_end"),
             scheme=integ.get("scheme", "rk4"),
             monitor_stride=_integer(integ.get("monitor_stride", 10), "integrator field monitor_stride", 1),
         )
@@ -208,11 +220,11 @@ def resolve_config(raw: dict, args) -> RunConfig:
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in _object(raw.get("tolerances", {}), "tolerances").items():
-        tolerances[key] = _convert(float, value, f"tolerance {key}")
+        tolerances[key] = _convert(real, value, f"tolerance {key}")
     if args.tol is not None:
-        tolerances["identity"] = float(args.tol)
+        tolerances["identity"] = _convert(real, args.tol, "--tol")
     if args.rank_tol is not None:
-        tolerances["rank"] = float(args.rank_tol)
+        tolerances["rank"] = _convert(real, args.rank_tol, "--rank-tol")
 
     output = _object(raw.get("output", {}), "output")
     out_dir = _convert(Path, args.out if args.out is not None else output.get("dir", "out"), "output dir")
@@ -427,7 +439,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symflow",
         description="Simulate and verify the isospectral flow dX/dt = [X^2, N] on symmetric matrices.",

@@ -173,9 +173,9 @@ def integrate(
     form = canonical_form(n_skew, rank_tol)
     labels = admissible_indices(n)
 
-    h = config.step
-    times = np.arange(config.n_steps + 1, dtype=float) * h
-    states = np.empty((config.n_steps + 1, n, n))
+    h, n_steps = config.step, config.n_steps
+    times = np.arange(n_steps + 1, dtype=float) * h
+    states = np.empty((n_steps + 1, n, n))
     states[0] = x
     monitor_times, inv_rows, cas_rows, spec_rows = [], [], [], []
 
@@ -189,7 +189,7 @@ def integrate(
     record(0.0, x)
     resym_max = 0.0
     warned = False
-    for step_index in range(1, config.n_steps + 1):
+    for step_index in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             x = _rk4_step(x, n_skew, h)
         t = step_index * h
@@ -202,7 +202,7 @@ def integrate(
             warned = True
         x = symmetrize(x)
         states[step_index] = x
-        if step_index % config.monitor_stride == 0 or step_index == config.n_steps:
+        if step_index % config.monitor_stride == 0 or step_index == n_steps:
             record(t, x)
 
     return Trajectory(

@@ -13,6 +13,10 @@ The gradient of the (k, 2r) member is the coefficient of t^{2r} in
 (X + t N)^{k-1}, which is symmetric for even powers.  The table stores the
 1/k-normalized coefficients; the bare multi-index sum differs by the
 factor k.
+
+Each stack is read with array operations: one trace call gives every
+coefficient of a power, one mask checks its odd structural zeros, and one
+stacked symmetrize gives its gradients.
 """
 
 from __future__ import annotations
@@ -85,18 +89,19 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> Invaria
     scale_base = frob_norm(x) + frob_norm(n_skew)
     prev = None  # stack of (X + tN)^{k-1}, which carries the gradients
     for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
-        for j in range(0, k):
-            tr = float(np.trace(power[j])) / k
-            if j % 2 == 1:
-                if abs(tr) > ODD_COEFF_TOL * max(1.0, scale_base**k):
-                    raise ArithmeticError(
-                        f"odd-power trace coefficient (k={k}, j={j}) is {tr:.3e}, "
-                        "expected a structural zero"
-                    )
-                continue
-            table.values[(k, j)] = tr
-            if with_gradients:
-                table.gradients[(k, j)] = np.eye(n) if k == 1 else symmetrize(prev[j])
+        traces = np.trace(power[:k], axis1=1, axis2=2) / k
+        # a mask and argmax, not max(): a NaN coefficient compares false and passes
+        odd = np.abs(traces[1::2]) > ODD_COEFF_TOL * max(1.0, scale_base**k)
+        if odd.any():
+            j = 2 * int(odd.argmax()) + 1
+            raise ArithmeticError(
+                f"odd-power trace coefficient (k={k}, j={j}) is {float(traces[j]):.3e}, "
+                "expected a structural zero"
+            )
+        keys = [(k, j) for j in range(0, k, 2)]
+        table.values.update(zip(keys, traces[0::2].tolist()))
+        if with_gradients:
+            table.gradients.update(zip(keys, [np.eye(n)] if k == 1 else symmetrize(prev[0::2])))
         prev = power
     return table
 

@@ -63,8 +63,8 @@ def skew_matrix(a, reject_tol: float = ASYM_REJECT_TOL) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Unconditional symmetric projection (a + a.T)/2."""
-    return (a + a.T) / 2.0
+    """Unconditional symmetric projection (a + a.T)/2, of each matrix of a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -187,6 +187,16 @@ class TestVerify:
         {"X0": {"random": {"seed": -5}}},
         {"N": {"random": {"seed": -5}}},
         {"n": -1, "N": {"random": {}}},
+        {"integrator": {"step": 0.001, "t_end": True, "monitor_stride": 50}},
+        {"integrator": {"step": True, "t_end": 0.2, "monitor_stride": 50}},
+        {"integrator": {"step": "0.001", "t_end": 0.2, "monitor_stride": 50}},
+        {"tolerances": {"rank": True}},
+        {"tolerances": {"identity": "1e-10"}},
+        {"N": {"canonical": {"v": [True, 2.0], "d": 0}}},
+        {"N": {"canonical": {"v": ["1.0", 2.0], "d": 0}}},
+        {"integrator": {"step": 0.001, "t_end": float("inf"), "monitor_stride": 50}},
+        {"integrator": {"step": 0.001, "t_end": 10**400, "monitor_stride": 50}},
+        {"tolerances": {"rank": float("nan")}},
     ])
     def test_malformed_field_exit_2(self, tmp_path, capsys, fields):
         code, _ = run(tmp_path, "verify", dict(BASE, **fields))
@@ -214,6 +224,12 @@ class TestVerify:
         code, _ = run(tmp_path, "simulate", config, extra=("--seed", "-1"))
         assert code == 2
         assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--rank-tol", "inf")])
+    def test_non_finite_tolerance_flag_exit_2(self, tmp_path, capsys, flag):
+        code, _ = run(tmp_path, "verify", BASE, extra=flag)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_malformed_output_dir_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(BASE, output={"dir": 5}))
@@ -297,6 +313,13 @@ class TestConfigHandling:
         v1 = json.loads((out1 / "invariants.json").read_text())["values"]
         v2 = json.loads((out2 / "invariants.json").read_text())["values"]
         assert v1 != v2
+
+    def test_seed_flag_does_not_outlive_its_call(self, tmp_path):
+        # the parser is built once per process; a flag must not leak into the next call
+        _, out1 = run(tmp_path, "simulate", BASE, out="flag", extra=("--seed", "5"))
+        _, out2 = run(tmp_path, "simulate", BASE, out="config")
+        assert json.loads((out1 / "runconfig.json").read_text())["seed"] == 5
+        assert json.loads((out2 / "runconfig.json").read_text())["seed"] == BASE["seed"]
 
     def test_runconfig_echo_resolves_matrices(self, tmp_path):
         code, out = run(tmp_path, "simulate", BASE)
