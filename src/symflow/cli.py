@@ -123,6 +123,11 @@ def _integer(value, name: str, minimum: int) -> int:
     return number
 
 
+def _explicit_matrix(rows, name: str) -> np.ndarray:
+    """A list of rows whose every entry is a finite JSON number, as a float array."""
+    return np.asarray([[_convert(real, v, f"{name} entry") for v in row] for row in rows], dtype=float)
+
+
 def _build_n(spec, n_hint, seed) -> np.ndarray:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("N must be an object with exactly one of: canonical, explicit, random")
@@ -139,7 +144,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
             raise ConfigError(f"canonical N rejected: {exc}") from exc
     if kind == "explicit":
         try:
-            return skew_matrix(np.asarray(payload, dtype=float))
+            return skew_matrix(_explicit_matrix(payload, "explicit N"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"explicit N rejected: {exc}") from exc
     if kind == "random":
@@ -159,7 +164,7 @@ def _build_x0(spec, n, seed) -> np.ndarray:
     kind, payload = next(iter(spec.items()))
     if kind == "explicit":
         try:
-            x0 = sym_matrix(np.asarray(payload, dtype=float))
+            x0 = sym_matrix(_explicit_matrix(payload, "explicit X0"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"explicit X0 rejected: {exc}") from exc
         if x0.shape[0] != n:

@@ -3,13 +3,14 @@
 The right-hand side maps Sym(n) to itself, the spectrum of X is preserved,
 and every parametric trace coefficient from :mod:`symflow.invariants` plus
 every Lie-Poisson Casimir is a constant of motion.  Integration is plain
-RK4 with per-step symmetric projection; conservation is monitored rather
-than enforced, so drift doubles as an accuracy diagnostic.
+RK4 on a field that is exactly symmetric by construction, so every state is
+exactly symmetric with no projection; conservation is monitored rather than
+enforced, so drift doubles as an accuracy diagnostic.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,6 @@ from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
 from .lie_structure import BlockDecomp, from_blocks, split_blocks
 from .poisson import canonical_form, lie_poisson_casimirs
-
-logger = logging.getLogger(__name__)
-
-#: Symmetric projections larger than this per step get logged.
-RESYM_WARN = 1e-10
 
 #: Reference values below this switch the drift monitor from relative to
 #: absolute differences.
@@ -38,14 +34,17 @@ class FlowDivergenceError(RuntimeError):
 
 
 def vector_field(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
-    """Right-hand side [x^2, n] = x^2 n - n x^2; symmetric for symmetric x.
+    """Right-hand side [x^2, n] = m + m^T with m = x^2 n, exactly symmetric.
 
-    Inputs are not re-validated here: :func:`integrate` checks x0 and N once
-    at entry, and non-finite intermediate RK4 stages must reach its
-    divergence check.
+    Precondition: x symmetric and n_skew skew, as the validating
+    constructors produce them; then (x^2 n)^T = -n x^2, so the commutator
+    takes two products, and m + m^T is symmetric bit for bit because
+    floating-point addition commutes.  Inputs are not re-validated here:
+    :func:`integrate` checks x0 and N once at entry, and non-finite
+    intermediate RK4 stages must reach its divergence check.
     """
-    x2 = x @ x
-    return x2 @ n_skew - n_skew @ x2
+    m = (x @ x) @ n_skew
+    return m + m.T
 
 
 def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam: float) -> float:
@@ -81,6 +80,8 @@ class IntegratorConfig:
     monitor_stride: int = 10
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and math.isfinite(self.t_end)):
+            raise ValueError("step and t_end must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.t_end < 0:
@@ -108,7 +109,6 @@ class Trajectory:
     invariant_values: np.ndarray  # (len(monitor_times), n_invariants)
     casimir_values: np.ndarray  # (len(monitor_times), n_casimirs)
     spectra: np.ndarray  # (len(monitor_times), n), ascending eigenvalues
-    resym_max: float = 0.0
 
     @staticmethod
     def _drift(values: np.ndarray) -> np.ndarray:
@@ -187,20 +187,12 @@ def integrate(
         spec_rows.append(np.linalg.eigvalsh(state))
 
     record(0.0, x)
-    resym_max = 0.0
-    warned = False
     for step_index in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             x = _rk4_step(x, n_skew, h)
         t = step_index * h
         if not np.isfinite(x).all():
             raise FlowDivergenceError(t)
-        correction = max_abs(x - x.T) / 2.0
-        resym_max = max(resym_max, correction)
-        if correction > RESYM_WARN and not warned:
-            logger.warning("symmetric projection of %.3e at t = %.6g", correction, t)
-            warned = True
-        x = symmetrize(x)
         states[step_index] = x
         if step_index % config.monitor_stride == 0 or step_index == n_steps:
             record(t, x)
@@ -213,7 +205,6 @@ def integrate(
         invariant_values=np.asarray(inv_rows),
         casimir_values=np.asarray(cas_rows),
         spectra=np.asarray(spec_rows),
-        resym_max=resym_max,
     )
 
 
@@ -235,7 +226,7 @@ def integrate_blocks(
         raise ValueError("core block must be even-sized and match the image block")
     n_skew = np.zeros((b0.n, b0.n))
     n_skew[:m, :m] = core_skew
-    x = from_blocks(b0)
+    x = symmetrize(from_blocks(b0))
     h = config.step
     times = [0.0]
     blocks = [b0]
@@ -244,7 +235,6 @@ def integrate_blocks(
             x = _rk4_step(x, n_skew, h)
         if not np.isfinite(x).all():
             raise FlowDivergenceError(step_index * h)
-        x = symmetrize(x)
         times.append(step_index * h)
         blocks.append(split_blocks(x, m // 2))
     return np.asarray(times), blocks

@@ -197,6 +197,9 @@ class TestVerify:
         {"integrator": {"step": 0.001, "t_end": float("inf"), "monitor_stride": 50}},
         {"integrator": {"step": 0.001, "t_end": 10**400, "monitor_stride": 50}},
         {"tolerances": {"rank": float("nan")}},
+        {"n": 2, "N": {"explicit": [[False, True], [-1, 0]]}, "X0": {"random": {"seed": 1}}},
+        {"n": 2, "N": {"explicit": [[0, 1], [-1, 0]]}, "X0": {"explicit": [[True, 0], [0, 1]]}},
+        {"n": 2, "N": {"explicit": [[0, "1"], [-1, 0]]}, "X0": {"random": {"seed": 1}}},
     ])
     def test_malformed_field_exit_2(self, tmp_path, capsys, fields):
         code, _ = run(tmp_path, "verify", dict(BASE, **fields))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symflow.matrix_core import max_abs, random_skew, random_sym, symmetrize
+from symflow.matrix_core import frob_norm, max_abs, random_skew, random_sym, symmetrize
 from symflow.lie_structure import BlockDecomp, from_blocks
 from symflow.poisson import canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
 from symflow.dynamics import (
@@ -16,6 +16,24 @@ from symflow.dynamics import (
 )
 
 N2 = canonical_skew_matrix([1.0])
+
+
+def commutator_field(x, n_skew):
+    """The three-product commutator [x^2, n] that vector_field replaced, the reference form."""
+    x2 = x @ x
+    return x2 @ n_skew - n_skew @ x2
+
+
+def projected_integrate(x0, n_skew, h, steps):
+    """RK4 on commutator_field with a symmetric projection after every step, the reference loop."""
+    x = symmetrize(x0)
+    for _ in range(steps):
+        k1 = commutator_field(x, n_skew)
+        k2 = commutator_field(x + 0.5 * h * k1, n_skew)
+        k3 = commutator_field(x + 0.5 * h * k2, n_skew)
+        k4 = commutator_field(x + h * k3, n_skew)
+        x = symmetrize(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return x
 
 
 class TestVectorField:
@@ -40,6 +58,16 @@ class TestVectorField:
         x, nsk = random_sym(5, rng), random_skew(5, rng)
         f = vector_field(x, nsk)
         assert max_abs(f - f.T) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_exactly_symmetric_and_matches_commutator(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            f = vector_field(x, nsk)
+            assert np.array_equal(f, f.T)
+            scale = frob_norm(x) ** 2 * frob_norm(nsk)
+            assert max_abs(f - commutator_field(x, nsk)) <= 1e-15 * scale
 
     def test_bi_hamiltonian_generation(self):
         # the same field through either Poisson structure
@@ -125,6 +153,10 @@ class TestIntegratorConfig:
             IntegratorConfig(step=0.1, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, t_end=1.0, monitor_stride=0)
+        for step, t_end in ((0.1, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0),
+                            (0.1, float("nan"))):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=step, t_end=t_end)
 
     def test_zero_horizon_allowed(self):
         cfg = IntegratorConfig(step=0.1, t_end=0.0)
@@ -224,6 +256,15 @@ class TestIntegrate:
         for state in traj.states:
             assert np.array_equal(state, state.T)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33])
+    def test_states_exactly_symmetric_and_near_projected_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        x0, nsk = random_sym(n, rng), random_skew(n, rng)
+        config = IntegratorConfig(step=0.01, t_end=2.0, monitor_stride=1000)
+        traj = integrate(x0, nsk, config)
+        assert np.array_equal(traj.states, traj.states.swapaxes(1, 2))
+        assert max_abs(traj.states[-1] - projected_integrate(x0, nsk, 0.01, config.n_steps)) <= 1e-13
+
     def test_divergence_aborts_with_time(self):
         # the second state overflows inside an RK4 stage, not at a step end
         for x0 in ([[100.0, 3.0], [3.0, -40.0]], [[10.0, 0.3], [0.3, -4.0]]):
@@ -253,6 +294,16 @@ class TestIntegrateBlocks:
         traj = integrate(from_blocks(b0), n_embed, cfg)
         assert np.array_equal(times_b, traj.times)
         assert np.array_equal(from_blocks(blocks[-1]), traj.states[-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33])
+    def test_states_exactly_symmetric(self, n):
+        rng = np.random.default_rng(300 + n)
+        p, d = n // 2, n % 2
+        b0 = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(d, rng))
+        _, blocks = integrate_blocks(b0, random_skew(2 * p, rng), IntegratorConfig(step=0.01, t_end=0.5))
+        for b in blocks:
+            x = from_blocks(b)
+            assert np.array_equal(x, x.T)
 
     def test_kernel_block_constant(self):
         rng = np.random.default_rng(15)
