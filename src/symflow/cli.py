@@ -63,6 +63,8 @@ DEFAULT_TOLERANCES = {
     "casimir": 1e-11,
 }
 
+INTEGRATOR_FIELDS = ("step", "t_end", "scheme", "monitor_stride")
+
 
 class ConfigError(Exception):
     pass
@@ -82,9 +84,13 @@ class RunConfig:
     formats: list
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, fields=None) -> dict:
+    """A JSON object, with no keys outside ``fields`` when that is given."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = [] if fields is None else [key for key in value if key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown {name} fields {unknown}; valid: {list(fields)}")
     return value
 
 
@@ -203,7 +209,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
 
     x0 = _build_x0(raw.get("X0"), n, seed)
 
-    integ = _object(raw.get("integrator", {}), "integrator")
+    integ = _object(raw.get("integrator", {}), "integrator", INTEGRATOR_FIELDS)
     try:
         integrator = IntegratorConfig(
             step=_convert(real, integ.get("step", 1e-3), "integrator field step"),
@@ -224,7 +230,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
         raise ConfigError(f"unknown suites {bad}; valid: {list(ALL_SUITES)}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in _object(raw.get("tolerances", {}), "tolerances").items():
+    for key, value in _object(raw.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES).items():
         tolerances[key] = _convert(real, value, f"tolerance {key}")
     if args.tol is not None:
         tolerances["identity"] = _convert(real, args.tol, "--tol")
@@ -343,11 +349,11 @@ def _run_suite(name: str, cfg: RunConfig, form: SkewCanonicalForm):
     if name == "involution":
         return involution_certificate(form, cfg.samples, cfg.seed, tol=tol["identity"])
     if name == "independence":
-        return independence_certificate(form, cfg.samples, rank_tol=tol["rank"], seed=cfg.seed)
+        return independence_certificate(form, cfg.samples, seed=cfg.seed)
     if name == "casimir":
-        return casimir_certificate(form, cfg.samples, cfg.seed, tol=tol["casimir"], rank_tol=tol["rank"])
+        return casimir_certificate(form, cfg.samples, cfg.seed, tol=tol["casimir"])
     if name == "leaf_dims":
-        return leaf_dimension_certificate(form, min(cfg.samples, 5), cfg.seed, rank_tol=tol["rank"])
+        return leaf_dimension_certificate(form, min(cfg.samples, 5), cfg.seed)
     if name == "recursion":
         return recursion_certificate(form, cfg.samples, cfg.seed, tol=tol["recursion"])
     if name == "lax":
@@ -417,7 +423,7 @@ def cmd_casimirs(cfg: RunConfig) -> int:
 def cmd_leaf_dims(cfg: RunConfig) -> int:
     _echo_config(cfg)
     form = canonical_form(cfg.n_skew, cfg.tolerances["rank"])
-    dim_lp, dim_frozen = leaf_dimensions(form, cfg.x0, cfg.tolerances["rank"])
+    dim_lp, dim_frozen = leaf_dimensions(form, cfg.x0)
     mode = form.mode()
     expected_frozen = {
         "distinct": 2 * form.p * (form.p + form.d),

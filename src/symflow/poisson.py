@@ -6,8 +6,9 @@ tensor at X sends a gradient Y to ``X Y N - N Y X``; the frozen
 Poisson, which is what makes the flow bi-Hamiltonian.
 
 This module also builds the orthogonal canonical form of the structure
-matrix N (2-plane frequencies, kernel, block pseudo-inverse) and derives
-both Casimir families and symplectic-leaf dimensions from it.
+matrix N (2-plane frequencies, kernel, block pseudo-inverse) from one
+Hermitian eigensolve of iN, and derives both Casimir families and
+symplectic-leaf dimensions from it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .matrix_core import (
     symmetrize,
 )
 
-#: Frequencies closer than this are treated as one group when splitting the
-#: image of N into invariant 2-planes, and when classifying the multiplicity
-#: pattern (distinct vs equal) for the frozen Casimir basis.
+#: Frequencies closer than this count as equal when :meth:`SkewCanonicalForm.mode`
+#: classifies the multiplicity pattern (distinct vs equal) for the frozen
+#: Casimir basis.
 FREQUENCY_GROUP_TOL = 1e-8
 
 #: Tolerance on the structural invariants of a canonical form.
@@ -66,7 +67,8 @@ class SkewCanonicalForm:
     ``V = diag(frequencies)``.  ``core`` is the invertible 2p x 2p corner of
     that form and ``pseudo_inverse`` the n x n block inverse vanishing on the
     kernel, so ``pseudo_inverse @ canonical_skew`` is the projection onto the
-    image coordinates.
+    image coordinates.  ``rank_tol`` is the relative cut the kernel was
+    decided at; the rank decisions made with the form use it too.
     """
 
     n: int
@@ -77,6 +79,7 @@ class SkewCanonicalForm:
     frequencies: np.ndarray
     core: np.ndarray
     pseudo_inverse: np.ndarray
+    rank_tol: float
 
     @property
     def canonical_skew(self) -> np.ndarray:
@@ -134,20 +137,20 @@ def canonical_skew_matrix(frequencies, nullity: int = 0) -> np.ndarray:
 def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalForm:
     """Orthogonal canonical form of a skew-symmetric matrix.
 
-    Eigendecomposes the positive-semidefinite matrix -N^2 with
-    ``numpy.linalg.eigh``; its eigenvalues come in pairs v_i^2 identifying
-    invariant 2-planes plus a kernel.  Each near-equal frequency group is
-    sharpened by one inverse-iteration step, then split into planes: a unit
-    vector u is completed with the image -Nu projected back into the group
-    span and orthogonalized, so the plane carries the block [[0, v], [-v, 0]]
-    with v = u . N w > 0; the remainder of the group is re-based on the
-    leading left singular vectors of its deflated columns.  Kernel
-    membership is decided by |N u| <= rank_tol * v_max.  Frequencies are
-    returned in descending order.
+    One ``numpy.linalg.eigh`` of the Hermitian matrix iN gives eigenvalues
+    +-v and 0.  A unit eigenvector z of +v > 0 has real and imaginary parts
+    of norm 1/sqrt(2), orthogonal to each other and to those of every other
+    eigenvector of a positive eigenvalue, so u = sqrt(2) Re z and
+    w = -sqrt(2) Im z span an invariant 2-plane with u . N w = v, inside
+    equal-frequency groups too.  Each u and w is normalized and w is
+    orthogonalized against its u, the frequencies are the Rayleigh
+    quotients u . N w in descending order, and the kernel rows complete the
+    basis.  Kernel membership is decided by |lambda| <= rank_tol * v_max,
+    and the form records that ``rank_tol``.
 
-    Raises ``ValueError`` if the constructed form misses its structural
-    invariants at :data:`CANONICAL_TOL`, or if its kernel block exceeds the
-    rank cut ``rank_tol * v_max``.
+    Raises ``ValueError`` if the cut splits an eigenvalue pair, if the form
+    misses its structural invariants at :data:`CANONICAL_TOL`, or if its
+    kernel block exceeds the rank cut ``rank_tol * v_max``.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
@@ -155,106 +158,32 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     if max_abs(n_skew + n_skew.T) > 1e-8:
         raise ValueError("matrix is not skew-symmetric")
     n = n_skew.shape[0]
-    gram = symmetrize(-n_skew @ n_skew)
-    _, vecs = np.linalg.eigh(gram)
-    # |N u| measures the frequency of each eigendirection to first order;
-    # the eigenvalues of -N^2 would only resolve it to sqrt(eps).
-    freqs_all = np.linalg.norm(n_skew @ vecs, axis=0)
-    v_max = float(freqs_all.max(initial=0.0))
-
-    kernel_cols = [i for i in range(n) if freqs_all[i] <= rank_tol * v_max or v_max == 0.0]
-    image_cols = [i for i in range(n) if i not in kernel_cols]
-    if len(image_cols) % 2 != 0:
+    lam, vecs = np.linalg.eigh(1j * n_skew)
+    v_max = float(np.abs(lam).max())
+    p = int(np.count_nonzero(lam > rank_tol * v_max))
+    if np.count_nonzero(np.abs(lam) > rank_tol * v_max) != 2 * p:
         raise ValueError(
             "odd-dimensional image of the skew matrix; rank tolerance "
             f"{rank_tol:.1e} splits an eigenvalue pair"
         )
-    p = len(image_cols) // 2
-    d = n - 2 * p
+    z = vecs[:, n - p:].T  # eigenvectors of the p largest eigenvalues, one per row
+    u = z.real / np.linalg.norm(z.real, axis=1, keepdims=True)
+    w = -z.imag
+    w -= np.sum(u * w, axis=1, keepdims=True) * u
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    freqs = np.sum((u @ n_skew) * w, axis=1)
+    order = np.argsort(-freqs, kind="stable")
+    freqs, image = freqs[order], np.vstack([u[order], w[order]])
+    # the kernel rows are the null eigenvectors of the projector onto the image
+    kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T
 
-    # Group image columns by near-equal frequency (descending).
-    image_cols.sort(key=lambda i: -freqs_all[i])
-    groups: list[list[int]] = []
-    for i in image_cols:
-        if groups and abs(freqs_all[groups[-1][-1]] - freqs_all[i]) <= FREQUENCY_GROUP_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    def refine_eigenspace(basis: np.ndarray, mu: float) -> np.ndarray:
-        # One inverse-iteration step against the Gram matrix.  The squared
-        # spectrum resolves small frequencies only to sqrt(eps); this
-        # sharpens the invariant subspace back to machine accuracy, which
-        # the pseudo-inverse invariant needs when a frequency is small.
-        try:
-            sol = np.linalg.solve(gram - mu * np.eye(n), basis)
-        except np.linalg.LinAlgError:
-            return basis
-        if not np.isfinite(sol).all():
-            return basis
-        q_ref, _ = np.linalg.qr(sol)
-        return q_ref
-
-    u_vecs, w_vecs, freqs = [], [], []
-    for group in groups:
-        if len(group) % 2 != 0:
-            raise ValueError("invariant 2-planes of the skew matrix did not pair up; "
-                             "adjust rank or grouping tolerances")
-        mu_group = float(np.mean([freqs_all[i] ** 2 for i in group]))
-        basis = refine_eigenspace(vecs[:, group].copy(), mu_group)
-        while basis.shape[1] > 0:
-            u = basis[:, 0]
-            u = u / np.linalg.norm(u)
-            # The raw image N u leaves the invariant plane by eps/|v|
-            # (cancellation of order-one terms down to size v), which the
-            # pseudo-inverse invariant amplifies for small frequencies, so
-            # the partner is projected back into the refined group span and
-            # orthogonalized against u before normalizing.
-            w = basis @ (basis.T @ (-(n_skew @ u)))
-            w = w - (u @ w) * u
-            w_norm = float(np.linalg.norm(w))
-            if w_norm == 0.0:
-                raise ValueError("failed to complete an invariant 2-plane of the skew matrix")
-            w = w / w_norm
-            v = float(u @ (n_skew @ w))
-            if v <= 0.0:
-                raise ValueError("invariant 2-plane of the skew matrix lost its orientation")
-            u_vecs.append(u)
-            w_vecs.append(w)
-            freqs.append(v)
-            # Deflate the extracted plane out of the group, then re-base the
-            # remainder on its leading left singular vectors.  One column of
-            # the remainder is linearly dependent (w lived in the group
-            # span), so exactly two dimensions disappear.
-            rest = basis[:, 1:]
-            for qv in (u, w):
-                rest = rest - np.outer(qv, qv @ rest)
-            target = basis.shape[1] - 2
-            if target == 0:
-                break
-            left, sing, _ = np.linalg.svd(rest, full_matrices=False)
-            if sing[target - 1] < 1e-6:
-                raise ValueError("lost orthogonality while splitting a frequency group")
-            basis = left[:, :target]
-
-    order = np.argsort(-np.asarray(freqs), kind="stable")
-    freqs = np.asarray(freqs)[order]
-    rows = [u_vecs[i] for i in order] + [w_vecs[i] for i in order]
-    if kernel_cols:
-        kernel_basis = refine_eigenspace(vecs[:, kernel_cols].copy(), 0.0)
-        rows += [kernel_basis[:, j] for j in range(kernel_basis.shape[1])]
-    q = np.vstack(rows) if rows else np.zeros((0, n))
-
-    core = _core_block(freqs)
-    pseudo = np.zeros((n, n))
-    if p > 0:
-        inv_v = np.diag(1.0 / freqs)
-        pseudo[:p, p:2 * p] = -inv_v
-        pseudo[p:2 * p, :p] = inv_v
-
+    pseudo, inv_v = np.zeros((n, n)), np.diag(1.0 / freqs)
+    pseudo[:p, p:2 * p] = -inv_v
+    pseudo[p:2 * p, :p] = inv_v
     form = SkewCanonicalForm(
-        n=n, p=p, d=d, skew=n_skew, basis=q,
-        frequencies=freqs, core=core, pseudo_inverse=pseudo,
+        n=n, p=p, d=n - 2 * p, skew=n_skew, basis=np.vstack([image, kernel]),
+        frequencies=freqs, core=_core_block(freqs), pseudo_inverse=pseudo,
+        rank_tol=rank_tol,
     )
     _validate_form(form, max(CANONICAL_TOL, rank_tol * v_max))
     return form
@@ -264,7 +193,7 @@ def _validate_form(form: SkewCanonicalForm, kernel_tol: float) -> None:
     """Raise unless the form meets its invariants at :data:`CANONICAL_TOL`.
 
     The kernel-kernel block of ``q N q^T`` is held to ``kernel_tol`` instead:
-    it carries exactly the directions the rank cut |N u| <= rank_tol * v_max
+    it carries exactly the directions the rank cut |lambda| <= rank_tol * v_max
     put in the kernel, so it is as large as that cut allows.
     """
     q, n, m = form.basis, form.n, 2 * form.p
@@ -474,17 +403,18 @@ def rank_certified(vectors, tol: float) -> int:
     return r
 
 
-def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray, rank_tol: float = 1e-9) -> tuple[int, int]:
+def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray) -> tuple[int, int]:
     """Symplectic leaf dimensions (Lie-Poisson, frozen) at a state x.
 
-    Both are numerical ranks of the tensor matrices; the caller is expected
-    to pass a generic x (resample if a rank instability is flagged).
+    Both are numerical ranks of the tensor matrices at ``form.rank_tol``;
+    the caller is expected to pass a generic x (resample if a rank
+    instability is flagged).
     """
     b_mat = tensor_as_matrix(x, form.skew, "lie_poisson")
     c_mat = tensor_as_matrix(x, form.skew, "frozen")
     # Both matrices are antisymmetric: their rows are the negated columns.
-    dim_lp = rank_certified(b_mat, rank_tol)
-    dim_frozen = rank_certified(c_mat, rank_tol)
+    dim_lp = rank_certified(b_mat, form.rank_tol)
+    dim_frozen = rank_certified(c_mat, form.rank_tol)
     return dim_lp, dim_frozen
 
 

@@ -39,9 +39,6 @@ from .dynamics import lax_residual, vector_field
 #: Default tolerance for identity-type residuals.
 IDENTITY_TOL = 1e-10
 
-#: Default relative tolerance for rank decisions.
-RANK_TOL = 1e-9
-
 #: Minimum infinity-norm separation of the two 2x2 right-hand sides in the
 #: sectional-operator comparison, away from the a = d coincidence locus.
 SECTIONAL_SEPARATION = 1e-3
@@ -120,7 +117,6 @@ def involution_certificate(
 def independence_certificate(
     form: SkewCanonicalForm,
     samples: int,
-    rank_tol: float = RANK_TOL,
     seed: int = 0,
     max_resamples: int = 3,
 ) -> Certificate:
@@ -129,9 +125,9 @@ def independence_certificate(
     For nullity 0 or 1 the expected rank is p(p+d), the full member count,
     and a verdict is issued; larger nullities are reported rank-only since
     the family is then redundant.  Gradients are normalized before the rank
-    computation (scale does not affect independence) and the rank is
-    re-checked one tolerance decade higher; disagreement is flagged in the
-    details rather than averaged away.
+    computation (scale does not affect independence) and the rank, at
+    ``form.rank_tol``, is re-checked one tolerance decade higher;
+    disagreement is flagged in the details rather than averaged away.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -151,7 +147,7 @@ def independence_certificate(
                 v = grads[key].ravel()
                 nrm = np.linalg.norm(v)
                 vecs.append(v / nrm if nrm > 0 else v)
-            rank, rank_loose = _decade_ranks(vecs, rank_tol)
+            rank, rank_loose = _decade_ranks(vecs, form.rank_tol)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= max_resamples:
                 break
@@ -219,7 +215,6 @@ def casimir_certificate(
     samples: int,
     seed: int,
     tol: float = 1e-11,
-    rank_tol: float = RANK_TOL,
 ) -> Certificate:
     """Annihilation residuals and gradient ranks of both Casimir families.
 
@@ -228,7 +223,8 @@ def casimir_certificate(
     state and keep gradient rank p + d(d+1)/2; the frozen family is
     state-independent with rank p + d(d+1)/2 (distinct frequencies) or
     p^2 + d(d+1)/2 (all equal).  Mixed patterns skip the frozen basis,
-    which only exists in the two extreme cases.
+    which only exists in the two extreme cases.  Ranks are taken at
+    ``form.rank_tol``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -249,7 +245,7 @@ def casimir_certificate(
     frozen_rank = None
     if frozen_grads:
         frozen_residual = max(max_abs(frozen_tensor(e, n_can)) for e in frozen_grads)
-        frozen_rank = numerical_rank(frozen_grads, rank_tol)
+        frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
         worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
 
     rng = np.random.default_rng(seed)
@@ -258,7 +254,7 @@ def casimir_certificate(
         x = random_sym(n, rng)
         grads = lie_poisson_casimir_gradients(form, x)
         residual = max(max_abs(lie_poisson_tensor(x, g, n_can)) for g in grads) if grads else 0.0
-        lp_rank = numerical_rank(grads, rank_tol) if grads else 0
+        lp_rank = numerical_rank(grads, form.rank_tol) if grads else 0
         rank_ok = rank_ok and lp_rank == lp_expected_rank
         worst = max(worst, residual, float(abs(lp_rank - lp_expected_rank)))
         details.append({"sample": s, "lie_poisson_residual": residual, "lie_poisson_rank": lp_rank})
@@ -280,7 +276,6 @@ def leaf_dimension_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int,
-    rank_tol: float = RANK_TOL,
 ) -> Certificate:
     """Sampled leaf dimensions against the closed-form counts.
 
@@ -300,7 +295,7 @@ def leaf_dimension_certificate(
     for s in range(samples):
         x = random_sym(n, rng)
         try:
-            dim_lp, dim_frozen = leaf_dimensions(form, x, rank_tol)
+            dim_lp, dim_frozen = leaf_dimensions(form, x)
         except RankInstabilityError as exc:
             details.append({"sample": s, "unstable": str(exc)})
             worst = max(worst, float(n * (n + 1) // 2))

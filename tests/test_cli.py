@@ -200,6 +200,8 @@ class TestVerify:
         {"n": 2, "N": {"explicit": [[False, True], [-1, 0]]}, "X0": {"random": {"seed": 1}}},
         {"n": 2, "N": {"explicit": [[0, 1], [-1, 0]]}, "X0": {"explicit": [[True, 0], [0, 1]]}},
         {"n": 2, "N": {"explicit": [[0, "1"], [-1, 0]]}, "X0": {"random": {"seed": 1}}},
+        {"tolerances": {"rank_tol": 1e-3}},
+        {"integrator": {"dt": 0.5}},
     ])
     def test_malformed_field_exit_2(self, tmp_path, capsys, fields):
         code, _ = run(tmp_path, "verify", dict(BASE, **fields))

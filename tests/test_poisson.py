@@ -162,7 +162,8 @@ class TestCanonicalForm:
         assert np.all(np.diff(form.frequencies) <= 0)
 
     def test_rotated_canonical_recovers_frequencies(self):
-        # equal and near-equal frequency groups exercise the group splitting
+        # equal and near-equal frequency groups, and a small frequency next
+        # to a kernel, where the planes are hardest to separate
         rng = np.random.default_rng(13)
         cases = [
             ([2.0, 1.0], 1),
@@ -170,6 +171,8 @@ class TestCanonicalForm:
             ([1.0, 1.0, 1.0, 0.5], 2),
             ([1.0, 1.0 + 1e-9, 0.7], 1),
         ]
+        cases += [([1.0 + 1e-9 * k for k in range(p)], d) for p in (3, 8) for d in (0, 1, 2)]
+        cases += [([1.0, 0.7, 1e-4], d) for d in (1, 2)]
         for freqs, d in cases:
             n = 2 * len(freqs) + d
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -206,7 +209,7 @@ class TestCanonicalForm:
         form = SkewCanonicalForm(
             n=4, p=1, d=2, skew=nsk, basis=np.eye(4)[[0, 2, 1, 3]],
             frequencies=np.array([1.0]), core=core,
-            pseudo_inverse=np.pad(-core, ((0, 2), (0, 2))),
+            pseudo_inverse=np.pad(-core, ((0, 2), (0, 2))), rank_tol=1e-2,
         )
         _validate_form(form, 1e-2)
         with pytest.raises(ValueError, match="kernel block"):
