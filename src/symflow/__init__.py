@@ -59,7 +59,6 @@ from .dynamics import (
     Trajectory,
     block_vector_field,
     integrate,
-    integrate_blocks,
     lax_residual,
     vector_field,
 )
@@ -67,6 +66,7 @@ from .verify import (
     Certificate,
     IntegrabilitySummary,
     casimir_certificate,
+    expected_leaf_dimensions,
     independence_certificate,
     integrability_summary,
     involution_certificate,

@@ -29,13 +29,13 @@ from .poisson import (
     SkewCanonicalForm,
     canonical_form,
     canonical_skew_matrix,
-    frozen_casimir_gradients,
     leaf_dimensions,
     lie_poisson_casimirs,
 )
 from .dynamics import FlowDivergenceError, IntegratorConfig, Trajectory, integrate
 from .verify import (
     casimir_certificate,
+    expected_leaf_dimensions,
     independence_certificate,
     integrability_summary,
     involution_certificate,
@@ -82,6 +82,11 @@ class RunConfig:
     tolerances: dict
     out_dir: Path
     formats: list
+
+    @functools.cached_property
+    def form(self) -> SkewCanonicalForm:
+        """The canonical form of N at the rank tolerance, built on first use and kept."""
+        return canonical_form(self.n_skew, self.tolerances["rank"])
 
 
 def _object(value, name: str, fields=None) -> dict:
@@ -257,26 +262,33 @@ def resolve_config(raw: dict, args) -> RunConfig:
     )
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    """Write rows as "%.16e" CSV; columns whose float64 bytes agree in every row are formatted once."""
-    table = np.asarray(rows, dtype=np.float64)
-    if table.ndim == 1:  # a flat sequence is one column; an empty one writes the header only
-        table = table[:, None]
-    # equal bits give equal text: slot[j] numbers the bit pattern of column
-    # j, picks[k] is the first column of slot k, and each row formats only
-    # the picked columns and copies each text to every column of its slot
-    seen, picks, slot = {}, [], []
-    for j, column in enumerate(table.T):
-        k = seen.setdefault(column.tobytes(), len(picks))
-        if k == len(picks):
-            picks.append(j)
-        slot.append(k)
-    picks = np.array(picks, dtype=np.intp)
-    fmt = ",".join(["%.16e"] * len(picks))
+def _write_csv(path: Path, header: list, *blocks) -> None:
+    """Write column blocks side by side as "%.16e" CSV, without joining them into one table.
+
+    Each block holds one row per CSV row; a flat sequence is one column, and
+    an empty one writes the header only.  Columns whose float64 bytes agree
+    in every row are formatted once.
+    """
+    tables = [np.asarray(rows, dtype=np.float64) for rows in blocks]
+    tables = [table[:, None] if table.ndim == 1 else table for table in tables]
+    # equal bits give equal text: slot[j] numbers the bit pattern of output
+    # column j, picked[k] is the (block, column) that first shows slot k,
+    # and each row formats only the picked columns and copies each text to
+    # every column of its slot
+    seen, picked, slot = {}, [], []
+    for b, table in enumerate(tables):
+        for j, column in enumerate(table.T):
+            k = seen.setdefault(column.tobytes(), len(picked))
+            if k == len(picked):
+                picked.append((b, j))
+            slot.append(k)
+    picks = [np.array([j for c, j in picked if c == b], dtype=np.intp) for b in range(len(tables))]
+    fmt = ",".join(["%.16e"] * len(picked))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            texts = (fmt % tuple(row[picks])).split(",")
+        for i in range(len(tables[0])):
+            values = np.concatenate([table[i, cols] for table, cols in zip(tables, picks)]).tolist()
+            texts = (fmt % tuple(values)).split(",")
             fh.write(",".join([texts[k] for k in slot]) + "\n")
 
 
@@ -324,13 +336,13 @@ def _monitor_table(traj: Trajectory):
 
 def cmd_simulate(cfg: RunConfig) -> int:
     _echo_config(cfg)
-    traj = integrate(cfg.x0, cfg.n_skew, cfg.integrator, rank_tol=cfg.tolerances["rank"])
+    traj = integrate(cfg.x0, cfg.form, cfg.integrator)
     n = cfg.n
     state_header = ["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]
-    state_rows = np.hstack([traj.times[:, None], traj.states.reshape(len(traj.times), -1)])
     mon_header, mon_rows = _monitor_table(traj)
     if "csv" in cfg.formats:
-        _write_csv(cfg.out_dir / "trajectory.csv", state_header, state_rows)
+        _write_csv(cfg.out_dir / "trajectory.csv", state_header,
+                   traj.times, traj.states.reshape(len(traj.times), -1))
         _write_csv(cfg.out_dir / "monitors.csv", mon_header, mon_rows)
     if "json" in cfg.formats:
         _write_json(cfg.out_dir / "trajectory.json", {
@@ -344,8 +356,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, cfg: RunConfig, form: SkewCanonicalForm):
-    tol = cfg.tolerances
+def _run_suite(name: str, cfg: RunConfig):
+    form, tol = cfg.form, cfg.tolerances
     if name == "involution":
         return involution_certificate(form, cfg.samples, cfg.seed, tol=tol["identity"])
     if name == "independence":
@@ -365,16 +377,15 @@ def _run_suite(name: str, cfg: RunConfig, form: SkewCanonicalForm):
 
 def cmd_verify(cfg: RunConfig) -> int:
     _echo_config(cfg)
-    form = canonical_form(cfg.n_skew, cfg.tolerances["rank"])
     failed = False
     for name in cfg.suites:
-        cert = _run_suite(name, cfg, form)
+        cert = _run_suite(name, cfg)
         payload = cert.to_dict()
         payload["verdict"] = (
             "not assessed" if cert.passed is None else ("pass" if cert.passed else "fail")
         )
         if name == "independence":
-            payload["summary"] = integrability_summary(form).to_dict()
+            payload["summary"] = integrability_summary(cfg.form).to_dict()
         _write_json(cfg.out_dir / f"certificate_{name}.json", payload)
         if cert.passed is False:
             failed = True
@@ -401,17 +412,13 @@ def cmd_invariants(cfg: RunConfig) -> int:
 
 def cmd_casimirs(cfg: RunConfig) -> int:
     _echo_config(cfg)
-    form = canonical_form(cfg.n_skew, cfg.tolerances["rank"])
+    form = cfg.form
     values = lie_poisson_casimirs(form, form.to_canonical(cfg.x0))
-    mode = form.mode()
-    frozen_count = None
-    if mode in ("distinct", "equal"):
-        frozen_count = len(frozen_casimir_gradients(form, mode))
     payload = {
         "n": form.n, "p": form.p, "d": form.d,
-        "frequency_mode": mode,
+        "frequency_mode": form.mode(),
         "lie_poisson_values": {f"C_{i + 1}": float(v) for i, v in enumerate(values)},
-        "frozen_count": frozen_count,
+        "frozen_count": form.casimir_counts()[1],
     }
     _write_json(cfg.out_dir / "casimirs.json", payload)
     if "csv" in cfg.formats:
@@ -422,19 +429,15 @@ def cmd_casimirs(cfg: RunConfig) -> int:
 
 def cmd_leaf_dims(cfg: RunConfig) -> int:
     _echo_config(cfg)
-    form = canonical_form(cfg.n_skew, cfg.tolerances["rank"])
+    form = cfg.form
     dim_lp, dim_frozen = leaf_dimensions(form, cfg.x0)
-    mode = form.mode()
-    expected_frozen = {
-        "distinct": 2 * form.p * (form.p + form.d),
-        "equal": form.p * (form.p + 1 + 2 * form.d),
-    }.get(mode)
+    expected_lp, expected_frozen = expected_leaf_dimensions(form)
     payload = {
         "n": form.n, "p": form.p, "d": form.d,
-        "frequency_mode": mode,
+        "frequency_mode": form.mode(),
         "lie_poisson_dim": dim_lp,
         "frozen_dim": dim_frozen,
-        "lie_poisson_expected": 2 * form.p * (form.p + form.d),
+        "lie_poisson_expected": expected_lp,
         "frozen_expected": expected_frozen,
     }
     _write_json(cfg.out_dir / "leaf_dims.json", payload)

@@ -11,14 +11,15 @@ enforced, so drift doubles as an accuracy diagnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
-from .lie_structure import BlockDecomp, from_blocks, split_blocks
-from .poisson import canonical_form, lie_poisson_casimirs
+from .lie_structure import BlockDecomp
+from .poisson import SkewCanonicalForm, lie_poisson_casimirs
 
 #: Reference values below this switch the drift monitor from relative to
 #: absolute differences.
@@ -90,8 +91,9 @@ class IntegratorConfig:
             raise ValueError("step exceeds t_end")
         if self.scheme != "rk4":
             raise ValueError(f"unsupported scheme {self.scheme!r}")
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be >= 1")
+        if (isinstance(self.monitor_stride, bool) or not isinstance(self.monitor_stride, numbers.Integral)
+                or self.monitor_stride < 1):
+            raise ValueError(f"monitor_stride must be an integer >= 1, got {self.monitor_stride!r}")
 
     @property
     def n_steps(self) -> int:
@@ -141,20 +143,15 @@ def _rk4_step(x: np.ndarray, n_skew: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(
-    x0: np.ndarray,
-    n_skew: np.ndarray,
-    config: IntegratorConfig,
-    rank_tol: float = 1e-9,
-) -> Trajectory:
+def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig) -> Trajectory:
     """Integrate the flow from x0 with conserved-quantity monitoring.
 
     Parameters
     ----------
-    x0, n_skew : initial symmetric state and the fixed skew structure matrix.
+    x0 : initial symmetric state.
+    form : canonical form of the structure matrix; the flow steps
+        ``form.skew`` and the Casimir monitors read the form.
     config : step size, horizon, scheme, and monitor stride.
-    rank_tol : passed to :func:`symflow.poisson.canonical_form`, which
-        supplies the Casimir monitors.
 
     Returns
     -------
@@ -166,11 +163,11 @@ def integrate(
     FlowDivergenceError if the state leaves the representable range, with
     the offending time attached.
     """
+    n_skew = form.skew
     x = symmetrize(as_square(x0))
     if x.shape != n_skew.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
     n = x.shape[0]
-    form = canonical_form(n_skew, rank_tol)
     labels = admissible_indices(n)
 
     h, n_steps = config.step, config.n_steps
@@ -206,35 +203,3 @@ def integrate(
         casimir_values=np.asarray(cas_rows),
         spectra=np.asarray(spec_rows),
     )
-
-
-def integrate_blocks(
-    b0: BlockDecomp,
-    core_skew: np.ndarray,
-    config: IntegratorConfig,
-) -> tuple[np.ndarray, list[BlockDecomp]]:
-    """RK4 on the block-coordinate flow; the kernel block stays put.
-
-    Steps the assembled matrix under the full flow with N = [[core, 0],
-    [0, 0]], whose kernel rows and columns are exactly zero, so the kernel
-    block of every RK4 stage is too: this is :func:`block_vector_field` in
-    the coordinates of :func:`symflow.lie_structure.from_blocks`.  Returns
-    the time grid and the block states.
-    """
-    m = b0.image_block.shape[0]
-    if core_skew.shape != (m, m) or m % 2:
-        raise ValueError("core block must be even-sized and match the image block")
-    n_skew = np.zeros((b0.n, b0.n))
-    n_skew[:m, :m] = core_skew
-    x = symmetrize(from_blocks(b0))
-    h = config.step
-    times = [0.0]
-    blocks = [b0]
-    for step_index in range(1, config.n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _rk4_step(x, n_skew, h)
-        if not np.isfinite(x).all():
-            raise FlowDivergenceError(step_index * h)
-        times.append(step_index * h)
-        blocks.append(split_blocks(x, m // 2))
-    return np.asarray(times), blocks

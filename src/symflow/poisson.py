@@ -96,17 +96,32 @@ class SkewCanonicalForm:
     def from_canonical(self, x: np.ndarray) -> np.ndarray:
         return self.basis.T @ x @ self.basis
 
-    def mode(self, tol: float = FREQUENCY_GROUP_TOL) -> str:
-        """Multiplicity pattern of the frequencies: distinct, equal, or mixed."""
+    def mode(self) -> str:
+        """Multiplicity pattern of the frequencies: distinct, equal, or mixed.
+
+        Frequencies closer than :data:`FREQUENCY_GROUP_TOL` count as equal.
+        """
         v = self.frequencies
         if self.p <= 1:
             return "distinct"
         gaps = np.abs(np.subtract.outer(v, v))[np.triu_indices(self.p, 1)]
-        if np.all(gaps > tol):
+        if np.all(gaps > FREQUENCY_GROUP_TOL):
             return "distinct"
-        if np.all(gaps <= tol):
+        if np.all(gaps <= FREQUENCY_GROUP_TOL):
             return "equal"
         return "mixed"
+
+    def casimir_counts(self) -> tuple[int, int | None]:
+        """Numbers of Lie-Poisson and frozen Casimirs.
+
+        Lie-Poisson: p trace powers plus d(d+1)/2 kernel-block functions.
+        Frozen: p (distinct frequencies) or p^2 (all equal) plus the same
+        d(d+1)/2, and None for mixed frequencies, which have no closed form.
+        Each generic leaf dimension is n(n+1)/2 minus one of these counts.
+        """
+        kernel = self.d * (self.d + 1) // 2
+        frozen = {"distinct": self.p, "equal": self.p * self.p}.get(self.mode())
+        return self.p + kernel, None if frozen is None else frozen + kernel
 
 
 def _core_block(frequencies: np.ndarray) -> np.ndarray:
@@ -192,12 +207,14 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
 def _validate_form(form: SkewCanonicalForm, kernel_tol: float) -> None:
     """Raise unless the form meets its invariants at :data:`CANONICAL_TOL`.
 
-    The kernel-kernel block of ``q N q^T`` is held to ``kernel_tol`` instead:
-    it carries exactly the directions the rank cut |lambda| <= rank_tol * v_max
-    put in the kernel, so it is as large as that cut allows.
+    The off-block defect of ``q N q^T`` is an error in entries of N, so it is
+    divided by ``max(1, v_max)`` first; orthogonality and both pseudo-inverse
+    defects are scale-free.  The kernel-kernel block is held to
+    ``kernel_tol`` instead: it carries exactly the directions the rank cut
+    |lambda| <= rank_tol * v_max put in the kernel, so it is as large as
+    that cut allows.
     """
     q, n, m = form.basis, form.n, 2 * form.p
-    ortho = max_abs(q @ q.T - np.eye(n))
     rotated = q @ form.skew @ q.T
     offset = rotated - form.canonical_skew
     kernel = max_abs(offset[m:, m:])
@@ -206,7 +223,8 @@ def _validate_form(form: SkewCanonicalForm, kernel_tol: float) -> None:
     proj[:m, :m] = np.eye(m)
     inv_left = max_abs(form.pseudo_inverse @ rotated - proj)
     inv_right = max_abs(rotated @ form.pseudo_inverse - proj)
-    worst = max(ortho, max_abs(offset), inv_left, inv_right)
+    scale = max(1.0, float(np.max(form.frequencies, initial=0.0)))
+    worst = max(max_abs(q @ q.T - np.eye(n)), max_abs(offset) / scale, inv_left, inv_right)
     if worst > CANONICAL_TOL:
         raise ValueError(
             f"canonical form failed its invariants (defect {worst:.3e} > {CANONICAL_TOL:.1e})"
@@ -437,12 +455,7 @@ def poisson_jacobi_defect(
     w_b, w_c = weights
 
     def tensor(y):
-        out = np.zeros_like(y)
-        if w_b:
-            out = out + w_b * (x @ y @ n_skew - n_skew @ y @ x)
-        if w_c:
-            out = out + w_c * (y @ n_skew - n_skew @ y)
-        return out
+        return w_b * lie_poisson_tensor(x, y, n_skew) + w_c * frozen_tensor(y, n_skew)
 
     def grad(tf):
         pm, am = tf
@@ -456,8 +469,8 @@ def poisson_jacobi_defect(
         # directional derivative of {f1, f2} at x along the symmetric k
         g1, g2 = grad(tf1), grad(tf2)
         total = frobenius_inner(hess(tf1, k), tensor(g2))
-        if w_b:
-            total += w_b * frobenius_inner(g1, k @ g2 @ n_skew - n_skew @ g2 @ k)
+        # the Lie-Poisson tensor is linear in x, so its derivative along k is its value at k
+        total += w_b * frobenius_inner(g1, lie_poisson_tensor(k, g2, n_skew))
         total += frobenius_inner(g1, tensor(hess(tf2, k)))
         return total
 

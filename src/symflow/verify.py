@@ -114,6 +114,18 @@ def involution_certificate(
     )
 
 
+def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int | None]:
+    """Generic leaf dimensions (Lie-Poisson, frozen): n(n+1)/2 less each Casimir count.
+
+    They come to 2p(p+d) and, for the frozen structure, 2p(p+d) (distinct
+    frequencies), p(p+1+2d) (all equal) or None (mixed); the member count
+    p(p+d) is half the first.
+    """
+    full = form.n * (form.n + 1) // 2
+    lp_count, frozen_count = form.casimir_counts()
+    return full - lp_count, None if frozen_count is None else full - frozen_count
+
+
 def independence_certificate(
     form: SkewCanonicalForm,
     samples: int,
@@ -132,7 +144,7 @@ def independence_certificate(
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
-    expected = p * (p + d) if d in (0, 1) else None
+    expected = expected_leaf_dimensions(form)[0] // 2 if d in (0, 1) else None
     keys = admissible_indices(n)
     rng = np.random.default_rng(seed)
     details = []
@@ -195,9 +207,9 @@ def integrability_summary(form: SkewCanonicalForm) -> IntegrabilitySummary:
     """
     p, d = form.p, form.d
     counted = invariant_count(form.n) if form.n >= 2 else 0
-    required = p * (p + d)
-    casimirs = p + d * (d + 1) // 2
-    leaf = 2 * p * (p + d)
+    casimirs = form.casimir_counts()[0]
+    leaf = expected_leaf_dimensions(form)[0]
+    required = leaf // 2
     if d in (0, 1):
         assessed = True
         verdict = "match" if counted == required else "mismatch"
@@ -231,13 +243,8 @@ def casimir_certificate(
     n, p, d = form.n, form.p, form.d
     n_can = form.canonical_skew
     mode = form.mode()
-    lp_expected_rank = p + d * (d + 1) // 2
-
-    frozen_grads: list[np.ndarray] | None = None
-    frozen_expected = None
-    if mode in ("distinct", "equal"):
-        frozen_grads = frozen_casimir_gradients(form, mode)
-        frozen_expected = (p if mode == "distinct" else p * p) + d * (d + 1) // 2
+    lp_expected_rank, frozen_expected = form.casimir_counts()
+    frozen_grads = None if frozen_expected is None else frozen_casimir_gradients(form, mode)
 
     worst = 0.0
     details = []
@@ -286,9 +293,7 @@ def leaf_dimension_certificate(
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
-    mode = form.mode()
-    expect_lp = 2 * p * (p + d)
-    expect_frozen = {"distinct": 2 * p * (p + d), "equal": p * (p + 1 + 2 * d)}.get(mode)
+    expect_lp, expect_frozen = expected_leaf_dimensions(form)
     rng = np.random.default_rng(seed)
     details = []
     worst = 0.0

@@ -95,7 +95,7 @@ def test_c03_conservation():
     for freqs in ([1.0, 2.0], [1.0, 1.7, 2.5]):
         nsk = canonical_skew_matrix(freqs)
         x0 = random_sym(nsk.shape[0], rng)
-        traj = integrate(x0, nsk, IntegratorConfig(step=1e-3, t_end=10.0, monitor_stride=100))
+        traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=10.0, monitor_stride=100))
         for block in (traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()):
             worst = max(worst, float(block.max()))
     report(3, "conservation-rk4", "max relative drift", worst, 1e-8,

@@ -1,11 +1,13 @@
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from symflow.cli import _write_csv, main
 from symflow.dynamics import IntegratorConfig, integrate
+from symflow.poisson import canonical_form
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -86,7 +88,7 @@ class TestSimulate:
         code, out = run(tmp_path, "simulate", BASE)
         assert code == 0
         echo = json.loads((out / "runconfig.json").read_text())
-        traj = integrate(np.asarray(echo["X0"]), np.asarray(echo["N"]),
+        traj = integrate(np.asarray(echo["X0"]), canonical_form(np.asarray(echo["N"])),
                          IntegratorConfig(**echo["integrator"]))
         n = echo["n"]
         header = ["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]
@@ -278,6 +280,25 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads((out / "leaf_dims.json").read_text())
         assert payload["lie_poisson_dim"] == payload["lie_poisson_expected"] == 8
+
+
+class TestCanonicalFormOncePerRun:
+    @pytest.mark.parametrize("command, calls", [
+        ("simulate", 1), ("verify", 1), ("casimirs", 1), ("leaf-dims", 1), ("invariants", 0),
+    ])
+    def test_call_count(self, tmp_path, monkeypatch, command, calls):
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return canonical_form(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "symflow" and getattr(module, "canonical_form", None) is canonical_form:
+                monkeypatch.setattr(module, "canonical_form", counted)
+        code, _ = run(tmp_path, command, BASE)
+        assert code == 0
+        assert len(seen) == calls
 
 
 class TestConfigHandling:

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import frob_norm, max_abs, random_skew, random_sym, symmetrize
-from symflow.lie_structure import BlockDecomp, from_blocks
-from symflow.poisson import canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
+from symflow.lie_structure import BlockDecomp, from_blocks, split_blocks
+from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
     _rk4_step,
     block_vector_field,
     integrate,
-    integrate_blocks,
     lax_residual,
     vector_field,
 )
@@ -151,12 +150,17 @@ class TestIntegratorConfig:
             IntegratorConfig(step=2.0, t_end=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, t_end=1.0, scheme="euler")
-        with pytest.raises(ValueError):
-            IntegratorConfig(step=0.1, t_end=1.0, monitor_stride=0)
+        for stride in (0, 2.5, 10.0, True, False, "10", None):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=0.1, t_end=1.0, monitor_stride=stride)
         for step, t_end in ((0.1, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0),
                             (0.1, float("nan"))):
             with pytest.raises(ValueError):
                 IntegratorConfig(step=step, t_end=t_end)
+
+    def test_integer_strides_accepted(self):
+        for stride in (1, 7, np.int64(3)):
+            assert IntegratorConfig(step=0.1, t_end=1.0, monitor_stride=stride).monitor_stride == stride
 
     def test_zero_horizon_allowed(self):
         cfg = IntegratorConfig(step=0.1, t_end=0.0)
@@ -184,7 +188,7 @@ class TestIntegrate:
     def test_states_match_list_loop(self, n_skew, t_end):
         x0 = random_sym(n_skew.shape[0], np.random.default_rng(17))
         config = IntegratorConfig(step=0.01, t_end=t_end, monitor_stride=7)
-        traj = integrate(x0, n_skew, config)
+        traj = integrate(x0, canonical_form(n_skew), config)
         times, states = list_integrate(x0, n_skew, config)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
@@ -192,18 +196,18 @@ class TestIntegrate:
 
     def test_equilibrium_is_exactly_constant(self):
         cfg = IntegratorConfig(step=0.01, t_end=0.5)
-        traj = integrate(0.7 * np.eye(2), N2, cfg)
+        traj = integrate(0.7 * np.eye(2), canonical_form(N2), cfg)
         for state in traj.states:
             assert np.array_equal(state, 0.7 * np.eye(2))
 
     def test_zero_structure_constant(self):
         rng = np.random.default_rng(8)
         x0 = random_sym(3, rng)
-        traj = integrate(x0, np.zeros((3, 3)), IntegratorConfig(step=0.01, t_end=0.2))
+        traj = integrate(x0, canonical_form(np.zeros((3, 3))), IntegratorConfig(step=0.01, t_end=0.2))
         assert np.array_equal(traj.states[-1], x0)
 
     def test_zero_horizon_single_row(self):
-        traj = integrate(np.eye(2), N2, IntegratorConfig(step=0.1, t_end=0.0))
+        traj = integrate(np.eye(2), canonical_form(N2), IntegratorConfig(step=0.1, t_end=0.0))
         assert len(traj.times) == 1
         assert len(traj.monitor_times) == 1
 
@@ -211,14 +215,14 @@ class TestIntegrate:
         rng = np.random.default_rng(9)
         x0 = random_sym(4, rng)
         nsk = canonical_skew_matrix([1.0, 2.0])
-        traj = integrate(x0, nsk, IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=100))
+        traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=100))
         assert traj.max_drift() <= 1e-9
 
     def test_trace_powers_conserved(self):
         rng = np.random.default_rng(10)
         x0 = random_sym(4, rng)
         nsk = random_skew(4, rng)
-        traj = integrate(x0, nsk, IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=200))
+        traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=200))
         for k in (1, 2, 3):
             start = np.trace(np.linalg.matrix_power(traj.states[0], k))
             end = np.trace(np.linalg.matrix_power(traj.states[-1], k))
@@ -230,7 +234,7 @@ class TestIntegrate:
         rng = np.random.default_rng(16)
         nsk = random_skew(4, rng)
         x0 = random_sym(4, rng)
-        traj = integrate(x0, nsk, IntegratorConfig(step=1e-3, t_end=1.0))
+        traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=1.0))
         for lam in (0.0, 0.5, -0.5, 1.0, -1.0):
             for k in (1, 2, 3):
                 start = np.trace(np.linalg.matrix_power(x0 + lam * nsk, k))
@@ -239,7 +243,7 @@ class TestIntegrate:
 
     def test_monitor_alignment(self):
         rng = np.random.default_rng(11)
-        traj = integrate(random_sym(3, rng), random_skew(3, rng),
+        traj = integrate(random_sym(3, rng), canonical_form(random_skew(3, rng)),
                          IntegratorConfig(step=0.01, t_end=0.3, monitor_stride=7))
         m = len(traj.monitor_times)
         assert traj.invariant_values.shape[0] == m
@@ -251,7 +255,7 @@ class TestIntegrate:
 
     def test_states_stay_symmetric(self):
         rng = np.random.default_rng(12)
-        traj = integrate(random_sym(4, rng), random_skew(4, rng),
+        traj = integrate(random_sym(4, rng), canonical_form(random_skew(4, rng)),
                          IntegratorConfig(step=0.01, t_end=0.5))
         for state in traj.states:
             assert np.array_equal(state, state.T)
@@ -261,7 +265,7 @@ class TestIntegrate:
         rng = np.random.default_rng(200 + n)
         x0, nsk = random_sym(n, rng), random_skew(n, rng)
         config = IntegratorConfig(step=0.01, t_end=2.0, monitor_stride=1000)
-        traj = integrate(x0, nsk, config)
+        traj = integrate(x0, canonical_form(nsk), config)
         assert np.array_equal(traj.states, traj.states.swapaxes(1, 2))
         assert max_abs(traj.states[-1] - projected_integrate(x0, nsk, 0.01, config.n_steps)) <= 1e-13
 
@@ -269,45 +273,70 @@ class TestIntegrate:
         # the second state overflows inside an RK4 stage, not at a step end
         for x0 in ([[100.0, 3.0], [3.0, -40.0]], [[10.0, 0.3], [0.3, -4.0]]):
             with pytest.raises(FlowDivergenceError) as exc:
-                integrate(np.array(x0), N2, IntegratorConfig(step=0.5, t_end=50.0))
+                integrate(np.array(x0), canonical_form(N2), IntegratorConfig(step=0.5, t_end=50.0))
             assert exc.value.time > 0
 
     def test_spectrum_columns_sorted(self):
         rng = np.random.default_rng(13)
-        traj = integrate(random_sym(5, rng), random_skew(5, rng),
+        traj = integrate(random_sym(5, rng), canonical_form(random_skew(5, rng)),
                          IntegratorConfig(step=0.01, t_end=0.2))
         for row in traj.spectra:
             assert np.all(np.diff(row) >= 0)
 
 
+def padded(core, d):
+    """The structure matrix [[core, 0], [0, 0]] with a d-dimensional kernel."""
+    m = core.shape[0]
+    n_skew = np.zeros((m + d, m + d))
+    n_skew[:m, :m] = core
+    return n_skew
+
+
+def block_field_integrate(b0, core, config):
+    """RK4 on the closed-form block field block_vector_field, the reference loop."""
+    p, h = core.shape[0] // 2, config.step
+
+    def field(x):
+        return from_blocks(block_vector_field(split_blocks(x, p), core))
+
+    x = from_blocks(b0)
+    for _ in range(config.n_steps):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
 class TestIntegrateBlocks:
+    """Block coordinates: integrate on the padded N, then split_blocks each state."""
+
     def test_matches_full_integration(self):
         rng = np.random.default_rng(14)
         p, d = 1, 1
         core = random_skew(2 * p, rng)
-        n_embed = np.zeros((2 * p + d, 2 * p + d))
-        n_embed[:2 * p, :2 * p] = core
         b0 = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)),
                          random_sym(d, rng))
         cfg = IntegratorConfig(step=1e-3, t_end=0.5)
-        times_b, blocks = integrate_blocks(b0, core, cfg)
-        traj = integrate(from_blocks(b0), n_embed, cfg)
-        assert np.array_equal(times_b, traj.times)
-        assert np.array_equal(from_blocks(blocks[-1]), traj.states[-1])
+        traj = integrate(from_blocks(b0), canonical_form(padded(core, d)), cfg)
+        end = split_blocks(traj.states[-1], p)
+        assert max_abs(from_blocks(end) - block_field_integrate(b0, core, cfg)) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33])
     def test_states_exactly_symmetric(self, n):
         rng = np.random.default_rng(300 + n)
         p, d = n // 2, n % 2
         b0 = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(d, rng))
-        _, blocks = integrate_blocks(b0, random_skew(2 * p, rng), IntegratorConfig(step=0.01, t_end=0.5))
-        for b in blocks:
-            x = from_blocks(b)
+        form = canonical_form(padded(random_skew(2 * p, rng), d))
+        traj = integrate(from_blocks(b0), form, IntegratorConfig(step=0.01, t_end=0.5))
+        for state in traj.states:
+            x = from_blocks(split_blocks(state, p))
             assert np.array_equal(x, x.T)
 
     def test_kernel_block_constant(self):
         rng = np.random.default_rng(15)
         b0 = BlockDecomp(random_sym(2, rng), rng.standard_normal((2, 2)), random_sym(2, rng))
-        _, blocks = integrate_blocks(b0, N2, IntegratorConfig(step=0.01, t_end=0.3))
-        for b in blocks:
-            assert np.array_equal(b.kernel_block, b0.kernel_block)
+        traj = integrate(from_blocks(b0), canonical_form(padded(N2, 2)), IntegratorConfig(step=0.01, t_end=0.3))
+        for state in traj.states:
+            assert np.array_equal(split_blocks(state, 1).kernel_block, b0.kernel_block)

@@ -215,6 +215,32 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="kernel block"):
             _validate_form(form, 1e-5)
 
+    def test_large_frequencies_accepted(self):
+        # the off-block defect grows with N (about 1e-9 here), the scale-free
+        # orthogonality and pseudo-inverse defects do not
+        rng = np.random.default_rng(16)
+        freqs = [2.3e6, 1.7e6, 1e6]
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            nsk = q @ canonical_skew_matrix(freqs) @ q.T
+            form = canonical_form((nsk - nsk.T) / 2)
+            assert np.allclose(form.frequencies, freqs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("error, accepted", [(1e-5, True), (1e-3, False)])
+    def test_off_block_defect_relative_to_frequencies(self, error, accepted):
+        # a core frequency off by `error` at v = 1e6, with the exact pseudo-inverse
+        v = 1e6 + error
+        form = SkewCanonicalForm(
+            n=2, p=1, d=0, skew=canonical_skew_matrix([1e6]), basis=np.eye(2),
+            frequencies=np.array([v]), core=canonical_skew_matrix([v]),
+            pseudo_inverse=-canonical_skew_matrix([1e-6]), rank_tol=1e-9,
+        )
+        if accepted:
+            _validate_form(form, CANONICAL_TOL)
+        else:
+            with pytest.raises(ValueError, match="invariants"):
+                _validate_form(form, CANONICAL_TOL)
+
     def test_equal_frequency_grouping(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))
         assert form.mode() == "equal"
@@ -270,6 +296,23 @@ class TestFrozenCasimirs:
         form = canonical_form(canonical_skew_matrix([1.0, 1.0], 1))
         for e in frozen_casimir_gradients(form, "equal"):
             assert np.array_equal(e, e.T)
+
+
+class TestCasimirCounts:
+    @pytest.mark.parametrize("mode", ["distinct", "equal"])
+    def test_match_literal_formulas(self, mode):
+        for p in range(7):
+            for d in range(0 if p else 1, 5):  # n = 2p + d >= 1
+                freqs = [1.3] * p if mode == "equal" else [1.0 + 0.25 * k for k in range(p)]
+                form = canonical_form(canonical_skew_matrix(freqs, d))
+                kernel = d * (d + 1) // 2
+                frozen = (p if mode == "distinct" else p * p) + kernel
+                assert form.casimir_counts() == (p + kernel, frozen)
+                assert frozen == len(frozen_casimir_gradients(form, mode))
+
+    def test_mixed_has_no_frozen_count(self):
+        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], 1))
+        assert form.casimir_counts() == (4, None)
 
 
 class TestLiePoissonCasimirs:

@@ -8,6 +8,7 @@ from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
 from symflow.verify import (
     casimir_certificate,
+    expected_leaf_dimensions,
     flow_generation_defect,
     independence_certificate,
     integrability_summary,
@@ -192,6 +193,18 @@ class TestCasimirCertificate:
 
 
 class TestLeafDimensionCertificate:
+    def test_expected_dimensions_match_literal_formulas(self):
+        for p in range(7):
+            for d in range(0 if p else 1, 5):  # n = 2p + d >= 1
+                lp = 2 * p * (p + d)
+                distinct = canonical_form(canonical_skew_matrix([1.0 + 0.25 * k for k in range(p)], d))
+                equal = canonical_form(canonical_skew_matrix([1.3] * p, d))
+                assert expected_leaf_dimensions(distinct) == (lp, lp)
+                assert expected_leaf_dimensions(equal) == (lp, p * (p + 1 + 2 * d))
+                assert integrability_summary(distinct).required == p * (p + d)
+        mixed = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], 1))
+        assert expected_leaf_dimensions(mixed) == (24, None)
+
     def test_distinct(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
         cert = leaf_dimension_certificate(form, samples=2, seed=12)
