@@ -298,6 +298,23 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _write_trajectory_json(path: Path, times: np.ndarray, states: np.ndarray) -> None:
+    """``{"states": states, "times": times}`` in :func:`_write_json`'s layout, one state at a time.
+
+    Nested lists of every state at once would take about four times the
+    memory of ``states``; each state goes through ``json.dumps`` on its own
+    and is indented to its depth in the document.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "states": [')
+        for k, state in enumerate(states):
+            text = json.dumps(state.tolist(), indent=2).replace("\n", "\n    ")
+            fh.write(("," if k else "") + "\n    " + text)
+        fh.write("\n  ]" if len(states) else "]")
+        times_text = json.dumps(times.tolist(), indent=2).replace("\n", "\n  ")
+        fh.write(',\n  "times": ' + times_text + "\n}\n")
+
+
 def _echo_config(cfg: RunConfig) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "runconfig.json", {
@@ -345,10 +362,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
                    traj.times, traj.states.reshape(len(traj.times), -1))
         _write_csv(cfg.out_dir / "monitors.csv", mon_header, mon_rows)
     if "json" in cfg.formats:
-        _write_json(cfg.out_dir / "trajectory.json", {
-            "times": traj.times.tolist(),
-            "states": traj.states.tolist(),
-        })
+        _write_trajectory_json(cfg.out_dir / "trajectory.json", traj.times, traj.states)
         _write_json(cfg.out_dir / "monitors.json", {
             "header": mon_header,
             "rows": mon_rows.tolist(),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import (
-    _decade_ranks,
     as_square,
     frobenius_inner,
     max_abs,
@@ -381,12 +380,20 @@ def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarr
 
 
 def sym_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of Sym(n) for the trace inner product, stacked (m, n, n)."""
-    basis = [_sym_unit(n, i, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(_sym_unit(n, i, j) / np.sqrt(2.0))
-    return np.stack(basis)
+    """Orthonormal basis of Sym(n) for the trace inner product, stacked (m, n, n).
+
+    The n diagonal units come first, then the off-diagonal pairs (i < j) in
+    row-major order, each with the value 1/sqrt(2) at (i, j) and (j, i).
+    """
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    i, j = np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    values = np.concatenate([np.ones(n), np.full(len(rows), 1.0 / np.sqrt(2.0))])
+    k = np.arange(len(i))
+    basis = np.zeros((len(i), n, n))
+    basis[k, i, j] = values
+    basis[k, j, i] = values
+    return basis
 
 
 def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, which: str) -> np.ndarray:
@@ -399,21 +406,38 @@ def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, which: str) -> np.ndarra
     if which not in ("lie_poisson", "frozen"):
         raise ValueError(f"unknown tensor {which!r}")
     basis = sym_basis(x.shape[0])
+    m = len(basis)
     left = basis @ x if which == "lie_poisson" else basis
     # With L = x (Lie-Poisson) or the identity (frozen), entry (i, j) is
-    # trace(E_i L E_j N) - trace(E_i N E_j L) = m[i, j] - m[j, i] by cyclicity.
-    m = np.einsum("iab,jba->ij", left, basis @ n_skew)
-    return m - m.T
+    # trace(E_i L E_j N) - trace(E_i N E_j L) = g[i, j] - g[j, i] by
+    # cyclicity, where g[i, j] = trace(left_i right_j) is one GEMM of the
+    # flattened left_i against the flattened transposes of right_j = E_j N.
+    right = (basis @ n_skew).transpose(0, 2, 1).reshape(m, -1)
+    g = left.reshape(m, -1) @ right.T
+    return g - g.T
 
 
 def rank_certified(vectors, tol: float) -> int:
-    """Numerical rank, re-checked one tolerance decade higher.
+    """Numerical rank from singular values, re-checked one tolerance decade higher.
 
-    Raises :class:`RankInstabilityError` when the two tolerances disagree,
-    which flags a spectrum straddling the threshold instead of silently
-    returning either answer.
+    The first axis indexes the vectors and trailing axes are flattened.  One
+    ``numpy.linalg.svd`` gives the spectrum s; the rank counts s > tol * s[0]
+    and is re-counted at s > 10 * tol * s[0].  Raises
+    :class:`RankInstabilityError` when the two counts disagree, which flags
+    a spectrum straddling the threshold instead of silently returning either
+    answer.  A zero matrix has rank 0.
     """
-    r, r_loose = _decade_ranks(vectors, tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    try:
+        work = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise ValueError("vectors have inconsistent lengths") from exc
+    if work.ndim == 0 or len(work) == 0:
+        raise ValueError("rank of an empty set")
+    s = np.linalg.svd(work.reshape(len(work), work[0].size), compute_uv=False)
+    top = s.max(initial=0.0)
+    r, r_loose = int(np.sum(s > tol * top)), int(np.sum(s > 10.0 * tol * top))
     if r != r_loose:
         raise RankInstabilityError(
             f"rank {r} at tol {tol:.1e} but {r_loose} at {10 * tol:.1e}"
@@ -424,9 +448,10 @@ def rank_certified(vectors, tol: float) -> int:
 def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray) -> tuple[int, int]:
     """Symplectic leaf dimensions (Lie-Poisson, frozen) at a state x.
 
-    Both are numerical ranks of the tensor matrices at ``form.rank_tol``;
-    the caller is expected to pass a generic x (resample if a rank
-    instability is flagged).
+    Both are numerical ranks of the tensor matrices, counted from their
+    singular values at ``form.rank_tol`` by :func:`rank_certified`; the
+    caller is expected to pass a generic x (resample if a rank instability
+    is flagged).
     """
     b_mat = tensor_as_matrix(x, form.skew, "lie_poisson")
     c_mat = tensor_as_matrix(x, form.skew, "frozen")

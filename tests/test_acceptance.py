@@ -42,6 +42,7 @@ from symflow.dynamics import (
 )
 from symflow.verify import (
     casimir_certificate,
+    expected_leaf_dimensions,
     flow_generation_defect,
     independence_certificate,
     involution_certificate,
@@ -139,20 +140,18 @@ def test_c06_independence():
 
 
 def test_c07_leaf_dimensions():
+    # sizes up to 32 (and 33 with a one-dimensional kernel), each with all
+    # frequencies distinct and all equal
     start = time.perf_counter()
     rng = np.random.default_rng(107)
     worst = 0
-    for n, d in ((4, 0), (6, 0), (5, 1), (6, 2)):
+    for n, d in ((4, 0), (6, 0), (5, 1), (6, 2), (16, 0), (24, 0), (32, 0), (33, 1)):
         p = (n - d) // 2
-        distinct = [1.0 + 0.7 * i for i in range(p)]
-        equal = [1.0] * p
-        for freqs, frozen_expected in (
-            (distinct, 2 * p * (p + d)),
-            (equal, p * (p + 1 + 2 * d)),
-        ):
+        for freqs in ([1.0 + 0.7 * i for i in range(p)], [1.0] * p):
             form = canonical_form(canonical_skew_matrix(freqs, d))
             dims = leaf_dimensions(form, random_sym(n, rng))
-            worst = max(worst, abs(dims[0] - 2 * p * (p + d)), abs(dims[1] - frozen_expected))
+            expected = expected_leaf_dimensions(form)
+            worst = max(worst, abs(dims[0] - expected[0]), abs(dims[1] - expected[1]))
     report(7, "leaf-dimensions", "max |dim gap|", float(worst), 0.0,
            time.perf_counter() - start, 30.0)
 

@@ -1,11 +1,12 @@
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symflow.cli import _write_csv, main
+from symflow.cli import _write_csv, _write_trajectory_json, main
 from symflow.dynamics import IntegratorConfig, integrate
 from symflow.poisson import canonical_form
 
@@ -404,3 +405,44 @@ class TestCsvWriter:
         header = [f"c{i}" for i in range(len(rows[0]) if len(rows) else 2)]
         _write_csv(tmp_path / "table.csv", header, rows)
         assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()
+
+
+def dumped_trajectory(path, times, states):
+    """trajectory.json as json.dump writes it from nested lists of every state."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"times": times.tolist(), "states": states.tolist()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class TestTrajectoryJson:
+    @pytest.mark.parametrize("steps,n", [(1, 1), (3, 2), (5, 3), (0, 2), (4, 4)])
+    def test_bytes_match_json_dump(self, tmp_path, steps, n):
+        rng = np.random.default_rng(steps + 10 * n)
+        states = rng.standard_normal((steps, n, n))
+        times = np.arange(steps) * 0.1
+        _write_trajectory_json(tmp_path / "streamed.json", times, states)
+        dumped_trajectory(tmp_path / "dumped.json", times, states)
+        assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    def test_simulate_output_matches_json_dump(self, tmp_path):
+        code, out = run(tmp_path, "simulate", BASE, extra=("--format", "json"))
+        assert code == 0
+        echo = json.loads((out / "runconfig.json").read_text())
+        traj = integrate(np.asarray(echo["X0"]), canonical_form(np.asarray(echo["N"])),
+                         IntegratorConfig(**echo["integrator"]))
+        dumped_trajectory(tmp_path / "dumped.json", traj.times, traj.states)
+        assert (out / "trajectory.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    def test_peak_below_half_of_nested_lists(self, tmp_path):
+        rng = np.random.default_rng(7)
+        states = rng.standard_normal((100, 8, 8))
+        times = np.arange(100) * 1e-3
+        peaks = []
+        for write in (dumped_trajectory, _write_trajectory_json):
+            tracemalloc.start()
+            try:
+                write(tmp_path / "trajectory.json", times, states)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import (
+    _decade_ranks,
     frobenius_inner,
     max_abs,
     numerical_rank,
@@ -12,6 +13,7 @@ from symflow.poisson import (
     CANONICAL_TOL,
     RankInstabilityError,
     SkewCanonicalForm,
+    _sym_unit,
     _validate_form,
     canonical_form,
     canonical_skew_matrix,
@@ -389,6 +391,43 @@ class TestTensorMatrix:
         m = tensor_as_matrix(x, canonical_skew_matrix([1.0, 2.0]), "lie_poisson")
         assert numerical_rank([m[:, j] for j in range(m.shape[1])], 1e-9) == 8
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_matches_definition(self, n):
+        # entry (i, j) is trace(E_i L E_j N) - trace(E_i N E_j L), with
+        # L = x (Lie-Poisson) or the identity (frozen)
+        rng = np.random.default_rng(30 + n)
+        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        basis = sym_basis(n)
+        for which, lmat in (("lie_poisson", x), ("frozen", np.eye(n))):
+            el, en = basis @ lmat, basis @ nsk
+            m = len(basis)
+            direct = np.array([[frobenius_inner(el[i], en[j]) - frobenius_inner(en[i], el[j])
+                                for j in range(m)] for i in range(m)])
+            got = tensor_as_matrix(x, nsk, which)
+            assert max_abs(got - direct) <= 1e-14 * max_abs(direct)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_matches_einsum_form(self, n):
+        # the GEMM against the per-entry contraction it replaced: the frozen
+        # matrix is bit-identical, the Lie-Poisson one agrees to roundoff
+        rng = np.random.default_rng(40 + n)
+        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        basis = sym_basis(n)
+        for which, left in (("frozen", basis), ("lie_poisson", basis @ x)):
+            g = np.einsum("iab,jba->ij", left, basis @ nsk)
+            old = g - g.T
+            got = tensor_as_matrix(x, nsk, which)
+            if which == "frozen":
+                assert np.array_equal(got, old)
+            else:
+                assert max_abs(got - old) <= 1e-15 * max_abs(old)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_sym_basis_matches_units(self, n):
+        units = [_sym_unit(n, i, i) for i in range(n)]
+        units += [_sym_unit(n, i, j) / np.sqrt(2.0) for i in range(n) for j in range(i + 1, n)]
+        assert np.array_equal(sym_basis(n), np.stack(units))
+
     def test_sym_basis_orthonormal(self):
         basis = sym_basis(3)
         assert len(basis) == 6
@@ -437,6 +476,53 @@ class TestLeafDimensions:
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 0.5])]
         assert rank_certified(vecs, 1e-9) == 2
         assert rank_certified(np.array(vecs), 1e-9) == 2
+
+    def test_rank_certified_relative_to_largest_singular_value(self):
+        # four equal rows make the largest singular value 2, twice the
+        # largest row norm: 1.5e-9 sits inside the decade relative to the
+        # row norm, where the Gram-Schmidt ranks disagree, but below both
+        # cuts relative to s[0]
+        vecs = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.5e-9]])
+        assert _decade_ranks(vecs, 1e-9) == (2, 1)
+        assert rank_certified(vecs, 1e-9) == 1
+
+    def test_rank_certified_contract(self):
+        # the first axis indexes the vectors and the trailing axes are
+        # flattened, so a (k, n, n) stack is k vectors, not k matrices
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), np.diag([1.0, 0.0, 0.0])])
+        assert rank_certified(stack, 1e-9) == 2
+        assert rank_certified(np.zeros((3, 4)), 1e-9) == 0
+        with pytest.raises(ValueError):
+            rank_certified([], 1e-9)
+        with pytest.raises(ValueError):
+            rank_certified(np.eye(2), 0.0)
+        with pytest.raises(ValueError):
+            rank_certified([np.zeros(3), np.zeros(4)], 1e-9)
+
+    @staticmethod
+    def _structure(kind, n, rng):
+        if kind == "random":
+            return random_skew(n, rng)
+        d = {"nullity1": 1, "nullity2": 2}.get(kind, 0)
+        p = (n - d) // 2
+        freqs = [1.0] * p if kind == "equal" else sorted(rng.uniform(0.5, 1.5, p), reverse=True)
+        return canonical_skew_matrix(freqs, d)
+
+    @pytest.mark.parametrize("kind,n", [
+        ("distinct", 4), ("distinct", 8), ("distinct", 12),
+        ("equal", 4), ("equal", 8), ("equal", 12),
+        ("nullity1", 5), ("nullity1", 9),
+        ("nullity2", 6), ("nullity2", 10),
+        ("random", 6), ("random", 9), ("random", 12),
+    ])
+    def test_singular_value_ranks_match_gram_schmidt(self, kind, n):
+        rng = np.random.default_rng(50 + n)
+        form = canonical_form(self._structure(kind, n, rng))
+        x = random_sym(n, rng)
+        for which in ("lie_poisson", "frozen"):
+            m = tensor_as_matrix(x, form.skew, which)
+            r, r_loose = _decade_ranks(m, form.rank_tol)
+            assert r == r_loose == rank_certified(m, form.rank_tol)
 
 
 class TestCompatibility:
