@@ -8,19 +8,25 @@ The top coefficient is the constant trace(N^k)/k and is not counted.
 
 Values, gradients and the recursion residuals all come from one
 coefficient stack: for each k the (k+1, n, n) array of the coefficients of
-(X + t N)^k, built from the stack for k-1 by multiplying with X and with N.
-The gradient of the (k, 2r) member is the coefficient of t^{2r} in
-(X + t N)^{k-1}, which is symmetric for even powers.  The table stores the
+P^k, P = X + t N, built from the stack for k-1 by multiplying with X and
+with N.  The gradient of the (k, 2r) member is the coefficient of t^{2r} in
+P^{k-1}, which is symmetric for even powers.  The table stores the
 1/k-normalized coefficients; the bare multi-index sum differs by the
 factor k.
 
-Each stack is read with array operations: one trace call gives every
-coefficient of a power, one mask checks its odd structural zeros, and one
-stacked symmetrize gives its gradients.
+Values come from half powers: coefficient j of trace(P^k) is the sum over
+a + b = j of trace(A_a B_b), with A the stack of P^floor(k/2) and B that of
+P^ceil(k/2).  When stack m arrives, one GEMM of the flattened stacks of
+P^{m-1} and P^m against the flattened transposed stack of P^m gives every
+pair trace for k = 2m-1 and k = 2m, so the values walk only to
+m = ceil((n-1)/2).  The gradients continue the same walk to n-2.  One
+bincount sums the pair traces into coefficients, one mask checks the odd
+structural zeros, and one stacked symmetrize per stack gives its gradients.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +55,31 @@ def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int):
         yield acc
 
 
+@functools.cache
+def _pair_slots(half: int) -> np.ndarray:
+    """Where each pair trace of the stacks m = 1..half goes, in GEMM order.
+
+    Stack m contributes a (2m+1, m+1) Gram matrix.  Its row a < m pairs
+    coefficient a of P^{m-1} with coefficient b of P^m and adds to
+    coefficient (k, j) = (2m-1, a+b) of trace(P^k); its row m + a pairs P^m
+    with itself and adds to (2m, a+b).  The slot of (k, j) is k * width + j,
+    width = 2 * half + 1.
+    """
+    width = 2 * half + 1
+    slots = []
+    for m in range(1, half + 1):
+        rows = np.arange(2 * m + 1) + (2 * m - 1) * width
+        rows[m:] += width - m
+        slots.append(np.add.outer(rows, np.arange(m + 1)).ravel())
+    slots = np.concatenate(slots)
+    slots.flags.writeable = False  # shared by every call
+    return slots
+
+
 def invariant_count(n: int) -> int:
     """floor(n/2) * floor((n+1)/2), the number of independent-index members."""
-    if n < 2:
-        raise ValueError("need matrix size n >= 2")
+    if n < 1:
+        raise ValueError("need matrix size n >= 1")
     return (n // 2) * ((n + 1) // 2)
 
 
@@ -83,26 +110,54 @@ def _check_pair(x, n_skew) -> np.ndarray:
     return x
 
 
+def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: dict | None) -> np.ndarray:
+    """Walk the stacks of P = X + tN up to P^depth, depth >= n // 2 >= 1.
+
+    Returns the (n-1, n) array whose row k - 1 holds the coefficients of
+    t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond t^k).
+    If ``gradients`` is a dict, it receives the member gradients in table
+    order, the (m+1, j) ones from stack m < n - 1.
+    """
+    n = x.shape[0]
+    half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
+    if gradients is not None:
+        gradients[(1, 0)] = np.eye(n)
+    grams = []
+    prev = np.eye(n)[None]  # stack of P^{m-1}; the zeroth power is the identity
+    for m, power in enumerate(_power_stacks(x, n_skew, depth), start=1):
+        if m <= half:
+            # trace(A_a B_b) for the pairs (P^{m-1}, P^m) and (P^m, P^m) in one GEMM
+            pairs = np.concatenate([prev, power]).reshape(2 * m + 1, n * n)
+            grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
+        if gradients is not None and m < n - 1:
+            keys = [(m + 1, j) for j in range(0, m + 1, 2)]
+            gradients.update(zip(keys, symmetrize(power[0::2])))
+        prev = power
+    # coefficient j of trace(P^k) sums the pair traces with a + b = j
+    width = 2 * half + 1
+    sums = np.bincount(_pair_slots(half), np.concatenate(grams), minlength=width * width)
+    return sums.reshape(width, width)[1:n, :n] / np.arange(1, n)[:, None]
+
+
 def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> InvariantTable:
     n = x.shape[0]
     table = InvariantTable(n=n, gradients={} if with_gradients else None)
-    scale_base = frob_norm(x) + frob_norm(n_skew)
-    prev = None  # stack of (X + tN)^{k-1}, which carries the gradients
-    for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
-        traces = np.trace(power[:k], axis1=1, axis2=2) / k
-        # a mask and argmax, not max(): a NaN coefficient compares false and passes
-        odd = np.abs(traces[1::2]) > ODD_COEFF_TOL * max(1.0, scale_base**k)
-        if odd.any():
-            j = 2 * int(odd.argmax()) + 1
-            raise ArithmeticError(
-                f"odd-power trace coefficient (k={k}, j={j}) is {float(traces[j]):.3e}, "
-                "expected a structural zero"
-            )
-        keys = [(k, j) for j in range(0, k, 2)]
-        table.values.update(zip(keys, traces[0::2].tolist()))
-        if with_gradients:
-            table.gradients.update(zip(keys, [np.eye(n)] if k == 1 else symmetrize(prev[0::2])))
-        prev = power
+    if n < 2:
+        return table
+    depth = max(n - 2, n // 2) if with_gradients else n // 2
+    traces = _trace_walk(x, n_skew, depth, table.gradients)
+    member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
+    base = frob_norm(x) + frob_norm(n_skew)
+    scale = np.array([max(1.0, base**k) for k in range(1, n)])
+    # a mask and argmax, not max(): a NaN coefficient compares false and passes
+    odd = member[:, 1::2] & (np.abs(traces[:, 1::2]) > ODD_COEFF_TOL * scale[:, None])
+    if odd.any():
+        row, col = divmod(int(odd.argmax()), odd.shape[1])
+        raise ArithmeticError(
+            f"odd-power trace coefficient (k={row + 1}, j={2 * col + 1}) is "
+            f"{float(traces[row, 2 * col + 1]):.3e}, expected a structural zero"
+        )
+    table.values.update(zip(admissible_indices(n), traces[:, 0::2][member[:, 0::2]].tolist()))
     return table
 
 

@@ -159,7 +159,7 @@ def independence_certificate(
                 v = grads[key].ravel()
                 nrm = np.linalg.norm(v)
                 vecs.append(v / nrm if nrm > 0 else v)
-            rank, rank_loose = _decade_ranks(vecs, form.rank_tol)
+            rank, rank_loose = _decade_ranks(vecs, form.rank_tol) if vecs else (0, 0)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= max_resamples:
                 break
@@ -206,7 +206,7 @@ def integrability_summary(form: SkewCanonicalForm) -> IntegrabilitySummary:
     nullity >= 2 yields a surplus whose redundancy is reported, not judged.
     """
     p, d = form.p, form.d
-    counted = invariant_count(form.n) if form.n >= 2 else 0
+    counted = invariant_count(form.n)
     casimirs = form.casimir_counts()[0]
     leaf = expected_leaf_dimensions(form)[0]
     required = leaf // 2

@@ -268,6 +268,25 @@ class TestInvariantsCommand:
         assert all(v == 0.0 for v in payload["values"].values())
 
 
+class TestOneByOne:
+    """n = 1: no members, rank 0 expected and found."""
+
+    CONFIG = {"N": {"canonical": {"v": [], "d": 1}}}
+
+    def test_invariants(self, tmp_path):
+        code, out = run(tmp_path, "invariants", self.CONFIG)
+        assert code == 0
+        payload = json.loads((out / "invariants.json").read_text())
+        assert payload["count"] == payload["count_expected"] == 0
+
+    def test_verify(self, tmp_path):
+        code, out = run(tmp_path, "verify", self.CONFIG)
+        assert code == 0
+        payload = json.loads((out / "certificate_independence.json").read_text())
+        assert payload["verdict"] == "pass"
+        assert payload["summary"]["counted"] == payload["summary"]["required"] == 0
+
+
 class TestOtherCommands:
     def test_casimirs(self, tmp_path):
         code, out = run(tmp_path, "casimirs", BASE)

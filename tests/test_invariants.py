@@ -1,14 +1,17 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from symflow import invariants
 from symflow.matrix_core import frob_norm, frobenius_inner, max_abs, random_skew, random_sym, symmetrize
 from symflow.invariants import (
     ODD_COEFF_TOL,
     InvariantTable,
     _harvest,
     _power_stacks,
+    _trace_walk,
     admissible_indices,
     gradient_table,
     invariant_count,
@@ -144,7 +147,14 @@ class TestCounts:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            invariant_count(1)
+            invariant_count(0)
+
+    def test_one_by_one_has_no_members(self):
+        assert invariant_count(1) == 0 == len(admissible_indices(1))
+        x, nsk = np.ones((1, 1)), np.zeros((1, 1))
+        assert invariant_table(x, nsk).values == {}
+        table = gradient_table(x, nsk)
+        assert table.values == {} and table.gradients == {}
 
     def test_n4_index_set(self):
         assert admissible_indices(4) == [(1, 0), (2, 0), (3, 0), (3, 2)]
@@ -251,21 +261,59 @@ class TestGradientTable:
 
 
 class TestArrayHarvest:
-    """The array-form harvest against the per-coefficient loop, bit for bit."""
+    """The half-power harvest against the per-coefficient loop over full powers."""
 
     @pytest.mark.parametrize("n, kind", HARVEST_CASES)
     def test_matches_loop(self, n, kind):
+        # gradients and key order bit for bit; the values sum half-power pair
+        # traces, so they agree with the full-power traces at roundoff, on the
+        # scale of the k-th power, and both tables share them exactly
         rng = np.random.default_rng(n)
         nsk = structure(kind, n, rng)
         for x in (random_sym(n, rng), np.zeros((n, n))):
             values = invariant_table(x, nsk).values
-            assert values == loop_harvest(x, nsk, False).values
             assert list(values) == admissible_indices(n)
             table, expected = gradient_table(x, nsk), loop_harvest(x, nsk, True)
-            assert table.values == expected.values
+            assert table.values == values
+            assert list(table.values) == list(expected.values)
             assert list(table.gradients) == list(expected.gradients)
             for key, grad in expected.gradients.items():
                 assert np.array_equal(table.gradients[key], grad)
+            base = frob_norm(x) + frob_norm(nsk)
+            for (k, j), value in expected.values.items():
+                assert abs(values[(k, j)] - value) <= 1e-14 * max(1.0, base**k)
+
+    def test_every_coefficient_against_oracle(self):
+        # odd and top coefficients included, from both walk depths
+        rng = np.random.default_rng(23)
+        for n in range(2, 7):
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            traces = _trace_walk(x, nsk, n // 2, None)
+            assert np.array_equal(traces, _trace_walk(x, nsk, max(n - 2, n // 2), {}))
+            for k in range(1, n):
+                for j in range(n):
+                    oracle = trace_coefficient_oracle(x, nsk, k, j) / k
+                    assert traces[k - 1, j] == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 33])
+    def test_walk_depth(self, monkeypatch, n):
+        # values need powers up to ceil((n-1)/2), gradients up to n-2
+        walked = []
+
+        def counted(x, nsk, k_max):
+            for stack in _power_stacks(x, nsk, k_max):
+                walked.append(len(stack) - 1)
+                yield stack
+
+        monkeypatch.setattr(invariants, "_power_stacks", counted)
+        rng = np.random.default_rng(n)
+        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        half = math.ceil((n - 1) / 2)
+        invariant_table(x, nsk)
+        assert walked == list(range(1, half + 1))
+        walked.clear()
+        gradient_table(x, nsk)
+        assert walked == list(range(1, max(n - 2, half) + 1))
 
     def test_odd_coefficient_error(self):
         # a symmetric part in N breaks the odd structural zeros from k = 2 on
