@@ -262,19 +262,116 @@ def resolve_config(raw: dict, args) -> RunConfig:
     )
 
 
-def _write_csv(path: Path, header: list, *blocks) -> None:
-    """Write column blocks side by side as "%.16e" CSV, without joining them into one table.
+#: Rows the CSV writer formats at a time; keeps its transient buffers near half a megabyte.
+CSV_CHUNK_ROWS = 64
 
-    Each block holds one row per CSV row; a flat sequence is one column, and
-    an empty one writes the header only.  Columns whose float64 bytes agree
-    in every row are formatted once.
+#: Bytes of one formatted cell: six words hold the longest "%.16e" text,
+#: "-1.0000000000000000e+308", and a seventh, left NUL, the CSV separator.
+_CELL = 28
+
+
+def _words(text: bytes) -> np.ndarray:
+    """The four-byte groups of an ASCII text as native uint32 words."""
+    return np.frombuffer(text, dtype=np.uint32).copy()
+
+
+# The text of the exact path is six words: NUL, sign or NUL, leading digit
+# and "."; four words of four digits; "e", exponent sign and two exponent
+# digits.  NUL bytes are padding and never reach the file.
+#: _DIGITS[g]: the four digits of 0 <= g < 10000.
+_DIGITS = _words(np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                       indexing="ij"), axis=-1).tobytes())
+#: _HEAD[d + 10 * negative]: NUL, "-" or NUL, the digit d and ".".
+_HEAD = _words(b"".join(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)))
+#: _EXPONENT[e + 6]: "e-06" .. "e+16", the exponents the exact path writes.
+_EXPONENT = _words(b"".join(b"e%+03d" % e for e in range(-6, 17)))
+#: The words that end a CSV cell: "," and NULs, "\n" and NULs.
+_SEPARATORS = _words(b",\0\0\0\n\0\0\0")
+
+#: 10^k for k = 0..22, every one an exact double, and its two 26-bit halves
+#: (Veltkamp's split) for Dekker's product.
+_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: The bits of 1e-6 and 1e17, the ends of the magnitudes converted in numpy.
+_EXACT_BITS = np.array([1e-6, 1e17]).view(np.int64)
+
+
+def _scaled_digits(a: np.ndarray, e: np.ndarray):
+    """floor(a·10^(16-e)) as int64 and the exact fraction below it, for 0 <= 16-e <= 22.
+
+    Dekker's TwoProduct writes a·10^p exactly as hi + lo; numpy has no fused
+    multiply-add, so both factors are split with Veltkamp's constant 2^27+1.
+    Wherever the product reaches 2^53, hi is an integer and the floor is
+    hi + floor(lo).
     """
-    tables = [np.asarray(rows, dtype=np.float64) for rows in blocks]
-    tables = [table[:, None] if table.ndim == 1 else table for table in tables]
-    # equal bits give equal text: slot[j] numbers the bit pattern of output
-    # column j, picked[k] is the (block, column) that first shows slot k,
-    # and each row formats only the picked columns and copies each text to
-    # every column of its slot
+    p = 16 - e
+    scale, scale_hi, scale_lo = _POW10.take(p), _POW10_HI.take(p), _POW10_LO.take(p)
+    hi = a * scale
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    whole = np.floor(lo)
+    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
+
+
+def _e16_cells(values: np.ndarray) -> np.ndarray:
+    """``"%.16e" % v`` for every float64 ``v``, as ASCII rows of _CELL bytes padded with NUL bytes.
+
+    Zeros and finite values with 1e-6 <= |v| < 1e17 (decimal exponents -6
+    to 16) are converted in numpy: 17 significant digits, exact, rounded
+    half to even.  All other values (smaller or larger magnitudes,
+    subnormals, NaN, infinities) go through Python's ``%`` in one batch.
+    """
+    values = values.ravel()
+    # |v| compared as the integers of its bits: the order is the same, and
+    # NaN and the infinities lie above every finite value without a float
+    # comparison that could signal
+    bits = values.view(np.int64) & 0x7FFFFFFFFFFFFFFF
+    exact = (bits >= _EXACT_BITS[0]) & (bits < _EXACT_BITS[1])
+    a = np.where(exact, np.abs(values), 1.0)
+    # floor(log10 a) may be one off near a power of ten; the digit count shows it
+    e = np.minimum(np.maximum(np.floor(np.log10(a)), -6), 16).astype(np.int64)
+    digits, fraction = _scaled_digits(a, e)
+    redo = np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))
+    if redo.size:
+        e[redo] = np.clip(e[redo] + np.where(digits[redo] < 10 ** 16, -1, 1), -6, 16)
+        digits[redo], fraction[redo] = _scaled_digits(a[redo], e[redo])
+        # still off: the exponent is outside -6..16 (a double just below 1e-6), left to Python
+        exact[redo] &= (digits[redo] >= 10 ** 16) & (digits[redo] < 10 ** 17)
+    # zeros get the digits of 0 (a = 1 gave them e = 0); Python overwrites the rest below
+    digits = np.where(exact, digits, 0)
+    # no carry to 10^17: the double below each power of ten in the range is
+    # more than half a unit of the 17th digit below it
+    digits += (fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))
+
+    lead = digits // 10 ** 16
+    high = (digits - lead * 10 ** 16) // 10 ** 8
+    low = digits - lead * 10 ** 16 - high * 10 ** 8
+    words = np.zeros((len(values), _CELL // 4), dtype=np.uint32)
+    words[:, 0] = _HEAD.take(lead + 10 * np.signbit(values))
+    for column, group in ((1, high), (3, low)):
+        top = group // 10 ** 4
+        words[:, column] = _DIGITS.take(top)
+        words[:, column + 1] = _DIGITS.take(group - top * 10 ** 4)
+    words[:, 5] = _EXPONENT.take(e + 6)
+    python = np.flatnonzero(~exact & (bits != 0))
+    if python.size:
+        texts = ("%-24.16e" * len(python) % tuple(values[python].tolist())).encode("ascii")
+        padded = np.frombuffer(texts, dtype=np.uint8).reshape(len(python), 24)
+        words[python, :6] = np.where(padded == ord(" "), np.uint8(0), padded).view(np.uint32)
+    return words.view(np.uint8)
+
+
+def _column_slots(tables: list):
+    """The columns to format, and the formatted column behind each output column.
+
+    Equal bits give equal text: slot[j] numbers the bit pattern of output
+    column j, and picks[b] lists, in slot order, the columns of block b that
+    first show a bit pattern.  The bytes of the columns are only held while
+    this runs, not while the rows are written.
+    """
     seen, picked, slot = {}, [], []
     for b, table in enumerate(tables):
         for j, column in enumerate(table.T):
@@ -283,13 +380,35 @@ def _write_csv(path: Path, header: list, *blocks) -> None:
                 picked.append((b, j))
             slot.append(k)
     picks = [np.array([j for c, j in picked if c == b], dtype=np.intp) for b in range(len(tables))]
-    fmt = ",".join(["%.16e"] * len(picked))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(tables[0])):
-            values = np.concatenate([table[i, cols] for table, cols in zip(tables, picks)]).tolist()
-            texts = (fmt % tuple(values)).split(",")
-            fh.write(",".join([texts[k] for k in slot]) + "\n")
+    return picks, np.array(slot, dtype=np.intp)
+
+
+def _write_csv(path: Path, header: list, *blocks) -> None:
+    """Write column blocks side by side as "%.16e" CSV, without joining them into one table.
+
+    Each block holds one row per CSV row and at least one column; a flat
+    sequence is one column, and an empty one writes the header only.  Every
+    number is byte for byte Python's ``"%.16e" % v``: 17 significant
+    digits, correctly rounded, ties to even.  Zeros and finite values with
+    1e-6 <= |v| < 1e17 are converted exactly in numpy (:func:`_e16_cells`);
+    all other values go through Python's ``%``.  Columns whose float64
+    bytes agree in every row are formatted once, CSV_CHUNK_ROWS rows at a
+    time, and each cell is copied to every column of its slot.
+    """
+    tables = [np.asarray(rows, dtype=np.float64) for rows in blocks]
+    tables = [table[:, None] if table.ndim == 1 else table for table in tables]
+    picks, slot = _column_slots(tables)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(tables[0]), CSV_CHUNK_ROWS):
+            values = np.concatenate(
+                [table[start:start + CSV_CHUNK_ROWS, cols] for table, cols in zip(tables, picks)], axis=1)
+            cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
+            line = cells.take(slot, axis=1)  # a new array, so the spare words take the separators
+            line[:, :, -1] = _SEPARATORS[0]
+            line[:, -1, -1] = _SEPARATORS[1]
+            text = line.view(np.uint8)
+            fh.write(text[text != 0])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -511,7 +630,8 @@ def main(argv=None) -> int:
     except RankInstabilityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except FlowDivergenceError as exc:
+    except (FlowDivergenceError, ArithmeticError) as exc:
+        # a non-finite state, a value past the float range, a broken structural zero
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

@@ -144,11 +144,18 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> Invaria
     table = InvariantTable(n=n, gradients={} if with_gradients else None)
     if n < 2:
         return table
+    # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
+    # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
+    base = frob_norm(x) + frob_norm(n_skew)
+    try:
+        scale = np.array([max(1.0, base**k) for k in range(1, n)])
+    except OverflowError as exc:
+        raise OverflowError(
+            f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}"
+        ) from exc
     depth = max(n - 2, n // 2) if with_gradients else n // 2
     traces = _trace_walk(x, n_skew, depth, table.gradients)
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
-    base = frob_norm(x) + frob_norm(n_skew)
-    scale = np.array([max(1.0, base**k) for k in range(1, n)])
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
     odd = member[:, 1::2] & (np.abs(traces[:, 1::2]) > ODD_COEFF_TOL * scale[:, None])
     if odd.any():

@@ -2,11 +2,12 @@ import io
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from symflow.cli import _write_csv, _write_trajectory_json, main
+from symflow.cli import CSV_CHUNK_ROWS, _e16_cells, _write_csv, _write_trajectory_json, main
 from symflow.dynamics import IntegratorConfig, integrate
 from symflow.poisson import canonical_form
 
@@ -104,6 +105,28 @@ class TestSimulate:
         values = [float(v) for v in line.split(",")]
         assert values[0] == 0.0
         assert all(np.isfinite(values))
+
+
+def overflowing_config():
+    """n = 32, X0 = 1e9·(A + Aᵀ): (|X|_F + |N|_F)^31 passes the float range."""
+    a = np.random.default_rng(0).standard_normal((32, 32))
+    return dict(
+        BASE,
+        n=32,
+        N={"canonical": {"v": np.linspace(1.5, 0.5, 16).tolist(), "d": 0}},
+        X0={"explicit": (1e9 * (a + a.T)).tolist()},
+        integrator={"step": 1e-3, "t_end": 2e-3, "monitor_stride": 1},
+    )
+
+
+class TestNumericalAbort:
+    @pytest.mark.parametrize("command", ["invariants", "simulate"])
+    def test_overflow_exit_3(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, overflowing_config())
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: ") and "float range" in err
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
 
 class TestVerify:
@@ -401,6 +424,36 @@ def one_row_differs():
     return rows
 
 
+def ulps(values, steps):
+    """values moved by ``steps`` units in the last place, away from zero for positive steps."""
+    return (np.asarray(values, dtype=np.float64).view(np.int64) + steps).view(np.float64)
+
+
+#: 10^k for k = -30..30, each the double nearest to it.
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-30, 31)])
+
+
+def range_edges():
+    """1e-6 and 1e17 with their neighbours, and 10^k +- 1 ulp for k = -30..30, with both signs."""
+    edges = ulps([1e-6, 1e17], np.arange(-3, 4)[:, None]).ravel()
+    tens = ulps(POWERS_OF_TEN, np.array([-1, 0, 1])[:, None]).ravel()
+    values = np.concatenate([edges, tens])
+    return np.stack([values, -values], axis=1)
+
+
+def exact_ties(rng, count):
+    """Doubles whose exact decimal expansion has 18 significant digits, the last a 5.
+
+    m / 2^k with m odd is m·5^k / 10^k, so the 18 digits of m·5^k end in 5;
+    k = 2..23 puts the ties at decimal exponents -6..15.
+    """
+    k = 2 + np.arange(count) % 22
+    low = np.array([-(-10 ** 17 // 5 ** j) for j in range(24)])[k]
+    high = np.array([min(10 ** 18 // 5 ** j, 2 ** 53) for j in range(24)])[k]
+    m = rng.integers(low, high) | 1
+    return m.astype(np.float64) / 2.0 ** k * rng.choice([-1.0, 1.0], count)
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("rows", [
         np.array([[0.0, -0.0, 5e-324, -5e-324],
@@ -419,11 +472,55 @@ class TestCsvWriter:
         pytest.param(state_table(8, 40), id="states-n8"),
         pytest.param(state_table(32, 5), id="states-n32"),
         pytest.param(one_row_differs(), id="one-row-differs"),
+        pytest.param(state_table(8, CSV_CHUNK_ROWS - 1), id="chunk-1-rows"),
+        pytest.param(state_table(8, CSV_CHUNK_ROWS), id="chunk-rows"),
+        pytest.param(state_table(8, CSV_CHUNK_ROWS + 1), id="chunk+1-rows"),
+        pytest.param(state_table(8, 2001), id="2001-rows"),
+        pytest.param(range_edges(), id="range-edges"),
+        pytest.param(exact_ties(np.random.default_rng(2), 440).reshape(-1, 11), id="exact-ties"),
+        pytest.param(np.array([[np.inf, -np.inf, nan_with_payload(5), 0.0, -0.0]] * 3), id="non-finite"),
     ])
     def test_bytes_match_per_value_formatter(self, tmp_path, rows):
         header = [f"c{i}" for i in range(len(rows[0]) if len(rows) else 2)]
         _write_csv(tmp_path / "table.csv", header, rows)
         assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()
+
+
+#: The classes of float64 values the "%.16e" kernel must match Python on, as (rng, count) -> values.
+KERNEL_CLASSES = {
+    "normal": lambda rng, count: rng.standard_normal(count),
+    "uniform": lambda rng, count: rng.uniform(-1.0, 1.0, count),
+    "log-uniform": lambda rng, count: rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-30.0, 45.0, count),
+    "powers-of-ten": lambda rng, count: rng.choice([-1.0, 1.0], count) * ulps(
+        POWERS_OF_TEN[rng.integers(0, len(POWERS_OF_TEN), count)], rng.integers(-3, 4, count)),
+    "range-edges": lambda rng, count: rng.choice([-1.0, 1.0], count) * ulps(
+        rng.choice([1e-6, 1e16, 1e17], count), rng.integers(-count, count, count)),
+    "exact-ties": exact_ties,
+    "zeros": lambda rng, count: rng.choice([-0.0, 0.0], count),
+    "subnormal": lambda rng, count: rng.choice([-1.0, 1.0], count) * rng.integers(1, 2 ** 52, count).view(np.float64),
+    "bit-patterns": lambda rng, count: rng.integers(0, 2 ** 64, count, dtype=np.uint64).view(np.float64),
+}
+
+
+class TestE16Kernel:
+    @pytest.mark.parametrize("name", list(KERNEL_CLASSES))
+    def test_matches_python_percent(self, name):
+        values = KERNEL_CLASSES[name](np.random.default_rng(13), 100_000)
+        cells = _e16_cells(values)
+        assert cells.shape == (len(values), 28) and not cells[:, 24:].any()
+        cells[:, 24] = ord(",")  # the word the CSV writer puts its separator in
+        got = cells[cells != 0].tobytes().decode("ascii")
+        want = "%.16e," * len(values) % tuple(values.tolist())
+        if got != want:
+            i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip(got.split(","), want.split(","))) if g != w)
+            pytest.fail(f"{values[i]!r}: kernel {g!r}, Python {w!r}")
+
+    def test_no_rounding_reaches_a_power_of_ten(self):
+        # why the kernel has no carry from 9.99..9 up to 1.00..0 with the next exponent
+        for k in range(-6, 18):
+            below = max(v for v in ulps(float(f"1e{k}"), np.array([-1, 0])) if Fraction(v) < Fraction(10) ** k)
+            assert not ("%.16e" % below).startswith("1.0000000000000000e")
+            assert _e16_cells(np.array([below])).tobytes().replace(b"\0", b"").decode() == "%.16e" % below
 
 
 def dumped_trajectory(path, times, states):
