@@ -624,7 +624,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except (ConfigError, ValueError) as exc:
         # library-level rejections of the resolved inputs (singular kernel
-        # block, inconsistent sizes) count as configuration errors
+        # block, inconsistent sizes, a horizon too long to allocate) count
+        # as configuration errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RankInstabilityError as exc:

@@ -6,6 +6,10 @@ every Lie-Poisson Casimir is a constant of motion.  Integration is plain
 RK4 on a field that is exactly symmetric by construction, so every state is
 exactly symmetric with no projection; conservation is monitored rather than
 enforced, so drift doubles as an accuracy diagnostic.
+
+The stepper allocates no array per step: its stage buffers live for the run
+and each step is written into the preallocated states.  Steps run in
+segments that end at the monitor points, with one finiteness check each.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class FlowDivergenceError(RuntimeError):
         self.time = time
 
 
-def vector_field(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
+def vector_field(x: np.ndarray, n_skew: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side [x^2, n] = m + m^T with m = x^2 n, exactly symmetric.
 
     Precondition: x symmetric and n_skew skew, as the validating
@@ -43,9 +47,12 @@ def vector_field(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
     floating-point addition commutes.  Inputs are not re-validated here:
     :func:`integrate` checks x0 and N once at entry, and non-finite
     intermediate RK4 stages must reach its divergence check.
+
+    ``out``, if given, is a float array of x's shape that receives the
+    result; it must not alias x.
     """
-    m = (x @ x) @ n_skew
-    return m + m.T
+    m = x.dot(x).dot(n_skew)
+    return np.add(m, m.T, out=out)
 
 
 def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam: float) -> float:
@@ -135,14 +142,6 @@ class Trajectory:
         return worst
 
 
-def _rk4_step(x: np.ndarray, n_skew: np.ndarray, h: float) -> np.ndarray:
-    k1 = vector_field(x, n_skew)
-    k2 = vector_field(x + 0.5 * h * k1, n_skew)
-    k3 = vector_field(x + 0.5 * h * k2, n_skew)
-    k4 = vector_field(x + h * k3, n_skew)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig) -> Trajectory:
     """Integrate the flow from x0 with conserved-quantity monitoring.
 
@@ -161,7 +160,8 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
     Raises
     ------
     FlowDivergenceError if the state leaves the representable range, with
-    the offending time attached.
+    the time of the first non-finite state attached.
+    ValueError if the states of the whole horizon cannot be allocated.
     """
     n_skew = form.skew
     x = symmetrize(as_square(x0))
@@ -170,10 +170,14 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
     n = x.shape[0]
     labels = admissible_indices(n)
 
-    h, n_steps = config.step, config.n_steps
-    times = np.arange(n_steps + 1, dtype=float) * h
-    states = np.empty((n_steps + 1, n, n))
+    h, n_steps, stride = config.step, config.n_steps, config.monitor_stride
+    try:
+        times = np.arange(n_steps + 1, dtype=float) * h
+        states = np.empty((n_steps + 1, n, n))
+    except (MemoryError, ValueError):
+        raise ValueError(f"{n_steps} steps of a {n}x{n} state do not fit in memory") from None
     states[0] = x
+    y, k1, k2, k3, k4 = np.empty((5, n, n))
     monitor_times, inv_rows, cas_rows, spec_rows = [], [], [], []
 
     def record(t: float, state: np.ndarray) -> None:
@@ -184,15 +188,25 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
         spec_rows.append(np.linalg.eigvalsh(state))
 
     record(0.0, x)
-    for step_index in range(1, n_steps + 1):
+    for start in range(1, n_steps + 1, stride):
+        stop = min(start + stride, n_steps + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _rk4_step(x, n_skew, h)
-        t = step_index * h
-        if not np.isfinite(x).all():
-            raise FlowDivergenceError(t)
-        states[step_index] = x
-        if step_index % config.monitor_stride == 0 or step_index == n_steps:
-            record(t, x)
+            for i in range(start, stop):
+                x = states[i - 1]
+                vector_field(x, n_skew, out=k1)
+                vector_field(np.add(x, np.multiply(k1, 0.5 * h, out=y), out=y), n_skew, out=k2)
+                vector_field(np.add(x, np.multiply(k2, 0.5 * h, out=y), out=y), n_skew, out=k3)
+                vector_field(np.add(x, np.multiply(k3, h, out=y), out=y), n_skew, out=k4)
+                # x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), in this order
+                np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+                np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+                np.add(k1, k4, out=k1)
+                np.add(x, np.multiply(k1, h / 6.0, out=k1), out=states[i])
+        # the segment's first non-finite step is the one a per-step check would stop at
+        finite = np.isfinite(states[start:stop]).all(axis=(1, 2))
+        if not finite.all():
+            raise FlowDivergenceError((start + int(finite.argmin())) * h)
+        record((stop - 1) * h, states[stop - 1])
 
     return Trajectory(
         times=times,

@@ -80,6 +80,18 @@ class TestSimulate:
             code, _ = run(tmp_path, "simulate", config, out=f"out{i}")
             assert code == 3
 
+    def test_unallocatable_horizon_exit_2(self, tmp_path, capsys):
+        # 1e17 steps: the times alone need 8e17 bytes, past any address space,
+        # so the allocation fails at once
+        integrator = {"step": 1e-8, "t_end": 1e9}
+        code, out = run(tmp_path, "simulate", dict(BASE, integrator=integrator))
+        assert code == 2
+        n_steps = IntegratorConfig(**integrator).n_steps
+        assert n_steps >= 10**17
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{n_steps} steps of a 4x4 state" in err
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
     def test_json_format(self, tmp_path):
         code, out = run(tmp_path, "simulate", BASE, extra=("--format", "json"))
         assert code == 0

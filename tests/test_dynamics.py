@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_tensor
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
-    _rk4_step,
     block_vector_field,
     integrate,
     lax_residual,
@@ -167,12 +168,38 @@ class TestIntegratorConfig:
         assert cfg.n_steps == 0
 
 
+def matmul_field(x, n_skew):
+    """vector_field in its allocating `@` form, the reference form."""
+    m = (x @ x) @ n_skew
+    return m + m.T
+
+
+def rk4_step(x, n_skew, h):
+    """The allocating RK4 step that integrate's buffered stepper replaced, the reference form."""
+    k1 = matmul_field(x, n_skew)
+    k2 = matmul_field(x + 0.5 * h * k1, n_skew)
+    k3 = matmul_field(x + 0.5 * h * k2, n_skew)
+    k4 = matmul_field(x + h * k3, n_skew)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def first_non_finite_step(x0, n_skew, h, n_steps):
+    """Index of the first non-finite state of the reference step loop, or None."""
+    x = symmetrize(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_index in range(1, n_steps + 1):
+            x = rk4_step(x, n_skew, h)
+            if not np.isfinite(x).all():
+                return step_index
+    return None
+
+
 def list_integrate(x0, n_skew, config):
     """The list-based state loop integrate replaced, the reference form."""
     x = symmetrize(x0)
     times, states = [0.0], [x.copy()]
     for step_index in range(1, config.n_steps + 1):
-        x = symmetrize(_rk4_step(x, n_skew, config.step))
+        x = symmetrize(rk4_step(x, n_skew, config.step))
         times.append(step_index * config.step)
         states.append(x.copy())
     return np.asarray(times), np.asarray(states)
@@ -193,6 +220,24 @@ class TestIntegrate:
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
         assert traj.states.shape == (config.n_steps + 1, *n_skew.shape)
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16, 17, 20, 32, 33])
+    def test_bit_identical_to_reference_stepper(self, n, stride):
+        # 30 steps: stride 7 leaves a short last segment, 1000 makes one segment
+        rng = np.random.default_rng(400 + n)
+        x0, nsk = random_sym(n, rng), random_skew(n, rng)
+        form = canonical_form(nsk)
+        for t_end in (0.3, 0.0):
+            config = IntegratorConfig(step=0.01, t_end=t_end, monitor_stride=stride)
+            traj = integrate(x0, form, config)
+            times, states = list_integrate(x0, nsk, config)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+            steps = [i for i in range(config.n_steps + 1) if i % stride == 0 or i == config.n_steps]
+            assert np.array_equal(traj.monitor_times, [i * config.step for i in steps])
+            for row, i in zip(traj.spectra, steps, strict=True):
+                assert np.array_equal(row, np.linalg.eigvalsh(states[i]))
 
     def test_equilibrium_is_exactly_constant(self):
         cfg = IntegratorConfig(step=0.01, t_end=0.5)
@@ -270,11 +315,24 @@ class TestIntegrate:
         assert max_abs(traj.states[-1] - projected_integrate(x0, nsk, 0.01, config.n_steps)) <= 1e-13
 
     def test_divergence_aborts_with_time(self):
-        # the second state overflows inside an RK4 stage, not at a step end
-        for x0 in ([[100.0, 3.0], [3.0, -40.0]], [[10.0, 0.3], [0.3, -4.0]]):
-            with pytest.raises(FlowDivergenceError) as exc:
-                integrate(np.array(x0), canonical_form(N2), IntegratorConfig(step=0.5, t_end=50.0))
-            assert exc.value.time > 0
+        # the reported time is the reference loop's first non-finite step,
+        # wherever that step falls in its monitor segment
+        # the second X0 reaches a finite state of size 1.7e167 at step 15, the
+        # step before its first non-finite one; that state's Casimir passes the
+        # float range, and the monitors, which run outside the steps' errstate,
+        # warn where the stride monitors step 15
+        for x0, huge_step in (([[100.0, 3.0], [3.0, -40.0]], None), ([[10.0, 0.3], [0.3, -4.0]], 15)):
+            for stride in (1, 3, 10, 1000):
+                config = IntegratorConfig(step=0.5, t_end=50.0, monitor_stride=stride)
+                first = first_non_finite_step(np.array(x0), N2, config.step, config.n_steps)
+                monitor_overflows = huge_step is not None and huge_step % stride == 0
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(FlowDivergenceError) as exc:
+                        integrate(np.array(x0), canonical_form(N2), config)
+                assert exc.value.time == first * config.step
+                assert [w.category for w in caught] == [RuntimeWarning] * len(caught)
+                assert bool(caught) == monitor_overflows
 
     def test_spectrum_columns_sorted(self):
         rng = np.random.default_rng(13)
