@@ -5,9 +5,11 @@ monitor drifts), ``verify`` (run certificate suites), ``invariants``,
 ``casimirs``, and ``leaf-dims`` (single-state dumps).  One JSON config
 document drives everything; a few flags override its fields.  Outputs are
 deterministic: given the same config and seeds, re-runs are byte-identical.
+JSON files have ``json.dump(indent=2, sort_keys=True)``'s layout, and
+trajectory.csv formats the upper triangle of each exactly symmetric state.
 
-Exit codes: 0 success, 1 certificate failure, 2 config error, 3 numerical
-abort.
+Exit codes: 0 success, 1 certificate failure, 2 config error (sizes past
+the memory included), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrix_core import random_skew, random_sym, skew_matrix, sym_matrix
-from .invariants import gradient_table, invariant_count
+from .invariants import admissible_indices, gradient_table, invariant_count
 from .poisson import (
     RankInstabilityError,
     SkewCanonicalForm,
@@ -364,88 +366,134 @@ def _e16_cells(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def _column_slots(tables: list):
-    """The columns to format, and the formatted column behind each output column.
-
-    Equal bits give equal text: slot[j] numbers the bit pattern of output
-    column j, and picks[b] lists, in slot order, the columns of block b that
-    first show a bit pattern.  The bytes of the columns are only held while
-    this runs, not while the rows are written.
-    """
-    seen, picked, slot = {}, [], []
-    for b, table in enumerate(tables):
-        for j, column in enumerate(table.T):
-            k = seen.setdefault(column.tobytes(), len(picked))
-            if k == len(picked):
-                picked.append((b, j))
-            slot.append(k)
-    picks = [np.array([j for c, j in picked if c == b], dtype=np.intp) for b in range(len(tables))]
-    return picks, np.array(slot, dtype=np.intp)
+def _write_cells(fh, values: np.ndarray, slot=None) -> None:
+    """Write the rows of ``values`` as "%.16e" CSV lines; output column j repeats column ``slot[j]``."""
+    cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
+    if slot is not None:
+        cells = cells.take(slot, axis=1)
+    cells[:, :, -1] = _SEPARATORS[0]
+    cells[:, -1, -1] = _SEPARATORS[1]
+    text = cells.view(np.uint8)
+    fh.write(text[text != 0])
 
 
-def _write_csv(path: Path, header: list, *blocks) -> None:
-    """Write column blocks side by side as "%.16e" CSV, without joining them into one table.
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a table as "%.16e" CSV, every column formatted, CSV_CHUNK_ROWS rows at a time.
 
-    Each block holds one row per CSV row and at least one column; a flat
-    sequence is one column, and an empty one writes the header only.  Every
-    number is byte for byte Python's ``"%.16e" % v``: 17 significant
+    A flat sequence is one column, and an empty one writes the header only.
+    Every number is byte for byte Python's ``"%.16e" % v``: 17 significant
     digits, correctly rounded, ties to even.  Zeros and finite values with
     1e-6 <= |v| < 1e17 are converted exactly in numpy (:func:`_e16_cells`);
-    all other values go through Python's ``%``.  Columns whose float64
-    bytes agree in every row are formatted once, CSV_CHUNK_ROWS rows at a
-    time, and each cell is copied to every column of its slot.
+    all other values go through Python's ``%``.
     """
-    tables = [np.asarray(rows, dtype=np.float64) for rows in blocks]
-    tables = [table[:, None] if table.ndim == 1 else table for table in tables]
-    picks, slot = _column_slots(tables)
+    table = np.asarray(rows, dtype=np.float64)
+    table = table[:, None] if table.ndim == 1 else table
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, len(tables[0]), CSV_CHUNK_ROWS):
-            values = np.concatenate(
-                [table[start:start + CSV_CHUNK_ROWS, cols] for table, cols in zip(tables, picks)], axis=1)
-            cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
-            line = cells.take(slot, axis=1)  # a new array, so the spare words take the separators
-            line[:, :, -1] = _SEPARATORS[0]
-            line[:, -1, -1] = _SEPARATORS[1]
-            text = line.view(np.uint8)
-            fh.write(text[text != 0])
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            _write_cells(fh, table[start:start + CSV_CHUNK_ROWS])
+
+
+@functools.cache
+def _trajectory_layout(n: int):
+    """trajectory.csv's header, a state's upper triangle (formatted after t), each column's slot."""
+    rows, cols = np.triu_indices(n)
+    flat = np.arange(n * n).reshape(n, n)
+    slot = np.append(0, 1 + np.searchsorted(flat[rows, cols], np.minimum(flat, flat.T)))
+    for index in (rows, cols, slot):
+        index.flags.writeable = False  # shared by every call
+    header = ",".join(["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]) + "\n"
+    return header.encode("ascii"), rows, cols, slot
+
+
+def _write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
+    """Write ``[t | X]`` as :func:`_write_csv` would, formatting t and each state's upper triangle.
+
+    :func:`integrate` returns exactly symmetric states; each chunk's int64 views (0.0 and -0.0
+    differ) are checked against their transpose before X_j_i takes the text of X_i_j.
+    """
+    header, rows, cols, slot = _trajectory_layout(states.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for start in range(0, len(states), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            bits = states[start:stop].view(np.int64)
+            if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+                raise ArithmeticError(f"trajectory state not exactly symmetric in rows {start}..{stop - 1}")
+            _write_cells(fh, np.column_stack((times[start:stop], states[start:stop, rows, cols])), slot)
+
+
+#: json's spelling of the non-finite floats, keyed by their repr.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """Every entry of a float64 array as json writes it, each distinct bit pattern formatted once."""
+    if values.dtype != np.float64:
+        raise TypeError(f"Object of type ndarray of {values.dtype} is not JSON serializable")
+    bits = np.ascontiguousarray(values).view(np.int64).ravel().tolist()
+    patterns = list(dict.fromkeys(bits))  # not np.unique: its sort kernels add half a megabyte of RSS
+    texts = list(map(float.__repr__, np.array(patterns, dtype=np.int64).view(np.float64).tolist()))
+    text_of = dict(zip(patterns, map(_NON_FINITE.get, texts, texts)))
+    return np.array(list(map(text_of.__getitem__, bits)), dtype=object).reshape(values.shape)
+
+
+def _bracket(items: list, pad: str, ends: str) -> str:
+    return ends[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + ends[1] if items else ends
+
+
+def _array_text(texts: np.ndarray, pad: str) -> str:
+    """The nested JSON list of an object array of number texts, one join per innermost row."""
+    if texts.ndim < 2:
+        return texts.item() if texts.ndim == 0 else _bracket(texts.tolist(), pad, "[]")
+    return _bracket([_array_text(row, pad + "  ") for row in texts], pad, "[]")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """The text of ``json.dump(value, indent=2, sort_keys=True)``, at the depth of ``pad``.
+
+    ``pad`` is a newline and the indentation of the line ``value`` starts on.  Takes dicts
+    with str keys, lists, tuples, str, int, float, bool, None and float64 arrays (as their
+    nested lists); anything else, a non-str key included, raises TypeError, as json does.
+    """
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _NON_FINITE.get(text := float.__repr__(value), text)
+    if isinstance(value, np.ndarray):
+        return _array_text(_float_texts(value), pad)
+    if isinstance(value, (list, tuple)):
+        return _bracket([_json_text(item, pad + "  ") for item in value], pad, "[]")
+    if not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _bracket([json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], pad + "  ")
+                     for key in sorted(value)], pad, "{}")
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _write_trajectory_json(path: Path, times: np.ndarray, states: np.ndarray) -> None:
-    """``{"states": states, "times": times}`` in :func:`_write_json`'s layout, one state at a time.
-
-    Nested lists of every state at once would take about four times the
-    memory of ``states``; each state goes through ``json.dumps`` on its own
-    and is indented to its depth in the document.
-    """
+    """``{"states": states, "times": times}`` in :func:`_write_json`'s layout, one state's texts at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "states": [')
         for k, state in enumerate(states):
-            text = json.dumps(state.tolist(), indent=2).replace("\n", "\n    ")
-            fh.write(("," if k else "") + "\n    " + text)
-        fh.write("\n  ]" if len(states) else "]")
-        times_text = json.dumps(times.tolist(), indent=2).replace("\n", "\n  ")
-        fh.write(',\n  "times": ' + times_text + "\n}\n")
+            fh.write(("," if k else "") + "\n    " + _json_text(state, "\n    "))
+        fh.write(("\n  ]" if len(states) else "]") + ',\n  "times": ' + _json_text(times, "\n  ") + "\n}\n")
 
 
 def _echo_config(cfg: RunConfig) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "runconfig.json", {
         "n": cfg.n,
-        "N": cfg.n_skew.tolist(),
-        "X0": cfg.x0.tolist(),
-        "integrator": {
-            "step": cfg.integrator.step,
-            "t_end": cfg.integrator.t_end,
-            "scheme": cfg.integrator.scheme,
-            "monitor_stride": cfg.integrator.monitor_stride,
-        },
+        "N": cfg.n_skew,
+        "X0": cfg.x0,
+        "integrator": {name: getattr(cfg.integrator, name) for name in INTEGRATOR_FIELDS},
         "suites": cfg.suites,
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -458,34 +506,31 @@ def _inv_label(key) -> str:
     return f"h_{key[0]}_{key[1]}"
 
 
+@functools.cache
+def _monitor_header(n: int, casimirs: int) -> tuple:
+    """The column names of monitors.csv for n x n states and the given number of Casimirs."""
+    names = ([_inv_label(key) for key in admissible_indices(n)] + [f"C_{i + 1}" for i in range(casimirs)]
+             + [f"eig_{i + 1}" for i in range(n)])
+    return ("t", *names, *[f"drift_{name}" for name in names])
+
+
 def _monitor_table(traj: Trajectory):
-    inv_labels = [_inv_label(k) for k in traj.invariant_labels]
-    cas_labels = [f"C_{i + 1}" for i in range(traj.casimir_values.shape[1])]
-    eig_labels = [f"eig_{i + 1}" for i in range(traj.spectra.shape[1])]
-    header = (["t"] + inv_labels + cas_labels + eig_labels
-              + [f"drift_{name}" for name in inv_labels + cas_labels + eig_labels])
     blocks = np.hstack([traj.invariant_values, traj.casimir_values, traj.spectra])
     drifts = np.hstack([traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()])
     rows = np.hstack([traj.monitor_times[:, None], blocks, drifts])
-    return header, rows
+    return _monitor_header(traj.spectra.shape[1], traj.casimir_values.shape[1]), rows
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     _echo_config(cfg)
     traj = integrate(cfg.x0, cfg.form, cfg.integrator)
-    n = cfg.n
-    state_header = ["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]
     mon_header, mon_rows = _monitor_table(traj)
     if "csv" in cfg.formats:
-        _write_csv(cfg.out_dir / "trajectory.csv", state_header,
-                   traj.times, traj.states.reshape(len(traj.times), -1))
+        _write_trajectory_csv(cfg.out_dir / "trajectory.csv", traj.times, traj.states)
         _write_csv(cfg.out_dir / "monitors.csv", mon_header, mon_rows)
     if "json" in cfg.formats:
         _write_trajectory_json(cfg.out_dir / "trajectory.json", traj.times, traj.states)
-        _write_json(cfg.out_dir / "monitors.json", {
-            "header": mon_header,
-            "rows": mon_rows.tolist(),
-        })
+        _write_json(cfg.out_dir / "monitors.json", {"header": mon_header, "rows": mon_rows})
     return 0
 
 
@@ -537,7 +582,7 @@ def cmd_invariants(cfg: RunConfig) -> int:
         "count": len(keys),
         "count_expected": invariant_count(cfg.n),
         "values": {_inv_label(k): table.values[k] for k in keys},
-        "gradients": {_inv_label(k): table.gradients[k].tolist() for k in keys},
+        "gradients": {_inv_label(k): table.gradients[k] for k in keys},
     }
     _write_json(cfg.out_dir / "invariants.json", payload)
     return 0
@@ -616,15 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
-        # library-level rejections of the resolved inputs (singular kernel
-        # block, inconsistent sizes, a horizon too long to allocate) count
+        return COMMANDS[args.command](resolve_config(load_config(args.config), args))
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # rejections of the resolved inputs (singular kernel block, inconsistent
+        # sizes) and sizes past the memory (n, a horizon, a sample count) count
         # as configuration errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -156,6 +156,8 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
     -------
     Trajectory with states at every step and monitors every
     ``config.monitor_stride`` steps (first and last step always included).
+    Every state is exactly symmetric (``m + m^T`` and the elementwise RK4
+    updates keep bit symmetry); the trajectory writer relies on it.
 
     Raises
     ------

@@ -19,7 +19,8 @@ a + b = j of trace(A_a B_b), with A the stack of P^floor(k/2) and B that of
 P^ceil(k/2).  When stack m arrives, one GEMM of the flattened stacks of
 P^{m-1} and P^m against the flattened transposed stack of P^m gives every
 pair trace for k = 2m-1 and k = 2m, so the values walk only to
-m = ceil((n-1)/2).  The gradients continue the same walk to n-2.  One
+m = ceil((n-1)/2); for even n the last GEMM pairs zeros for k = n, which
+is beyond the table.  The gradients continue the same walk to n-2.  One
 bincount sums the pair traces into coefficients, one mask checks the odd
 structural zeros, and one stacked symmetrize per stack gives its gradients.
 """
@@ -128,6 +129,10 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: dict |
         if m <= half:
             # trace(A_a B_b) for the pairs (P^{m-1}, P^m) and (P^m, P^m) in one GEMM
             pairs = np.concatenate([prev, power]).reshape(2 * m + 1, n * n)
+            if 2 * m == n:
+                # k = 2m = n is beyond the table: zeros cannot overflow, and
+                # the GEMM keeps its shape, so the kept traces keep their bits
+                pairs[m:] = 0.0
             grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
         if gradients is not None and m < n - 1:
             keys = [(m + 1, j) for j in range(0, m + 1, 2)]

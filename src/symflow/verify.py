@@ -14,7 +14,7 @@ without a verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class Certificate:
     details: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def involution_certificate(
@@ -196,7 +196,7 @@ class IntegrabilitySummary:
     verdict: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def integrability_summary(form: SkewCanonicalForm) -> IntegrabilitySummary:

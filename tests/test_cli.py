@@ -1,13 +1,26 @@
 import io
 import json
+import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from symflow.cli import CSV_CHUNK_ROWS, _e16_cells, _write_csv, _write_trajectory_json, main
+from symflow.cli import (
+    CSV_CHUNK_ROWS,
+    _e16_cells,
+    _json_text,
+    _write_csv,
+    _write_trajectory_csv,
+    _write_trajectory_json,
+    main,
+)
 from symflow.dynamics import IntegratorConfig, integrate
 from symflow.poisson import canonical_form
 
@@ -92,6 +105,14 @@ class TestSimulate:
         assert err.startswith("config error: ") and f"{n_steps} steps of a 4x4 state" in err
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
+    def test_unallocatable_n_exit_2(self, tmp_path, capsys):
+        # a random N of n = 5e6 needs 2e14 bytes, past the 2^47-byte user
+        # address space, so the allocation fails at once
+        code, out = run(tmp_path, "simulate", {"n": 5_000_000, "N": {"random": {"seed": 1}}})
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         code, out = run(tmp_path, "simulate", BASE, extra=("--format", "json"))
         assert code == 0
@@ -131,6 +152,12 @@ def overflowing_config():
     )
 
 
+def dumped_json(path):
+    """A JSON file's text as json.dump(indent=2, sort_keys=True) writes what it holds."""
+    with open(path, encoding="utf-8") as fh:
+        return json.dumps(json.load(fh), indent=2, sort_keys=True) + "\n"
+
+
 class TestNumericalAbort:
     @pytest.mark.parametrize("command", ["invariants", "simulate"])
     def test_overflow_exit_3(self, tmp_path, capsys, command):
@@ -150,6 +177,18 @@ class TestVerify:
                       "recursion", "lax", "sectional2x2"):
             payload = json.loads((out / f"certificate_{suite}.json").read_text())
             assert payload["verdict"] in ("pass", "not assessed")
+
+    def test_json_files_in_json_dump_layout(self, tmp_path):
+        code, out = run(tmp_path, "verify", dict(BASE, n=5, N={"canonical": {"v": [1.0, 2.0], "d": 1}}))
+        assert code == 0
+        for path in out.glob("*.json"):
+            assert path.read_text() == dumped_json(path), path.name
+
+    def test_unallocatable_samples_exit_2(self, tmp_path, capsys):
+        # 1e13 samples of 5 draws need 4e14 bytes, past the user address space
+        code, _ = run(tmp_path, "verify", dict(BASE, suites=["sectional2x2"], samples=10**13))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_degenerate_independence_not_assessed(self, tmp_path):
         config = dict(
@@ -294,6 +333,19 @@ class TestInvariantsCommand:
         assert code == 0
         payload = json.loads((out / "invariants.json").read_text())
         assert payload["count"] == payload["count_expected"] == 20
+
+    def test_overflow_beyond_the_table_is_not_computed(self, tmp_path):
+        # (X + tN)^4 at X = diag(1e90, ...) passes the float range, but only
+        # k <= 3 is in the table, and every value kept is finite
+        config = dict(BASE, X0={"explicit": [[1e90, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "invariants", config)
+        assert code == 0 and not caught
+        values = json.loads((out / "invariants.json").read_text())["values"]
+        assert values["h_2_0"] == pytest.approx(0.5e180, rel=1e-15)
+        assert all(np.isfinite(list(values.values())))
+        assert (out / "invariants.json").read_text() == dumped_json(out / "invariants.json")
 
     def test_zero_state_all_zero(self, tmp_path):
         config = dict(BASE, X0={"explicit": [[0.0] * 4] * 4})
@@ -574,3 +626,102 @@ class TestTrajectoryJson:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] / 2
+
+
+def states_from(table):
+    """The times and n x n states of a [t | X] table."""
+    n = int(round(np.sqrt(table.shape[1] - 1)))
+    return table[:, 0].copy(), table[:, 1:].reshape(len(table), n, n).copy()
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("n, steps", [(1, 3), (2, 40), (3, 5), (8, CSV_CHUNK_ROWS + 1), (8, 2001), (32, 5)])
+    def test_bytes_match_per_value_formatter(self, tmp_path, n, steps):
+        table = state_table(n, steps, seed=n)
+        table[1, 1:] = 0.0
+        table[-1, 1:] = -0.0  # symmetric in bits: the mirror copies the sign
+        times, states = states_from(table)
+        _write_trajectory_csv(tmp_path / "trajectory.csv", times, states)
+        header = ["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]
+        assert (tmp_path / "trajectory.csv").read_bytes() == per_value_csv(header, table).encode()
+
+    @pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 99])
+    @pytest.mark.parametrize("changed", ["ulp", "signed-zero"])
+    def test_asymmetric_state_raises(self, tmp_path, row, changed):
+        times, states = states_from(state_table(3, 100, seed=row))
+        if changed == "ulp":
+            states[row, 2, 0] = np.nextafter(states[row, 2, 0], np.inf)
+        else:
+            states[row, 0, 2], states[row, 2, 0] = 0.0, -0.0
+        with pytest.raises(ArithmeticError, match="not exactly symmetric"):
+            _write_trajectory_csv(tmp_path / "trajectory.csv", times, states)
+
+
+def plain(value):
+    """value with every array turned into its nested lists, as json.dump takes it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+#: float64 bit patterns with texts of their own: both zeros, NaNs with
+#: payloads and either sign, the infinities, subnormals.
+SPECIAL_BITS = [0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000005,
+                0x7FF0000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF]
+
+float_arrays = arrays(
+    np.uint64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+).map(lambda bits: bits.view(np.float64))
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ü ☃ 😀", "\u2028\n\t"]),
+    float_arrays,
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example([math.nan, math.inf, -math.inf, -0.0, 5e-324, np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64),
+              {"é": (2**100, True, None, "\x00\"")}])
+    def test_matches_json_dump(self, value):
+        assert _json_text(value, "\n") + "\n" == json.dumps(plain(value), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2), (2, 0, 3), (2, 3, 1), ()])
+    def test_array_shapes(self, shape):
+        value = np.arange(float(np.prod(shape))).reshape(shape) - 1.5
+        assert _json_text({"a": value}) == json.dumps({"a": value.tolist()}, indent=2, sort_keys=True)
+
+    def test_signed_zeros_and_nan_payloads(self):
+        values = np.array([[0.1, -0.0, 0.0], [-0.0, 0.1, np.nan], [0.0, nan_with_payload(3), -np.nan]])
+        assert _json_text(values) == json.dumps(values.tolist(), indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": np.float32(1.0)}, {(1, 2): 0},
+                                       np.bool_(True), {1, 2}, b"bytes"])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, np.arange(3), np.ones(2, dtype=np.float32)])
+    def test_rejects_non_str_keys_and_other_dtypes(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)

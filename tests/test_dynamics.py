@@ -334,6 +334,18 @@ class TestIntegrate:
                 assert [w.category for w in caught] == [RuntimeWarning] * len(caught)
                 assert bool(caught) == monitor_overflows
 
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3, 8, 9, 32, 33) for d in (0, 1, 2)
+                                      if d <= n and (n - d) % 2 == 0])
+    def test_states_exactly_symmetric(self, n, d):
+        # the trajectory writer formats only the upper triangle of each state
+        rng = np.random.default_rng(10 * n + d)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        core = q @ canonical_skew_matrix(np.linspace(0.5, 1.5, (n - d) // 2), d) @ q.T
+        traj = integrate(random_sym(n, rng), canonical_form((core - core.T) / 2),
+                         IntegratorConfig(step=0.01, t_end=0.05, monitor_stride=2))
+        bits = traj.states.view(np.int64)
+        assert np.array_equal(bits, bits.transpose(0, 2, 1))
+
     def test_spectrum_columns_sorted(self):
         rng = np.random.default_rng(13)
         traj = integrate(random_sym(5, rng), canonical_form(random_skew(5, rng)),

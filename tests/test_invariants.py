@@ -10,6 +10,7 @@ from symflow.invariants import (
     ODD_COEFF_TOL,
     InvariantTable,
     _harvest,
+    _pair_slots,
     _power_stacks,
     _trace_walk,
     admissible_indices,
@@ -260,6 +261,20 @@ class TestGradientTable:
             assert fd == pytest.approx(frobenius_inner(grad, y), abs=1e-6)
 
 
+def every_pair_trace(x, nsk):
+    """_trace_walk's values with the pair traces of k = n computed too, then dropped."""
+    n = x.shape[0]
+    half = n // 2
+    grams, prev = [], np.eye(n)[None]
+    for m, power in enumerate(_power_stacks(x, nsk, half), start=1):
+        pairs = np.concatenate([prev, power]).reshape(2 * m + 1, n * n)
+        grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
+        prev = power
+    width = 2 * half + 1
+    sums = np.bincount(_pair_slots(half), np.concatenate(grams), minlength=width * width)
+    return sums.reshape(width, width)[1:n, :n] / np.arange(1, n)[:, None]
+
+
 class TestArrayHarvest:
     """The half-power harvest against the per-coefficient loop over full powers."""
 
@@ -314,6 +329,23 @@ class TestArrayHarvest:
         walked.clear()
         gradient_table(x, nsk)
         assert walked == list(range(1, max(n - 2, half) + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 10, 12, 20, 28, 32, 33])
+    def test_traces_beyond_the_table_left_out_bit_for_bit(self, n):
+        # even n zeroes the k = n rows of the last GEMM instead of dropping
+        # them: a GEMM with fewer rows rounds differently at n = 10, 12, ...
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            traces = _trace_walk(x, nsk, n // 2, None)
+            assert np.array_equal(traces.view(np.int64), every_pair_trace(x, nsk).view(np.int64))
+
+    def test_no_overflow_beyond_the_table(self):
+        nsk = canonical_skew_matrix([1.0, 2.0])
+        x = np.diag([1e90, 1.0, 2.0, 3.0])
+        with np.errstate(over="raise"):
+            values = invariant_table(x, nsk).as_vector()
+        assert np.isfinite(values).all()
 
     def test_odd_coefficient_error(self):
         # a symmetric part in N breaks the odd structural zeros from k = 2 on

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -317,6 +318,15 @@ class TestCertificatePlumbing:
         cert = sectional_certificate(10, seed=3)
         payload = json.dumps(cert.to_dict())
         assert "sectional2x2" in payload
+
+    def test_to_dict_shares_nested_containers(self):
+        # the CLI writes the dict at once; a deep copy per certificate is waste
+        cert = involution_certificate(canonical_form(canonical_skew_matrix([1.0, 2.0])), 2, seed=1)
+        payload = cert.to_dict()
+        assert payload["details"] is cert.details
+        assert payload == dataclasses.asdict(cert)
+        summary = integrability_summary(canonical_form(canonical_skew_matrix([1.0, 2.0])))
+        assert summary.to_dict() == dataclasses.asdict(summary)
 
     def test_flow_generation_defect(self):
         rng = np.random.default_rng(20)
