@@ -1,0 +1,374 @@
+"""The output layer of the CLI: exact "%.16e" CSV tables and json.dump-layout JSON files.
+
+Every CSV number is byte for byte Python's ``"%.16e" % v``, converted in
+numpy (:func:`_e16_cells`); every JSON file has the layout of
+``json.dump(value, indent=2, sort_keys=True)`` plus a final newline
+(:func:`_json_text`).  trajectory.csv formats the upper triangle of each
+exactly symmetric state.  This module imports only numpy and the standard
+library.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+
+#: Rows the CSV writer formats at a time; keeps its transient buffers near half a megabyte.
+CSV_CHUNK_ROWS = 64
+
+#: Bytes of one formatted cell: six words hold the longest "%.16e" text,
+#: "-1.0000000000000000e+308", and a seventh, left NUL, the CSV separator.
+_CELL = 28
+
+
+def _words(text: bytes) -> np.ndarray:
+    """The four-byte groups of an ASCII text as native uint32 words."""
+    return np.frombuffer(text, dtype=np.uint32).copy()
+
+
+# A cell's text is six words: NUL, sign or NUL, leading digit and "."; four
+# words of four digits; "e", exponent sign and two exponent digits.  A
+# three-digit exponent moves the text one byte left, over the leading NUL,
+# and takes the last byte.  NUL bytes are padding and never reach the file.
+#: _DIGITS[g]: the four digits of 0 <= g < 10000.
+_DIGITS = _words(np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                       indexing="ij"), axis=-1).tobytes())
+#: _HEAD[d + 10 * negative]: NUL, "-" or NUL, the digit d and ".".
+_HEAD = _words(b"".join(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)))
+#: The words that end a CSV cell: "," and NULs, "\n" and NULs.
+_SEPARATORS = _words(b",\0\0\0\n\0\0\0")
+
+#: 10^k for k = 0..22, every one an exact double, and its two 26-bit halves
+#: (Veltkamp's split) for Dekker's product.
+_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: The bits of 1e-6 and 1e17, the ends of the magnitudes converted with an exact power of ten.
+_EXACT_BITS = np.array([1e-6, 1e17]).view(np.int64)
+
+#: Below 1e-6, a fraction this close to 0, 1/2 or 1 may round either way: its computed
+#: value is within 5.7e-15 of the exact one (see :func:`_small_digits`).
+_UNCERTAIN = 2.0 ** -44
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """[e + 324]: the first word of the exponent text, "e-32" .. "e+16", built on first use."""
+    return _words(b"".join((b"e%+03d" % e)[:4] for e in range(-324, 17)))
+
+
+@functools.cache
+def _small_tables():
+    """The powers of ten for magnitudes below 1e-6, built from integers on first use.
+
+    For p = 0..340, 10^p = c·2^s with 1 <= c < 2; c is rounded to 106 bits
+    and kept as hi + lo (|c - hi - lo| <= 2^-106), hi with its Veltkamp
+    halves.  Returns s, hi, hi's halves and lo, indexed by p.
+    """
+    shifts, hi, lo = [], [], []
+    for p in range(341):
+        power = 10 ** p
+        s = power.bit_length() - 1
+        m = (power + (1 << (s - 106))) >> (s - 105) if s > 105 else power << (105 - s)
+        head = float(m)
+        shifts.append(s)
+        hi.append(math.ldexp(head, -105))
+        lo.append(math.ldexp(float(m - int(head)), -105))
+    hi = np.array(hi)
+    hi_hi = hi * 134217729.0 - (hi * 134217729.0 - hi)
+    return np.array(shifts, dtype=np.int32), hi, hi_hi, hi - hi_hi, np.array(lo)
+
+
+def _two_product_digits(a, scale, scale_hi, scale_lo, tail=None):
+    """floor(a·scale + tail) as int64 and the fraction above it, where a·scale >= 2^53.
+
+    Dekker's TwoProduct writes a·scale exactly as hi + lo; numpy has no fused
+    multiply-add, so ``a`` is split with Veltkamp's constant 2^27+1 and
+    ``scale`` comes split as scale_hi + scale_lo.  From 2^53 on, hi is an
+    integer and the floor is hi + floor(lo + tail).
+    """
+    hi = a * scale
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    if tail is not None:
+        lo += tail
+    whole = np.floor(lo)
+    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
+
+
+def _scaled_digits(a: np.ndarray, e: np.ndarray):
+    """floor(a·10^(16-e)) as int64 and the exact fraction above it, for 0 <= 16-e <= 22."""
+    p = 16 - e
+    return _two_product_digits(a, _POW10.take(p), _POW10_HI.take(p), _POW10_LO.take(p))
+
+
+def _small_digits(a: np.ndarray, e: np.ndarray):
+    """floor(a·10^(16-e)) as int64 and the fraction above it, within 5.7e-15, for 22 <= 16-e <= 340.
+
+    a·10^p is (a·2^s)·(hi + lo) with a·2^s exact (subnormals become
+    normal).  Where the digits fall in [10^16, 10^17), the product with hi
+    is exact (Dekker); the one with lo adds at most 2^-50 of roundoff, the
+    table at most 10^17·2^-106 and the sum at most 2^-48: 5.7e-15 together.
+    """
+    shifts, hi, hi_hi, hi_lo, lo = _small_tables()
+    p = 16 - e
+    x = np.ldexp(a, shifts.take(p))
+    return _two_product_digits(x, hi.take(p), hi_hi.take(p), hi_lo.take(p), x * lo.take(p))
+
+
+def _round_small(values, bits, candidates, digits, e):
+    """Round the ``candidates`` with 0 < |v| < 10^-6 into ``digits`` and ``e`` where that is certain.
+
+    Returns the candidates left to Python's ``%`` and the rows converted
+    with a three-digit exponent.  A fraction within _UNCERTAIN of 0, 1/2
+    or 1 is left, which includes every exact tie.  Rounding up may carry to
+    10^17: the double nearest 1e-14 is "1.0000000000000000e-14".
+    """
+    is_small = bits.take(candidates) <= _EXACT_BITS[0]  # the double 1e-6 lies below 10^-6
+    small = candidates[is_small]
+    if not small.size:
+        return candidates, small
+    a = np.abs(values.take(small))
+    power = np.maximum(np.floor(np.log10(a)), -324).astype(np.int64)
+    scaled, fraction = _small_digits(a, power)
+    redo = np.flatnonzero((scaled < 10 ** 16) | (scaled >= 10 ** 17))
+    if redo.size:
+        power[redo] = np.clip(power[redo] + np.where(scaled[redo] < 10 ** 16, -1, 1), -324, -6)
+        scaled[redo], fraction[redo] = _small_digits(a[redo], power[redo])
+    half = np.abs(fraction - 0.5)  # below _UNCERTAIN near 1/2, above 1/2 - _UNCERTAIN near 0 and 1
+    sure = (scaled >= 10 ** 16) & (scaled < 10 ** 17) & (half > _UNCERTAIN) & (half < 0.5 - _UNCERTAIN)
+    scaled = scaled[sure] + (fraction[sure] > 0.5)
+    carry = scaled == 10 ** 17
+    small, power = small[sure], power[sure] + carry
+    digits[small], e[small] = np.where(carry, 10 ** 16, scaled), power
+    is_small[is_small] = sure
+    return candidates[~is_small], small[power <= -100]
+
+
+def _percent_cells(values: np.ndarray) -> np.ndarray:
+    """``"%.16e" % v`` through Python's ``%``, in one batch, as rows of six NUL-padded words."""
+    texts = ("%-24.16e" * len(values) % tuple(values.tolist())).encode("ascii")
+    padded = np.frombuffer(texts, dtype=np.uint8).reshape(len(values), 24)
+    return np.where(padded == ord(" "), np.uint8(0), padded).view(np.uint32)
+
+
+def _e16_cells(values: np.ndarray) -> np.ndarray:
+    """``"%.16e" % v`` for every float64 ``v``, as ASCII rows of _CELL bytes padded with NUL bytes.
+
+    Zeros and every finite |v| < 1e17 are converted in numpy: 17
+    significant digits, correctly rounded, half to even.  Magnitudes from
+    1e-6 on take an exact product with a power of ten up to 1e22
+    (:func:`_scaled_digits`); smaller ones, subnormals included, take a
+    certified one (:func:`_round_small`).  Only NaN, the infinities,
+    |v| >= 1e17 and the rare cells whose rounding the certified product
+    cannot decide go through Python's ``%``, in one batch.
+    """
+    values = values.ravel()
+    # |v| compared as the integers of its bits: the order is the same, and
+    # NaN and the infinities lie above every finite value without a float
+    # comparison that could signal
+    bits = values.view(np.int64) & 0x7FFFFFFFFFFFFFFF
+    exact = (bits >= _EXACT_BITS[0]) & (bits < _EXACT_BITS[1])
+    a = np.where(exact, np.abs(values), 1.0)
+    # floor(log10 a) may be one off near a power of ten; the digit count shows it
+    e = np.minimum(np.maximum(np.floor(np.log10(a)), -6), 16).astype(np.int64)
+    digits, fraction = _scaled_digits(a, e)
+    redo = np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))
+    if redo.size:
+        e[redo] = np.clip(e[redo] + np.where(digits[redo] < 10 ** 16, -1, 1), -6, 16)
+        digits[redo], fraction[redo] = _scaled_digits(a[redo], e[redo])
+        # still off: the exponent is outside -6..16 (the double 1e-6, below 10^-6)
+        exact[redo] &= (digits[redo] >= 10 ** 16) & (digits[redo] < 10 ** 17)
+    # zeros get the digits of 0 (a = 1 gave them e = 0); the other paths overwrite the rest
+    digits = np.where(exact, digits, 0)
+    # no carry to 10^17: the double below each power of ten in the range is
+    # more than half a unit of the 17th digit below it
+    digits += (fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))
+    python = np.flatnonzero(~exact & (bits != 0))
+    three = python[:0]
+    if python.size:
+        python, three = _round_small(values, bits, python, digits, e)
+
+    lead = digits // 10 ** 16
+    high = (digits - lead * 10 ** 16) // 10 ** 8
+    low = digits - lead * 10 ** 16 - high * 10 ** 8
+    words = np.zeros((len(values), _CELL // 4), dtype=np.uint32)
+    words[:, 0] = _HEAD.take(lead + 10 * np.signbit(values))
+    for column, group in ((1, high), (3, low)):
+        top = group // 10 ** 4
+        words[:, column] = _DIGITS.take(top)
+        words[:, column + 1] = _DIGITS.take(group - top * 10 ** 4)
+    words[:, 5] = _exponent_words().take(e + 324)
+    if three.size:
+        text = words.view(np.uint8)
+        text[three, :23] = text[three, 1:24]
+        text[three, 23] = ord("0") + -e[three] % 10
+    if python.size:
+        words[python, :6] = _percent_cells(values[python])
+    return words.view(np.uint8)
+
+
+def _write_cells(fh, values: np.ndarray, slot=None) -> None:
+    """Write the rows of ``values`` as "%.16e" CSV lines; output column j repeats column ``slot[j]``."""
+    cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
+    if slot is not None:
+        cells = cells.take(slot, axis=1)
+    cells[:, :, -1] = _SEPARATORS[0]
+    cells[:, -1, -1] = _SEPARATORS[1]
+    text = cells.view(np.uint8)
+    fh.write(text[text != 0])
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a table as "%.16e" CSV, every column formatted, CSV_CHUNK_ROWS rows at a time.
+
+    A flat sequence is one column, and an empty one writes the header only.
+    Every number is byte for byte Python's ``"%.16e" % v``: 17 significant
+    digits, correctly rounded, ties to even.  Zeros and every finite
+    |v| < 1e17 are converted in numpy (:func:`_e16_cells`); only NaN, the
+    infinities, |v| >= 1e17 and cells whose rounding the certified path
+    below 1e-6 cannot decide go through Python's ``%``.
+    """
+    table = np.asarray(rows, dtype=np.float64)
+    table = table[:, None] if table.ndim == 1 else table
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            _write_cells(fh, table[start:start + CSV_CHUNK_ROWS])
+
+
+@functools.cache
+def _trajectory_layout(n: int):
+    """trajectory.csv's header, a state's upper triangle (formatted after t), each column's slot."""
+    rows, cols = np.triu_indices(n)
+    flat = np.arange(n * n).reshape(n, n)
+    slot = np.append(0, 1 + np.searchsorted(flat[rows, cols], np.minimum(flat, flat.T)))
+    for index in (rows, cols, slot):
+        index.flags.writeable = False  # shared by every call
+    header = ",".join(["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]) + "\n"
+    return header.encode("ascii"), rows, cols, slot
+
+
+def _write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
+    """Write ``[t | X]`` as :func:`_write_csv` would, formatting t and each state's upper triangle.
+
+    :func:`integrate` returns exactly symmetric states; each chunk's int64 views (0.0 and -0.0
+    differ) are checked against their transpose before X_j_i takes the text of X_i_j.
+    """
+    header, rows, cols, slot = _trajectory_layout(states.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for start in range(0, len(states), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            bits = states[start:stop].view(np.int64)
+            if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+                raise ArithmeticError(f"trajectory state not exactly symmetric in rows {start}..{stop - 1}")
+            _write_cells(fh, np.column_stack((times[start:stop], states[start:stop, rows, cols])), slot)
+
+
+#: json's spelling of the non-finite floats, keyed by their repr.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """Every entry of a float64 array as json writes it, each distinct bit pattern formatted once."""
+    if values.dtype != np.float64:
+        raise TypeError(f"Object of type ndarray of {values.dtype} is not JSON serializable")
+    bits = np.ascontiguousarray(values).view(np.int64).ravel().tolist()
+    patterns = list(dict.fromkeys(bits))  # not np.unique: its sort kernels add half a megabyte of RSS
+    texts = list(map(float.__repr__, np.array(patterns, dtype=np.int64).view(np.float64).tolist()))
+    text_of = dict(zip(patterns, map(_NON_FINITE.get, texts, texts)))
+    return np.array(list(map(text_of.__getitem__, bits)), dtype=object).reshape(values.shape)
+
+
+def _bracket(items: list, pad: str, ends: str) -> str:
+    return ends[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + ends[1] if items else ends
+
+
+def _array_text(texts: np.ndarray, pad: str) -> str:
+    """The nested JSON list of an object array of number texts, one join per innermost row."""
+    if texts.ndim < 2:
+        return texts.item() if texts.ndim == 0 else _bracket(texts.tolist(), pad, "[]")
+    return _bracket([_array_text(row, pad + "  ") for row in texts], pad, "[]")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """The text of ``json.dump(value, indent=2, sort_keys=True)``, at the depth of ``pad``.
+
+    ``pad`` is a newline and the indentation of the line ``value`` starts on.  Takes dicts
+    with str keys, lists, tuples, str, int, float, bool, None and float64 arrays (as their
+    nested lists); anything else, a non-str key included, raises TypeError, as json does.
+    """
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _NON_FINITE.get(text := float.__repr__(value), text)
+    if isinstance(value, np.ndarray):
+        return _array_text(_float_texts(value), pad)
+    if isinstance(value, (list, tuple)):
+        return _bracket([_json_text(item, pad + "  ") for item in value], pad, "[]")
+    if not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _bracket([json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], pad + "  ")
+                     for key in sorted(value)], pad, "{}")
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+
+
+def _write_trajectory_json(path: Path, times: np.ndarray, states: np.ndarray) -> None:
+    """``{"states": states, "times": times}`` in :func:`_write_json`'s layout, one state's texts at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "states": [')
+        for k, state in enumerate(states):
+            fh.write(("," if k else "") + "\n    " + _json_text(state, "\n    "))
+        fh.write(("\n  ]" if len(states) else "]") + ',\n  "times": ' + _json_text(times, "\n  ") + "\n}\n")
+
+
+def _echo_config(cfg) -> None:
+    """Write runconfig.json, the resolved run config ``cfg``, into its output directory."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(cfg.out_dir / "runconfig.json", {
+        "n": cfg.n,
+        "N": cfg.n_skew,
+        "X0": cfg.x0,
+        "integrator": dataclasses.asdict(cfg.integrator),
+        "suites": cfg.suites,
+        "samples": cfg.samples,
+        "seed": cfg.seed,
+        "tolerances": cfg.tolerances,
+        "output": {"dir": str(cfg.out_dir), "formats": cfg.formats},
+    })
+
+
+def _inv_label(key) -> str:
+    return f"h_{key[0]}_{key[1]}"
+
+
+@functools.cache
+def _monitor_header(labels: tuple, casimirs: int, n: int) -> tuple:
+    """The column names of monitors.csv for the (k, 2r) labels, the Casimir count and n x n states."""
+    names = ([_inv_label(key) for key in labels] + [f"C_{i + 1}" for i in range(casimirs)]
+             + [f"eig_{i + 1}" for i in range(n)])
+    return ("t", *names, *[f"drift_{name}" for name in names])
+
+
+def _monitor_table(traj):
+    """monitors.csv's header and rows for a :class:`~symflow.dynamics.Trajectory`."""
+    blocks = np.hstack([traj.invariant_values, traj.casimir_values, traj.spectra])
+    drifts = np.hstack([traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()])
+    rows = np.hstack([traj.monitor_times[:, None], blocks, drifts])
+    header = _monitor_header(tuple(traj.invariant_labels), traj.casimir_values.shape[1], traj.spectra.shape[1])
+    return header, rows

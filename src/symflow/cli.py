@@ -5,8 +5,8 @@ monitor drifts), ``verify`` (run certificate suites), ``invariants``,
 ``casimirs``, and ``leaf-dims`` (single-state dumps).  One JSON config
 document drives everything; a few flags override its fields.  Outputs are
 deterministic: given the same config and seeds, re-runs are byte-identical.
-JSON files have ``json.dump(indent=2, sort_keys=True)``'s layout, and
-trajectory.csv formats the upper triangle of each exactly symmetric state.
+The writers live in :mod:`symflow._io`; this module parses, resolves the
+config and dispatches.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error (sizes past
 the memory included), 3 numerical abort.
@@ -25,26 +25,20 @@ from pathlib import Path
 import numpy as np
 
 from .matrix_core import random_skew, random_sym, skew_matrix, sym_matrix
-from .invariants import admissible_indices, gradient_table, invariant_count
+from .invariants import gradient_table, invariant_count
 from .poisson import (
-    RankInstabilityError,
-    SkewCanonicalForm,
-    canonical_form,
-    canonical_skew_matrix,
-    leaf_dimensions,
+    RankInstabilityError, SkewCanonicalForm, canonical_form, canonical_skew_matrix, leaf_dimensions,
     lie_poisson_casimirs,
 )
-from .dynamics import FlowDivergenceError, IntegratorConfig, Trajectory, integrate
+from .dynamics import FlowDivergenceError, IntegratorConfig, integrate
 from .verify import (
-    casimir_certificate,
-    expected_leaf_dimensions,
-    independence_certificate,
-    integrability_summary,
-    involution_certificate,
-    lax_certificate,
-    leaf_dimension_certificate,
-    recursion_certificate,
+    casimir_certificate, expected_leaf_dimensions, independence_certificate, integrability_summary,
+    involution_certificate, lax_certificate, leaf_dimension_certificate, recursion_certificate,
     sectional_certificate,
+)
+from ._io import (
+    _echo_config, _inv_label, _monitor_table, _write_csv, _write_json, _write_trajectory_csv,
+    _write_trajectory_json,
 )
 
 ALL_SUITES = (
@@ -262,263 +256,6 @@ def resolve_config(raw: dict, args) -> RunConfig:
         samples=samples, seed=seed, tolerances=tolerances, out_dir=out_dir,
         formats=list(formats),
     )
-
-
-#: Rows the CSV writer formats at a time; keeps its transient buffers near half a megabyte.
-CSV_CHUNK_ROWS = 64
-
-#: Bytes of one formatted cell: six words hold the longest "%.16e" text,
-#: "-1.0000000000000000e+308", and a seventh, left NUL, the CSV separator.
-_CELL = 28
-
-
-def _words(text: bytes) -> np.ndarray:
-    """The four-byte groups of an ASCII text as native uint32 words."""
-    return np.frombuffer(text, dtype=np.uint32).copy()
-
-
-# The text of the exact path is six words: NUL, sign or NUL, leading digit
-# and "."; four words of four digits; "e", exponent sign and two exponent
-# digits.  NUL bytes are padding and never reach the file.
-#: _DIGITS[g]: the four digits of 0 <= g < 10000.
-_DIGITS = _words(np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                       indexing="ij"), axis=-1).tobytes())
-#: _HEAD[d + 10 * negative]: NUL, "-" or NUL, the digit d and ".".
-_HEAD = _words(b"".join(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)))
-#: _EXPONENT[e + 6]: "e-06" .. "e+16", the exponents the exact path writes.
-_EXPONENT = _words(b"".join(b"e%+03d" % e for e in range(-6, 17)))
-#: The words that end a CSV cell: "," and NULs, "\n" and NULs.
-_SEPARATORS = _words(b",\0\0\0\n\0\0\0")
-
-#: 10^k for k = 0..22, every one an exact double, and its two 26-bit halves
-#: (Veltkamp's split) for Dekker's product.
-_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-#: The bits of 1e-6 and 1e17, the ends of the magnitudes converted in numpy.
-_EXACT_BITS = np.array([1e-6, 1e17]).view(np.int64)
-
-
-def _scaled_digits(a: np.ndarray, e: np.ndarray):
-    """floor(a·10^(16-e)) as int64 and the exact fraction below it, for 0 <= 16-e <= 22.
-
-    Dekker's TwoProduct writes a·10^p exactly as hi + lo; numpy has no fused
-    multiply-add, so both factors are split with Veltkamp's constant 2^27+1.
-    Wherever the product reaches 2^53, hi is an integer and the floor is
-    hi + floor(lo).
-    """
-    p = 16 - e
-    scale, scale_hi, scale_lo = _POW10.take(p), _POW10_HI.take(p), _POW10_LO.take(p)
-    hi = a * scale
-    split = a * 134217729.0
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
-    whole = np.floor(lo)
-    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
-
-
-def _e16_cells(values: np.ndarray) -> np.ndarray:
-    """``"%.16e" % v`` for every float64 ``v``, as ASCII rows of _CELL bytes padded with NUL bytes.
-
-    Zeros and finite values with 1e-6 <= |v| < 1e17 (decimal exponents -6
-    to 16) are converted in numpy: 17 significant digits, exact, rounded
-    half to even.  All other values (smaller or larger magnitudes,
-    subnormals, NaN, infinities) go through Python's ``%`` in one batch.
-    """
-    values = values.ravel()
-    # |v| compared as the integers of its bits: the order is the same, and
-    # NaN and the infinities lie above every finite value without a float
-    # comparison that could signal
-    bits = values.view(np.int64) & 0x7FFFFFFFFFFFFFFF
-    exact = (bits >= _EXACT_BITS[0]) & (bits < _EXACT_BITS[1])
-    a = np.where(exact, np.abs(values), 1.0)
-    # floor(log10 a) may be one off near a power of ten; the digit count shows it
-    e = np.minimum(np.maximum(np.floor(np.log10(a)), -6), 16).astype(np.int64)
-    digits, fraction = _scaled_digits(a, e)
-    redo = np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))
-    if redo.size:
-        e[redo] = np.clip(e[redo] + np.where(digits[redo] < 10 ** 16, -1, 1), -6, 16)
-        digits[redo], fraction[redo] = _scaled_digits(a[redo], e[redo])
-        # still off: the exponent is outside -6..16 (a double just below 1e-6), left to Python
-        exact[redo] &= (digits[redo] >= 10 ** 16) & (digits[redo] < 10 ** 17)
-    # zeros get the digits of 0 (a = 1 gave them e = 0); Python overwrites the rest below
-    digits = np.where(exact, digits, 0)
-    # no carry to 10^17: the double below each power of ten in the range is
-    # more than half a unit of the 17th digit below it
-    digits += (fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))
-
-    lead = digits // 10 ** 16
-    high = (digits - lead * 10 ** 16) // 10 ** 8
-    low = digits - lead * 10 ** 16 - high * 10 ** 8
-    words = np.zeros((len(values), _CELL // 4), dtype=np.uint32)
-    words[:, 0] = _HEAD.take(lead + 10 * np.signbit(values))
-    for column, group in ((1, high), (3, low)):
-        top = group // 10 ** 4
-        words[:, column] = _DIGITS.take(top)
-        words[:, column + 1] = _DIGITS.take(group - top * 10 ** 4)
-    words[:, 5] = _EXPONENT.take(e + 6)
-    python = np.flatnonzero(~exact & (bits != 0))
-    if python.size:
-        texts = ("%-24.16e" * len(python) % tuple(values[python].tolist())).encode("ascii")
-        padded = np.frombuffer(texts, dtype=np.uint8).reshape(len(python), 24)
-        words[python, :6] = np.where(padded == ord(" "), np.uint8(0), padded).view(np.uint32)
-    return words.view(np.uint8)
-
-
-def _write_cells(fh, values: np.ndarray, slot=None) -> None:
-    """Write the rows of ``values`` as "%.16e" CSV lines; output column j repeats column ``slot[j]``."""
-    cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
-    if slot is not None:
-        cells = cells.take(slot, axis=1)
-    cells[:, :, -1] = _SEPARATORS[0]
-    cells[:, -1, -1] = _SEPARATORS[1]
-    text = cells.view(np.uint8)
-    fh.write(text[text != 0])
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a table as "%.16e" CSV, every column formatted, CSV_CHUNK_ROWS rows at a time.
-
-    A flat sequence is one column, and an empty one writes the header only.
-    Every number is byte for byte Python's ``"%.16e" % v``: 17 significant
-    digits, correctly rounded, ties to even.  Zeros and finite values with
-    1e-6 <= |v| < 1e17 are converted exactly in numpy (:func:`_e16_cells`);
-    all other values go through Python's ``%``.
-    """
-    table = np.asarray(rows, dtype=np.float64)
-    table = table[:, None] if table.ndim == 1 else table
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            _write_cells(fh, table[start:start + CSV_CHUNK_ROWS])
-
-
-@functools.cache
-def _trajectory_layout(n: int):
-    """trajectory.csv's header, a state's upper triangle (formatted after t), each column's slot."""
-    rows, cols = np.triu_indices(n)
-    flat = np.arange(n * n).reshape(n, n)
-    slot = np.append(0, 1 + np.searchsorted(flat[rows, cols], np.minimum(flat, flat.T)))
-    for index in (rows, cols, slot):
-        index.flags.writeable = False  # shared by every call
-    header = ",".join(["t"] + [f"X_{i}_{j}" for i in range(n) for j in range(n)]) + "\n"
-    return header.encode("ascii"), rows, cols, slot
-
-
-def _write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
-    """Write ``[t | X]`` as :func:`_write_csv` would, formatting t and each state's upper triangle.
-
-    :func:`integrate` returns exactly symmetric states; each chunk's int64 views (0.0 and -0.0
-    differ) are checked against their transpose before X_j_i takes the text of X_i_j.
-    """
-    header, rows, cols, slot = _trajectory_layout(states.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, len(states), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            bits = states[start:stop].view(np.int64)
-            if not np.array_equal(bits, bits.transpose(0, 2, 1)):
-                raise ArithmeticError(f"trajectory state not exactly symmetric in rows {start}..{stop - 1}")
-            _write_cells(fh, np.column_stack((times[start:stop], states[start:stop, rows, cols])), slot)
-
-
-#: json's spelling of the non-finite floats, keyed by their repr.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """Every entry of a float64 array as json writes it, each distinct bit pattern formatted once."""
-    if values.dtype != np.float64:
-        raise TypeError(f"Object of type ndarray of {values.dtype} is not JSON serializable")
-    bits = np.ascontiguousarray(values).view(np.int64).ravel().tolist()
-    patterns = list(dict.fromkeys(bits))  # not np.unique: its sort kernels add half a megabyte of RSS
-    texts = list(map(float.__repr__, np.array(patterns, dtype=np.int64).view(np.float64).tolist()))
-    text_of = dict(zip(patterns, map(_NON_FINITE.get, texts, texts)))
-    return np.array(list(map(text_of.__getitem__, bits)), dtype=object).reshape(values.shape)
-
-
-def _bracket(items: list, pad: str, ends: str) -> str:
-    return ends[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + ends[1] if items else ends
-
-
-def _array_text(texts: np.ndarray, pad: str) -> str:
-    """The nested JSON list of an object array of number texts, one join per innermost row."""
-    if texts.ndim < 2:
-        return texts.item() if texts.ndim == 0 else _bracket(texts.tolist(), pad, "[]")
-    return _bracket([_array_text(row, pad + "  ") for row in texts], pad, "[]")
-
-
-def _json_text(value, pad: str = "\n") -> str:
-    """The text of ``json.dump(value, indent=2, sort_keys=True)``, at the depth of ``pad``.
-
-    ``pad`` is a newline and the indentation of the line ``value`` starts on.  Takes dicts
-    with str keys, lists, tuples, str, int, float, bool, None and float64 arrays (as their
-    nested lists); anything else, a non-str key included, raises TypeError, as json does.
-    """
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _NON_FINITE.get(text := float.__repr__(value), text)
-    if isinstance(value, np.ndarray):
-        return _array_text(_float_texts(value), pad)
-    if isinstance(value, (list, tuple)):
-        return _bracket([_json_text(item, pad + "  ") for item in value], pad, "[]")
-    if not isinstance(value, dict):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return _bracket([json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], pad + "  ")
-                     for key in sorted(value)], pad, "{}")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
-
-
-def _write_trajectory_json(path: Path, times: np.ndarray, states: np.ndarray) -> None:
-    """``{"states": states, "times": times}`` in :func:`_write_json`'s layout, one state's texts at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "states": [')
-        for k, state in enumerate(states):
-            fh.write(("," if k else "") + "\n    " + _json_text(state, "\n    "))
-        fh.write(("\n  ]" if len(states) else "]") + ',\n  "times": ' + _json_text(times, "\n  ") + "\n}\n")
-
-
-def _echo_config(cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out_dir / "runconfig.json", {
-        "n": cfg.n,
-        "N": cfg.n_skew,
-        "X0": cfg.x0,
-        "integrator": {name: getattr(cfg.integrator, name) for name in INTEGRATOR_FIELDS},
-        "suites": cfg.suites,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
-        "output": {"dir": str(cfg.out_dir), "formats": cfg.formats},
-    })
-
-
-def _inv_label(key) -> str:
-    return f"h_{key[0]}_{key[1]}"
-
-
-@functools.cache
-def _monitor_header(n: int, casimirs: int) -> tuple:
-    """The column names of monitors.csv for n x n states and the given number of Casimirs."""
-    names = ([_inv_label(key) for key in admissible_indices(n)] + [f"C_{i + 1}" for i in range(casimirs)]
-             + [f"eig_{i + 1}" for i in range(n)])
-    return ("t", *names, *[f"drift_{name}" for name in names])
-
-
-def _monitor_table(traj: Trajectory):
-    blocks = np.hstack([traj.invariant_values, traj.casimir_values, traj.spectra])
-    drifts = np.hstack([traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()])
-    rows = np.hstack([traj.monitor_times[:, None], blocks, drifts])
-    return _monitor_header(traj.spectra.shape[1], traj.casimir_values.shape[1]), rows
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

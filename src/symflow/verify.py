@@ -407,11 +407,13 @@ def sectional_certificate(
     min_gap: float = 0.1,
     separation: float = SECTIONAL_SEPARATION,
 ) -> Certificate:
-    """Sampled demonstration that the flow is not a sectional-operator system.
+    """Sampled check that the 2x2 flow differs from the family (beta/alpha) diag(-2ab, 2bd).
 
     Draws (a, b, d, alpha, beta) uniformly from [-1, 1], rejecting
     |a - d| <= min_gap and alpha = 0, and requires the two right-hand sides
-    to stay at least ``separation`` apart in max-abs norm.
+    of :func:`sectional_comparison_2x2` to stay at least ``separation``
+    apart in max-abs norm.  A pass says only that: the 2x2 flow is itself
+    of sectional-operator type, with (a, b) = (I, I).
     """
     if samples < 1:
         raise ValueError("need at least one sample")

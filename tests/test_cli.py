@@ -12,15 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from symflow.cli import (
+import symflow._io
+from symflow._io import (
     CSV_CHUNK_ROWS,
     _e16_cells,
+    _small_digits,
     _json_text,
     _write_csv,
     _write_trajectory_csv,
     _write_trajectory_json,
-    main,
 )
+from symflow.cli import main
 from symflow.dynamics import IntegratorConfig, integrate
 from symflow.poisson import canonical_form
 
@@ -563,7 +565,73 @@ KERNEL_CLASSES = {
     "zeros": lambda rng, count: rng.choice([-0.0, 0.0], count),
     "subnormal": lambda rng, count: rng.choice([-1.0, 1.0], count) * rng.integers(1, 2 ** 52, count).view(np.float64),
     "bit-patterns": lambda rng, count: rng.integers(0, 2 ** 64, count, dtype=np.uint64).view(np.float64),
+    "deep": lambda rng, count: deep_values(rng, count),
 }
+
+
+def deep_values(rng, count):
+    """Log-uniform magnitudes in [1e-323, 1e-6] with both signs, then 10^k +- 3 ulps for k = -323..-7.
+
+    Below 1e-6 the kernel takes its certified path: subnormals, three-digit
+    exponents, and the doubles nearest 10^k, some of which round up to
+    "1.0000000000000000e<k>" (k = -14, say).
+    """
+    tens = np.array([float(f"1e{k}") for k in range(-323, -6)])
+    # 1e-323 is two ulps above zero; its lower neighbours stop at +0.0
+    near = np.maximum(tens.view(np.int64)[:, None] + np.arange(-3, 4), 0).view(np.float64).ravel()
+    logs = 10.0 ** rng.uniform(-323.0, -6.0, count - 2 * len(near))
+    return np.concatenate([rng.choice([-1.0, 1.0], len(logs)) * logs, -near, near])
+
+
+def boundary_value(p, half):
+    """A normal double v = m·2^q, 2^52 <= m < 2^53, with v·10^p near 3e16 and its fraction within about
+    1e-16 of 1/2 (``half``) or of 0, or None where the search leaves that range.
+
+    Such an m minimises |m·5^p - n·2^k - r| with 2^k = 2^-(q+p) and r = 2^(k-1) or 0, a closest
+    vector in a 2-D lattice: Gauss reduction, then Babai rounding.
+    """
+    q = math.floor(math.log2(3e16) - 52.5 - p * math.log2(5)) - p
+    a, b, size = 5 ** p, 2 ** -(q + p), 2 ** 52
+    u, v = (b, a * size * size), (0, -b * size * size)
+    while True:
+        if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+            u, v = v, u
+        mu = round(Fraction(u[0] * v[0] + u[1] * v[1], u[0] ** 2 + u[1] ** 2))
+        if mu == 0:
+            break
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+    target = (3 * size // 2 * b, (b // 2 if half else 0) * size * size)
+    det = u[0] * v[1] - u[1] * v[0]
+    i = round(Fraction(target[0] * v[1] - target[1] * v[0], det))
+    j = round(Fraction(u[0] * target[1] - u[1] * target[0], det))
+    m = (i * u[0] + j * v[0]) // b
+    scaled = Fraction(m * a, b)
+    return math.ldexp(m, q) if size <= m < 2 * size and 10 ** 16 <= scaled < 10 ** 17 else None
+
+
+def boundary_values():
+    """The normal doubles of :func:`boundary_value` for p = 24, 29, .., 319, near 1/2 and near 0."""
+    found = [boundary_value(p, half) for p in range(24, 324, 5) for half in (True, False)]
+    return np.array([v for v in found if v is not None])
+
+
+def short_decimals():
+    """The 18 doubles m·2^-k below 1e-6 whose expansion m·5^k·10^-k has at most 18 digits, both signs.
+
+    Their fractions are exactly 0 or 1/2.
+    """
+    short = [m * 2.0 ** -k for k in range(20, 26) for m in range(1, 16, 2)
+             if m * 2.0 ** -k < 1e-6 and len(str(m * 5 ** k)) <= 18]
+    return np.array(short + [-v for v in short])
+
+
+def percent_inputs(monkeypatch, values):
+    """The values that _e16_cells(values) sends through Python's ``%``."""
+    sent = []
+    percent = symflow._io._percent_cells
+    monkeypatch.setattr(symflow._io, "_percent_cells", lambda batch: sent.append(batch) or percent(batch))
+    _e16_cells(values)
+    return np.concatenate(sent) if sent else np.empty(0)
 
 
 class TestE16Kernel:
@@ -578,6 +646,38 @@ class TestE16Kernel:
         if got != want:
             i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip(got.split(","), want.split(","))) if g != w)
             pytest.fail(f"{values[i]!r}: kernel {g!r}, Python {w!r}")
+
+    @pytest.mark.parametrize("name", list(KERNEL_CLASSES))
+    def test_only_non_finite_and_huge_values_take_percent(self, name, monkeypatch):
+        values = KERNEL_CLASSES[name](np.random.default_rng(13), 100_000)
+        sent = percent_inputs(monkeypatch, values)
+        bits = np.abs(values).view(np.int64)
+        assert len(sent) == np.count_nonzero(bits >= np.float64(1e17).view(np.int64))  # NaN and inf included
+        assert (np.abs(sent[np.isfinite(sent)]) >= 1e17).all()
+
+    @pytest.mark.parametrize("values", [pytest.param(short_decimals(), id="short-decimals"),
+                                        pytest.param(boundary_values(), id="lattice")])
+    def test_uncertain_cells_take_percent(self, monkeypatch, values):
+        # each exact fraction lies within 1e-15 of 0 or 1/2, inside the certified path's error bound
+        assert len(values) >= 36
+        for v in np.abs(values).tolist():
+            fraction = Fraction(v) * 10 ** (16 - math.floor(math.log10(v))) % 1
+            assert min(abs(fraction - Fraction(1, 2)), fraction, 1 - fraction) < 1e-15
+        assert sorted(percent_inputs(monkeypatch, values).tolist()) == sorted(values.tolist())
+        texts = [cell.tobytes().replace(b"\0", b"").decode() for cell in _e16_cells(values)]
+        assert texts == ["%.16e" % v for v in values]
+
+    def test_certified_fraction_within_its_bound(self):
+        # the error bound behind _UNCERTAIN, against exact rationals
+        rng = np.random.default_rng(5)
+        a = np.concatenate([10.0 ** rng.uniform(-323.0, -6.0, 1500), rng.integers(1, 2 ** 52, 500).view(np.float64)])
+        e = np.floor(np.log10(a)).astype(np.int64)
+        digits, fraction = _small_digits(a, e)
+        e += (digits >= 10 ** 17).astype(np.int64) - (digits < 10 ** 16)
+        digits, fraction = _small_digits(a, e)
+        assert ((digits >= 10 ** 16) & (digits < 10 ** 17)).all()
+        for v, k, d, f in zip(a.tolist(), e.tolist(), digits.tolist(), fraction.tolist()):
+            assert abs(Fraction(v) * Fraction(10) ** (16 - k) - d - Fraction(f)) <= Fraction(57, 10 ** 16)
 
     def test_no_rounding_reaches_a_power_of_ten(self):
         # why the kernel has no carry from 9.99..9 up to 1.00..0 with the next exponent

@@ -102,6 +102,31 @@ class TestLaxResidual:
         assert lax_residual(x, np.zeros((3, 3)), 1.0) == 0.0
 
 
+def geodesic_departure(x, n_skew):
+    """|N·[X^2, N] - [xi^T, xi]|_F / max(1, |[xi^T, xi]|_F) with xi = NX, the group momentum."""
+    xi = n_skew @ x
+    euler = xi.T @ xi - xi @ xi.T
+    return frob_norm(n_skew @ vector_field(x, n_skew) - euler) / max(1.0, frob_norm(euler))
+
+
+class TestFrobeniusGeodesic:
+    """With xi = NX, the flow is the left-invariant Frobenius geodesic xi' = [xi^T, xi] exactly when N is
+    proportional to J; for other N it is the paper's extension."""
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
+    @pytest.mark.parametrize("v", [1.0, 2.5, 0.3])
+    def test_holds_for_n_proportional_to_j(self, n, v):
+        rng = np.random.default_rng(n)
+        n_skew = canonical_skew_matrix([v] * (n // 2))
+        for x in (random_sym(n, rng), random_sym(n, rng, normalized=False)):
+            assert geodesic_departure(x, n_skew) <= 1e-14
+
+    def test_departs_for_distinct_frequencies(self):
+        rng = np.random.default_rng(8)
+        n_skew = canonical_skew_matrix(0.5 + rng.random(4))
+        assert geodesic_departure(random_sym(8, rng), n_skew) > 1e-3
+
+
 class TestBlockVectorField:
     def test_decoupled_when_coupling_vanishes(self):
         rng = np.random.default_rng(6)
