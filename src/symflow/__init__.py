@@ -72,6 +72,7 @@ from .verify import (
     involution_certificate,
     lax_certificate,
     leaf_dimension_certificate,
+    member_certificates,
     recursion_certificate,
     sectional_certificate,
     sectional_comparison_2x2,

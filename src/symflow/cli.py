@@ -33,8 +33,8 @@ from .poisson import (
 from .dynamics import FlowDivergenceError, IntegratorConfig, integrate
 from .verify import (
     casimir_certificate, expected_leaf_dimensions, independence_certificate, integrability_summary,
-    involution_certificate, lax_certificate, leaf_dimension_certificate, recursion_certificate,
-    sectional_certificate,
+    involution_certificate, lax_certificate, leaf_dimension_certificate, member_certificates,
+    recursion_certificate, sectional_certificate,
 )
 from ._io import (
     _echo_config, _inv_label, _monitor_table, _write_csv, _write_json, _write_trajectory_csv,
@@ -50,6 +50,9 @@ ALL_SUITES = (
     "lax",
     "sectional2x2",
 )
+
+#: The suites that read each draw's member gradients.
+MEMBER_SUITES = ("involution", "independence")
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-10,
@@ -293,8 +296,20 @@ def _run_suite(name: str, cfg: RunConfig):
 def cmd_verify(cfg: RunConfig) -> int:
     _echo_config(cfg)
     failed = False
+    # with both member suites, one pass over the draws serves them; each
+    # outcome is used, or its exception raised, at the suite's own turn
+    shared = set(MEMBER_SUITES) <= set(cfg.suites)
+    outcomes = None
     for name in cfg.suites:
-        cert = _run_suite(name, cfg)
+        if shared and name in MEMBER_SUITES:
+            if outcomes is None:
+                outcomes = member_certificates(
+                    cfg.form, cfg.samples, cfg.seed, tol=cfg.tolerances["identity"])
+            cert = outcomes[name]
+            if isinstance(cert, Exception):
+                raise cert
+        else:
+            cert = _run_suite(name, cfg)
         payload = cert.to_dict()
         payload["verdict"] = (
             "not assessed" if cert.passed is None else ("pass" if cert.passed else "fail")

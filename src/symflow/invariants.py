@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import as_square, max_abs, frob_norm, symmetrize
+from .matrix_core import as_square, frob_norm, symmetrize
 from .poisson import frozen_tensor, lie_poisson_tensor
 
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
@@ -183,6 +183,26 @@ def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> InvariantTable:
     return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=True)
 
 
+#: Bytes of gradients one stacked recursion batch collects before it is
+#: applied; a batch ends at a power boundary once it passes this size.
+RECURSION_BATCH_BYTES = 1 << 19
+
+
+def _recursion_batch(x, n_skew, lows, highs) -> list[float]:
+    """Max-abs of LP(sym(low)) - frozen(sym(high)) for each stacked pair, in order.
+
+    Empties both lists, so the collected gradients are freed once stacked.
+    """
+    g_low = symmetrize(np.concatenate(lows))
+    lows.clear()
+    g_high = symmetrize(np.concatenate(highs))
+    highs.clear()
+    diff = lie_poisson_tensor(x, g_low, n_skew)
+    del g_low
+    diff -= frozen_tensor(g_high, n_skew)
+    return np.max(np.abs(diff, out=diff), axis=(1, 2)).tolist()
+
+
 def recursion_residuals(x: np.ndarray, n_skew: np.ndarray) -> dict:
     """Residuals of the two-structure recursion, keyed by (k, r) in ascending order.
 
@@ -190,16 +210,25 @@ def recursion_residuals(x: np.ndarray, n_skew: np.ndarray) -> dict:
     tensor to the gradient of the (k, k-r) member and the frozen tensor to
     the gradient of the (k+1, k-r) member; the difference vanishes
     identically.  The (k+1)-member gradients come from (X + t N)^k, one
-    power beyond the table.
+    power beyond the table.  The pairs' gradients are stacked and each
+    tensor is applied once per batch of :data:`RECURSION_BATCH_BYTES`, with
+    the arithmetic of one pair at a time.
     """
     x = _check_pair(x, n_skew)
     n = x.shape[0]
-    out = {}
-    prev = None  # stack of (X + tN)^{k-1}
+    keys, residuals, lows, highs = [], [], [], []
+    size = 0
+    prev = np.eye(n)[None]  # stack of (X + tN)^{k-1}; the zeroth power is the identity
     for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
-        for r in range(2 - k % 2, k + 1, 2):
-            g_low = np.eye(n) if k == 1 else symmetrize(prev[k - r])
-            g_high = symmetrize(power[k - r])
-            out[(k, r)] = max_abs(lie_poisson_tensor(x, g_low, n_skew) - frozen_tensor(g_high, n_skew))
+        r = np.arange(2 - k % 2, k + 1, 2)
+        keys += [(k, int(v)) for v in r]
+        lows.append(prev[k - r])
+        highs.append(power[k - r])
+        size += 2 * lows[-1].nbytes
+        if size > RECURSION_BATCH_BYTES:
+            residuals += _recursion_batch(x, n_skew, lows, highs)
+            size = 0
         prev = power
-    return out
+    if lows:
+        residuals += _recursion_batch(x, n_skew, lows, highs)
+    return dict(zip(keys, residuals))

@@ -123,32 +123,53 @@ def numerical_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9
 def _decade_ranks(vectors, tol: float) -> tuple[int, int]:
     """Numerical ranks at ``tol`` and at ``10 * tol`` from one elimination.
 
-    Each step pivots on the largest remaining norm (ties go to the lowest
-    index) and removes its direction from the rest.  The pivot sequence does
-    not depend on the tolerance, only the stopping point does, so the pass
-    run to ``tol`` also holds the stopping point of ``10 * tol``.
+    The pivot sequence of :func:`_pivot_norms` does not depend on the
+    tolerance, only the stopping point does, so the pass run to ``tol``
+    also holds the stopping point of ``10 * tol``.
+    """
+    pivots = _pivot_norms(vectors, tol)
+    # Pivot norms fall only up to roundoff; the running minimum counts the
+    # pivots before the first one at or below each cut.
+    running = np.minimum.accumulate(pivots)
+    return int(np.sum(running > tol * pivots[0])), int(np.sum(running > 10.0 * tol * pivots[0]))
+
+
+def _pivot_norms(vectors, tol: float) -> list:
+    """Pivot norms of modified Gram-Schmidt with column pivoting.
+
+    The list ends with the first norm at most ``tol`` times the first (or
+    with the last vector).  Each step pivots on the largest remaining norm
+    (ties go to the lowest index) and removes its direction from the rest.
+    The elimination runs in one copy of the vectors: the pivot row is
+    dropped by shifting the rows below it up, which keeps the remaining
+    rows in their original order, and the norms are
+    ``sqrt(add.reduce(w * w))`` per row, the arithmetic of
+    ``np.linalg.norm(axis=1)``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     try:
-        work = np.asarray(vectors, dtype=float)
+        work = np.array(vectors, dtype=float)  # a copy: the elimination overwrites it
     except ValueError as exc:
         raise ValueError("vectors have inconsistent lengths") from exc
     if work.ndim == 0 or len(work) == 0:
         raise ValueError("numerical_rank of an empty set")
     work = work.reshape(len(work), work[0].size)
+    squares, coefs, norms = np.empty_like(work), np.empty(len(work)), np.empty(len(work))
 
     pivots = []
-    while len(work):
-        norms = np.linalg.norm(work, axis=1)
-        j = int(np.argmax(norms))
+    for m in range(len(work), 0, -1):  # m rows remain
+        w, sq, nrm = work[:m], squares[:m], norms[:m]
+        np.multiply(w, w, out=sq)
+        np.sqrt(np.add.reduce(sq, axis=1, out=nrm), out=nrm)
+        j = int(nrm.argmax())
         pivots.append(norms[j])
         if norms[j] <= tol * pivots[0]:
             break
         qvec = work[j] / norms[j]
-        work = np.delete(work, j, axis=0)
-        work -= np.outer(work @ qvec, qvec)
-    # Pivot norms fall only up to roundoff; the running minimum counts the
-    # pivots before the first one at or below each cut.
-    running = np.minimum.accumulate(pivots)
-    return int(np.sum(running > tol * pivots[0])), int(np.sum(running > 10.0 * tol * pivots[0]))
+        work[j:m - 1] = work[j + 1:m]
+        w, sq = work[:m - 1], squares[:m - 1]
+        np.matmul(w, qvec, out=coefs[:m - 1])
+        np.multiply(coefs[:m - 1, None], qvec, out=sq)
+        w -= sq
+    return pivots

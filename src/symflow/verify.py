@@ -67,6 +67,87 @@ class Certificate:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _member_draws(form: SkewCanonicalForm, seed: int):
+    """The states of ``default_rng(seed)``, each with its member gradients.
+
+    Yields (x, g) without end, g stacked (members, n, n) in
+    :func:`admissible_indices` order.
+    """
+    n = form.n
+    keys = admissible_indices(n)
+    rng = np.random.default_rng(seed)
+    while True:
+        x = random_sym(n, rng)
+        grads = gradient_table(x, form.skew).gradients
+        g = np.array([grads[key] for key in keys]).reshape(len(keys), n, n)
+        del grads  # hold one copy of the gradients while the suites read them
+        yield x, g
+
+
+def _feed(suites: dict, draws) -> dict:
+    """Run suites' steps on one stream of draws, each draw computed once.
+
+    A suite's steps are a generator that receives its i-th draw at its i-th
+    ``yield`` and returns its certificate; every suite reads draw i as its
+    i-th, so the suites see what each would draw alone, and only the current
+    draw is held.  Returns name -> certificate, or the exception the suite
+    (or a draw it read) raised, for the caller to raise where the suite
+    would run alone.
+    """
+    outcomes, active = {}, []
+    for name, steps in suites.items():
+        try:
+            next(steps)
+            active.append((name, steps))
+        except Exception as exc:
+            outcomes[name] = exc
+    while active:
+        try:
+            draw = next(draws)
+        except Exception as exc:  # every active suite reads this draw next
+            outcomes.update((name, exc) for name, _ in active)
+            break
+        waiting = []
+        for name, steps in active:
+            try:
+                steps.send(draw)
+                waiting.append((name, steps))
+            except StopIteration as stop:
+                outcomes[name] = stop.value
+            except Exception as exc:
+                outcomes[name] = exc
+        active = waiting
+    return outcomes
+
+
+def _alone(name: str, steps, form: SkewCanonicalForm, seed: int) -> Certificate:
+    outcome = _feed({name: steps}, _member_draws(form, seed))[name]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def member_certificates(
+    form: SkewCanonicalForm,
+    samples: int,
+    seed: int,
+    tol: float = IDENTITY_TOL,
+) -> dict:
+    """The involution and independence certificates from one pass over the draws.
+
+    Both suites read each draw's state and member gradients as it is
+    computed, so each gradient table is computed once and only the current
+    one is held, however many samples.  The certificates equal those of
+    :func:`involution_certificate` and :func:`independence_certificate`
+    bit for bit.  A suite that raises maps to its exception, so a caller
+    can raise it where that suite would have run alone.
+    """
+    return _feed({
+        "involution": _involution_steps(form, samples, seed, tol),
+        "independence": _independence_steps(form, samples, seed),
+    }, _member_draws(form, seed))
+
+
 def involution_certificate(
     form: SkewCanonicalForm,
     samples: int,
@@ -78,28 +159,38 @@ def involution_certificate(
     Every admissible pair is evaluated in both the Lie-Poisson and the
     frozen bracket at each sampled state; all must vanish to roundoff.
     """
+    return _alone("involution", _involution_steps(form, samples, seed, tol), form, seed)
+
+
+def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> tuple[int, float]:
+    """Index and value of the largest |bracket| between the members ``g``.
+
+    Member i runs against members i+1.., the Lie-Poisson bracket before the
+    frozen one, so index k is pair k // 2 of ``triu_indices`` and bracket
+    k % 2; the leading 0.0 means "no pair" (k = -1), as argmax keeps the
+    first largest.
+    """
+    images = (lie_poisson_tensor(x, g, n_skew), frozen_tensor(g, n_skew))
+    per_member = [
+        np.stack([np.einsum("ab,kba->k", g[i], t[i + 1:]) for t in images], axis=1).ravel()
+        for i in range(len(g))
+    ]
+    brackets = np.abs(np.concatenate([[0.0]] + per_member))
+    k = int(np.argmax(brackets)) - 1
+    return k, float(brackets[k + 1])
+
+
+def _involution_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
     if samples < 1:
         raise ValueError("need at least one sample")
     n, n_skew = form.n, form.skew
     keys = admissible_indices(n)
     rows, cols = np.triu_indices(len(keys), 1)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     details = []
     for s in range(samples):
-        x = random_sym(n, rng)
-        grads = gradient_table(x, n_skew).gradients
-        g = np.array([grads[key] for key in keys]).reshape(len(keys), n, n)
-        images = (lie_poisson_tensor(x, g, n_skew), frozen_tensor(g, n_skew))
-        # member i against members i+1.., the Lie-Poisson bracket before the frozen
-        # one; the leading 0.0 means "no pair", as argmax keeps the first largest
-        per_member = [
-            np.stack([np.einsum("ab,kba->k", g[i], t[i + 1:]) for t in images], axis=1).ravel()
-            for i in range(len(keys))
-        ]
-        brackets = np.abs(np.concatenate([[0.0]] + per_member))
-        k = int(np.argmax(brackets)) - 1
-        sample_worst = float(brackets[k + 1])
+        x, g = yield
+        k, sample_worst = _worst_member_bracket(x, g, n_skew)
         worst = max(worst, sample_worst)
         details.append({
             "sample": s,
@@ -140,26 +231,33 @@ def independence_certificate(
     computation (scale does not affect independence) and the rank, at
     ``form.rank_tol``, is re-checked one tolerance decade higher;
     disagreement is flagged in the details rather than averaged away.
+    Resamples take the next draws.
     """
+    return _alone("independence", _independence_steps(form, samples, seed, max_resamples), form, seed)
+
+
+def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
+    """Decade ranks of the member gradients, each normalized to unit norm."""
+    vecs = []
+    for member in g:
+        v = member.ravel()
+        nrm = np.linalg.norm(v)
+        vecs.append(v / nrm if nrm > 0 else v)
+    return _decade_ranks(vecs, rank_tol) if vecs else (0, 0)
+
+
+def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int, max_resamples: int = 3):
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
     expected = expected_leaf_dimensions(form)[0] // 2 if d in (0, 1) else None
-    keys = admissible_indices(n)
-    rng = np.random.default_rng(seed)
     details = []
     worst_gap = 0.0
     for s in range(samples):
         attempt = 0
         while True:
-            x = random_sym(n, rng)
-            grads = gradient_table(x, form.skew).gradients
-            vecs = []
-            for key in keys:
-                v = grads[key].ravel()
-                nrm = np.linalg.norm(v)
-                vecs.append(v / nrm if nrm > 0 else v)
-            rank, rank_loose = _decade_ranks(vecs, form.rank_tol) if vecs else (0, 0)
+            _, g = yield
+            rank, rank_loose = _member_ranks(g, form.rank_tol)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= max_resamples:
                 break
@@ -251,17 +349,18 @@ def casimir_certificate(
     frozen_residual = 0.0
     frozen_rank = None
     if frozen_grads:
-        frozen_residual = max(max_abs(frozen_tensor(e, n_can)) for e in frozen_grads)
-        frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
+        stack = np.array(frozen_grads)
+        frozen_residual = max_abs(frozen_tensor(stack, n_can))
+        frozen_rank = numerical_rank(stack, form.rank_tol)
         worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
 
     rng = np.random.default_rng(seed)
     rank_ok = frozen_grads is None or frozen_rank == frozen_expected
     for s in range(samples):
         x = random_sym(n, rng)
-        grads = lie_poisson_casimir_gradients(form, x)
-        residual = max(max_abs(lie_poisson_tensor(x, g, n_can)) for g in grads) if grads else 0.0
-        lp_rank = numerical_rank(grads, form.rank_tol) if grads else 0
+        grads = np.array(lie_poisson_casimir_gradients(form, x))  # p + d(d+1)/2 >= 1 of them
+        residual = max_abs(lie_poisson_tensor(x, grads, n_can))
+        lp_rank = numerical_rank(grads, form.rank_tol)
         rank_ok = rank_ok and lp_rank == lp_expected_rank
         worst = max(worst, residual, float(abs(lp_rank - lp_expected_rank)))
         details.append({"sample": s, "lie_poisson_residual": residual, "lie_poisson_rank": lp_rank})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import symflow._io
+import symflow.verify
 from symflow._io import (
     CSV_CHUNK_ROWS,
     _e16_cells,
@@ -22,7 +23,7 @@ from symflow._io import (
     _write_trajectory_csv,
     _write_trajectory_json,
 )
-from symflow.cli import main
+from symflow.cli import ALL_SUITES, main
 from symflow.dynamics import IntegratorConfig, integrate
 from symflow.poisson import canonical_form
 
@@ -168,6 +169,66 @@ class TestNumericalAbort:
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: ") and "float range" in err
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
+
+SUITE_ORDER_KINDS = {
+    "distinct-8": {"v": [0.6, 0.9, 1.2, 1.45], "d": 0},
+    "nullity1-9": {"v": [0.6, 0.9, 1.2, 1.45], "d": 1},
+    "nullity2-10": {"v": [0.6, 0.9, 1.2, 1.45], "d": 2},
+    "equal-8": {"v": [1.3] * 4, "d": 0},
+}
+
+
+class TestSuiteOrder:
+    """Certificates do not depend on which suites run or in what order.
+
+    With both listed, ``involution`` and ``independence`` run in one pass
+    over the draws; the equal-8 kind makes ``independence`` resample, so its
+    later samples read draws that ``involution`` reads as other samples.
+    """
+
+    @staticmethod
+    def certificates(tmp_path, canonical, suites, out):
+        n = len(canonical["v"]) * 2 + canonical["d"]
+        config = dict(BASE, n=n, N={"canonical": canonical}, samples=2, seed=5, suites=suites)
+        code, out_dir = run(tmp_path, "verify", config, out=out)
+        assert code in (0, 1)
+        return {suite: (out_dir / f"certificate_{suite}.json").read_bytes() for suite in suites}
+
+    @pytest.mark.parametrize("kind", sorted(SUITE_ORDER_KINDS))
+    def test_alone_and_reversed_match_all(self, tmp_path, kind):
+        canonical = SUITE_ORDER_KINDS[kind]
+        everything = self.certificates(tmp_path, canonical, list(ALL_SUITES), "all")
+        assert self.certificates(tmp_path, canonical, list(ALL_SUITES)[::-1], "reversed") == everything
+        for suite in ALL_SUITES:
+            alone = self.certificates(tmp_path, canonical, [suite], f"alone_{suite}")
+            assert alone[suite] == everything[suite], suite
+        if kind == "equal-8":
+            details = json.loads(everything["independence"])["details"]
+            assert sum(d["resamples"] for d in details) > 0
+
+    def test_one_gradient_table_per_draw(self, tmp_path, monkeypatch):
+        calls = []
+        table = symflow.verify.gradient_table
+        monkeypatch.setattr(symflow.verify, "gradient_table", lambda *a: calls.append(1) or table(*a))
+        certs = self.certificates(tmp_path, SUITE_ORDER_KINDS["equal-8"], list(ALL_SUITES), "all")
+        resamples = sum(d["resamples"] for d in json.loads(certs["independence"])["details"])
+        assert resamples > 0 and len(calls) == 2 + resamples
+
+    @pytest.mark.parametrize("suites,written", [
+        (["involution", "casimir", "independence"],
+         ["certificate_casimir.json", "certificate_involution.json", "runconfig.json"]),
+        (["independence", "involution"], ["runconfig.json"]),
+    ])
+    def test_failing_suite_raises_at_its_turn(self, tmp_path, monkeypatch, suites, written):
+        # both suites run in one pass, but a failure stops the run where the suite runs alone
+        def broken(*args):
+            raise ArithmeticError("rank")
+
+        monkeypatch.setattr(symflow.verify, "_decade_ranks", broken)
+        code, out = run(tmp_path, "verify", dict(BASE, suites=suites))
+        assert code == 3
+        assert sorted(path.name for path in out.iterdir()) == written
 
 
 class TestVerify:

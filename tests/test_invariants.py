@@ -6,6 +6,7 @@ import pytest
 
 from symflow import invariants
 from symflow.matrix_core import frob_norm, frobenius_inner, max_abs, random_skew, random_sym, symmetrize
+from symflow.poisson import lie_poisson_tensor
 from symflow.invariants import (
     ODD_COEFF_TOL,
     InvariantTable,
@@ -62,13 +63,27 @@ def loop_harvest(x, nsk, with_gradients):
     return table
 
 
+def loop_recursion_residuals(x, nsk):
+    """Reference recursion residuals: both tensors applied to one (k, r) pair at a time."""
+    n = x.shape[0]
+    out = {}
+    prev = None  # stack of (X + tN)^{k-1}
+    for k, power in enumerate(_power_stacks(x, nsk, n - 1), start=1):
+        for r in range(2 - k % 2, k + 1, 2):
+            g_low = np.eye(n) if k == 1 else symmetrize(prev[k - r])
+            g_high = symmetrize(power[k - r])
+            out[(k, r)] = max_abs(lie_poisson_tensor(x, g_low, nsk) - frozen_tensor(g_high, nsk))
+        prev = power
+    return out
+
+
 def structure(kind, n, rng):
-    """A skew N of size n: dense random, a dense rotation of nullity 1 or 2, or zero."""
+    """A skew N of size n: dense random, a dense rotation of nullity 0, 1 or 2, or zero."""
     if kind == "random":
         return random_skew(n, rng)
     if kind == "zero":
         return np.zeros((n, n))
-    d = {"nullity1": 1, "nullity2": 2}[kind]
+    d = {"nullity0": 0, "nullity1": 1, "nullity2": 2}[kind]
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = q @ canonical_skew_matrix(rng.uniform(0.5, 1.5, (n - d) // 2), d) @ q.T
     return (a - a.T) / 2
@@ -411,3 +426,53 @@ class TestRecursion:
         for n in range(2, 9):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
             assert list(recursion_residuals(x, nsk)) == c04_pairs(n)
+
+
+class TestStackedRecursion:
+    """The stacked residuals are bit-equal to the per-pair loop, in its key order."""
+
+    def check(self, x, nsk):
+        got, expected = recursion_residuals(x, nsk), loop_recursion_residuals(x, nsk)
+        assert list(got) == list(expected)
+        assert [np.float64(v).tobytes() for v in got.values()] == \
+            [np.float64(v).tobytes() for v in expected.values()]
+        assert all(type(v) is float for v in got.values())
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_bit_equal_to_pair_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for n in range(max(d, 1), 21):
+            if (n - d) % 2 == 0:
+                self.check(random_sym(n, rng), structure(f"nullity{d}", n, rng))
+
+    @pytest.mark.parametrize("limit", [0, 6000, 20000])
+    def test_split_batches_bit_equal(self, monkeypatch, limit):
+        batches = []
+        batch = invariants._recursion_batch
+        monkeypatch.setattr(invariants, "RECURSION_BATCH_BYTES", limit)
+        # record the powers per batch: a[2] is the list of low-side pieces, one per power
+        monkeypatch.setattr(invariants, "_recursion_batch",
+                            lambda *a: batches.append(len(a[2])) or batch(*a))
+        rng = np.random.default_rng(43)
+        for n, d in [(9, 1), (12, 0), (14, 2)]:
+            batches.clear()
+            self.check(random_sym(n, rng), structure(f"nullity{d}", n, rng))
+            assert sum(batches) == n - 1 and len(batches) > 1  # powers per batch
+            if limit == 0:
+                assert batches == [1] * (n - 1)  # every power on its own
+
+    def test_default_limit_splits_at_n24(self, monkeypatch):
+        # 2 * 8 * 24^2 bytes per pair: the default limit is passed at k = 15 and k = 21
+        batches = []
+        batch = invariants._recursion_batch
+        monkeypatch.setattr(invariants, "_recursion_batch",
+                            lambda *a: batches.append(len(a[2])) or batch(*a))
+        rng = np.random.default_rng(44)
+        self.check(random_sym(24, rng), structure("nullity0", 24, rng))
+        assert batches == [15, 6, 2]  # powers per batch
+
+    def test_nan_state_propagates(self):
+        x = np.full((4, 4), np.nan)
+        nsk = canonical_skew_matrix([1.0, 2.0])
+        got = invariants._recursion_batch(x, nsk, [np.eye(4)[None]], [np.eye(4)[None]])
+        assert np.isnan(got[0])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from symflow.matrix_core import (
     _decade_ranks,
+    _pivot_norms,
     anticommutator,
     commutator,
     frobenius_inner,
@@ -15,6 +16,8 @@ from symflow.matrix_core import (
     skew_matrix,
     sym_matrix,
 )
+from symflow.invariants import admissible_indices, gradient_table
+from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_casimir_gradients
 
 N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -238,3 +241,96 @@ class TestDecadeRanks:
         e1, e2 = np.eye(3)[:2]
         assert self.check([np.zeros(3), e1, np.zeros(3), e2]) == (2, 2)
         assert self.check([np.zeros(3), np.zeros(3)]) == (0, 0)
+
+
+def delete_pivot_norms(vectors, tol):
+    """Reference elimination: a new work array per pivot, through np.delete."""
+    work = np.asarray(vectors, dtype=float)
+    work = work.reshape(len(work), work[0].size)
+    pivots = []
+    while len(work):
+        norms = np.linalg.norm(work, axis=1)
+        j = int(np.argmax(norms))
+        pivots.append(norms[j])
+        if norms[j] <= tol * pivots[0]:
+            break
+        qvec = work[j] / norms[j]
+        work = np.delete(work, j, axis=0)
+        work -= np.outer(work @ qvec, qvec)
+    return pivots
+
+
+def delete_decade_ranks(vectors, tol):
+    pivots = delete_pivot_norms(vectors, tol)
+    running = np.minimum.accumulate(pivots)
+    return int(np.sum(running > tol * pivots[0])), int(np.sum(running > 10.0 * tol * pivots[0]))
+
+
+def member_gradients(n, d, seed, normalized):
+    """The member gradients at a random state, raw or scaled to unit norm as independence does."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nsk = q @ canonical_skew_matrix(rng.uniform(0.5, 1.5, (n - d) // 2), d) @ q.T
+    grads = gradient_table(random_sym(n, rng), (nsk - nsk.T) / 2).gradients
+    vecs = [grads[key].ravel() for key in admissible_indices(n)]
+    return [v / np.linalg.norm(v) for v in vecs] if normalized else vecs
+
+
+class TestInPlaceElimination:
+    """The one-buffer elimination gives the np.delete elimination's ranks at every decade.
+
+    The pivot norms are compared bit for bit too, which pins the pivot
+    sequence where ranks alone cannot (orthogonal vectors of equal norm).
+    """
+
+    DECADES = [10.0**e for e in range(-15, 0)]
+
+    def check(self, vectors):
+        for tol in self.DECADES:
+            assert _decade_ranks(vectors, tol) == delete_decade_ranks(vectors, tol), tol
+        got, expected = _pivot_norms(vectors, 1e-300), delete_pivot_norms(vectors, 1e-300)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_member_gradients(self, n, normalized):
+        for d, seed in [(0, n), (1, n + 1), (2, n + 2)]:
+            self.check(member_gradients(n + d, d, seed, normalized))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_equal_mode_frozen_casimirs(self, p):
+        # units of norm sqrt(2) and 2: every pivot step is an exact norm tie
+        for d in (0, 1, 2):
+            form = canonical_form(canonical_skew_matrix([1.3] * p, d))
+            grads = frozen_casimir_gradients(form, "equal")
+            self.check(grads)
+            self.check(grads[::-1])
+
+    def test_equal_norm_ties_in_general_position(self):
+        # cyclic shifts of (3, 4, 0, 0, 1): each norm is exactly sqrt(26), and
+        # which tied vector goes first changes every later residual
+        base = np.array([3.0, 4.0, 0.0, 0.0, 1.0])
+        shifts = [np.roll(base, k) for k in range(5)]
+        self.check(shifts)
+        self.check(shifts[::-1] + [2.0 * base, -base])
+
+    def test_duplicated_vectors(self):
+        rng = np.random.default_rng(50)
+        a, b, c = rng.standard_normal((3, 9))
+        self.check([a, b, a, c, b, a, c + 1e-9 * a])
+        vecs = member_gradients(8, 0, 51, True)
+        self.check(vecs + vecs[::2])
+
+    def test_zero_vectors_and_rank_deficient_sets(self):
+        rng = np.random.default_rng(52)
+        low = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 20))
+        zero = np.zeros(20)
+        self.check([zero, *low[:6], zero, *low[6:], zero])
+        self.check([zero, zero])
+        self.check(low + 1e-8 * rng.standard_normal(low.shape))
+
+    def test_input_unchanged(self):
+        vecs = np.array(member_gradients(8, 0, 53, False))
+        before = vecs.copy()
+        _decade_ranks(vecs, 1e-9)
+        assert np.array_equal(vecs, before)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symflow.invariants import admissible_indices, gradient_table
+from symflow import verify
+from symflow.invariants import admissible_indices, gradient_table, invariant_count
 from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
 from symflow.verify import (
@@ -16,6 +18,7 @@ from symflow.verify import (
     involution_certificate,
     lax_certificate,
     leaf_dimension_certificate,
+    member_certificates,
     recursion_certificate,
     sectional_certificate,
     sectional_comparison_2x2,
@@ -138,6 +141,107 @@ class TestIndependence:
         assert all(item["stable"] for item in cert.details)
 
 
+class TestSharedDraws:
+    """member_certificates runs involution and independence in one pass over the draws."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        table = verify.gradient_table
+        monkeypatch.setattr(verify, "gradient_table", lambda *a: calls.append(1) or table(*a))
+        return calls
+
+    @staticmethod
+    def alone(form, samples, seed):
+        return {"involution": involution_certificate(form, samples, seed).to_dict(),
+                "independence": independence_certificate(form, samples, seed).to_dict()}
+
+    @staticmethod
+    def shared(form, samples, seed):
+        return {name: cert.to_dict() for name, cert in member_certificates(form, samples, seed).items()}
+
+    def test_each_draw_computed_once(self, calls):
+        # equal frequencies: independence resamples and reads draws past involution's
+        form = canonical_form(canonical_skew_matrix([1.3] * 3))
+        expected = self.alone(form, 2, 4)
+        draws = 2 + sum(d["resamples"] for d in expected["independence"]["details"])
+        assert draws > 2 and len(calls) == 2 + draws
+        calls.clear()
+        assert self.shared(form, 2, 4) == expected
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("freqs,d", [([0.6, 0.9, 1.2, 1.45], 0), ([0.6, 0.9, 1.2, 1.45], 1),
+                                         ([0.6, 0.9, 1.2, 1.45], 2), ([1.3] * 4, 0), ([1.0, 1.0, 2.0], 1)])
+    def test_matches_each_suite_alone(self, freqs, d):
+        form = canonical_form(canonical_skew_matrix(freqs, d))
+        assert self.shared(form, 3, 5) == self.alone(form, 3, 5)
+
+    def test_same_n_and_seed_other_form(self, calls):
+        form_a = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2]))
+        form_b = canonical_form(canonical_skew_matrix([0.7, 1.1, 1.4]))
+        expected_b = self.alone(form_b, 2, 9)
+        assert self.shared(form_a, 2, 9) != expected_b
+        calls.clear()
+        assert self.shared(form_b, 2, 9) == expected_b
+        assert len(calls) == 2
+
+    def test_peak_memory_independent_of_samples(self):
+        # one member-gradient stack at n = 24 is 144 x 24 x 24 doubles, 0.66 MB;
+        # holding every draw's stack would add at least 6 of them at 8 samples
+        form = canonical_form(canonical_skew_matrix(np.linspace(0.5, 1.6, 12)))
+        stack = invariant_count(24) * 24 * 24 * 8
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                member_certificates(form, samples, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations
+        few, many = peak(2), peak(8)
+        assert many < few + stack / 2, (few, many)
+
+    def test_failing_suite_keeps_the_other(self, monkeypatch):
+        form = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2]))
+        expected = involution_certificate(form, 2, 7).to_dict()
+
+        def broken(*args):
+            raise ArithmeticError("rank")
+
+        monkeypatch.setattr(verify, "_decade_ranks", broken)
+        outcomes = member_certificates(form, 2, 7)
+        assert outcomes["involution"].to_dict() == expected
+        assert isinstance(outcomes["independence"], ArithmeticError)
+        with pytest.raises(ArithmeticError, match="rank"):
+            independence_certificate(form, 2, 7)
+
+    def test_failing_draw_reaches_only_its_readers(self, monkeypatch):
+        # the third draw is read by independence alone (a resample after two samples)
+        form = canonical_form(canonical_skew_matrix([1.3] * 3))
+        expected = involution_certificate(form, 2, 4).to_dict()
+        table, calls = verify.gradient_table, []
+
+        def third_fails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ArithmeticError("draw 2")
+            return table(*args)
+
+        monkeypatch.setattr(verify, "gradient_table", third_fails)
+        outcomes = member_certificates(form, 2, 4)
+        assert outcomes["involution"].to_dict() == expected
+        assert isinstance(outcomes["independence"], ArithmeticError)
+
+    def test_no_samples(self):
+        form = canonical_form(canonical_skew_matrix([0.6, 0.9]))
+        outcomes = member_certificates(form, 0, 1)
+        assert all(isinstance(outcomes[name], ValueError) for name in ("involution", "independence"))
+        with pytest.raises(ValueError, match="at least one sample"):
+            involution_certificate(form, 0, 1)
+
+
 class TestIntegrabilitySummary:
     def test_even_full_rank(self):
         summary = integrability_summary(canonical_form(canonical_skew_matrix([1.0, 2.0, 3.0])))
@@ -191,6 +295,38 @@ class TestCasimirCertificate:
         cert = casimir_certificate(form, samples=2, seed=11)
         assert cert.details[-1]["frozen_mode"] == "mixed"
         assert cert.details[-1]["frozen_rank"] is None
+
+
+class TestStackedCasimirResiduals:
+    """One stacked tensor application and one max give the per-gradient loop's residuals."""
+
+    @pytest.mark.parametrize("freqs,d", [([0.6, 0.9, 1.3], 0), ([0.7, 1.2], 1), ([0.8, 1.1], 2),
+                                         ([1.3] * 3, 0), ([1.0, 1.0, 2.0], 1)])
+    def test_lie_poisson_residuals_match_loop(self, freqs, d):
+        from symflow.poisson import lie_poisson_casimir_gradients, lie_poisson_tensor
+        form = canonical_form(canonical_skew_matrix(freqs, d))
+        cert = casimir_certificate(form, samples=3, seed=12)
+        rng = np.random.default_rng(12)
+        for detail in cert.details[:-1]:
+            x = random_sym(form.n, rng)
+            grads = lie_poisson_casimir_gradients(form, x)
+            expected = max(max_abs(lie_poisson_tensor(x, g, form.canonical_skew)) for g in grads)
+            assert detail["lie_poisson_residual"] == expected
+
+    @pytest.mark.parametrize("mode", ["distinct", "equal"])
+    def test_frozen_residual_matches_loop(self, monkeypatch, mode):
+        # the exact Casimir gradients give exact zeros: perturb them, the largest last
+        from symflow.poisson import frozen_casimir_gradients, frozen_tensor
+        freqs = [0.6, 0.9, 1.3] if mode == "distinct" else [1.3] * 3
+        form = canonical_form(canonical_skew_matrix(freqs, 1))
+        rng = np.random.default_rng(13)
+        perturbed = [e + 1e-3 * (k + 1) * random_sym(form.n, rng)
+                     for k, e in enumerate(frozen_casimir_gradients(form, mode))]
+        monkeypatch.setattr(verify, "frozen_casimir_gradients", lambda form, mode: perturbed)
+        cert = casimir_certificate(form, samples=1, seed=13)
+        expected = max(max_abs(frozen_tensor(e, form.canonical_skew)) for e in perturbed)
+        assert expected > 0.0
+        assert cert.details[-1]["frozen_residual"] == expected
 
 
 class TestLeafDimensionCertificate:
