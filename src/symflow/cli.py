@@ -31,28 +31,11 @@ from .poisson import (
     lie_poisson_casimirs,
 )
 from .dynamics import FlowDivergenceError, IntegratorConfig, integrate
-from .verify import (
-    casimir_certificate, expected_leaf_dimensions, independence_certificate, integrability_summary,
-    involution_certificate, lax_certificate, leaf_dimension_certificate, member_certificates,
-    recursion_certificate, sectional_certificate,
-)
+from .verify import ALL_SUITES, certificates, expected_leaf_dimensions, integrability_summary
 from ._io import (
     _echo_config, _inv_label, _monitor_table, _write_csv, _write_json, _write_trajectory_csv,
     _write_trajectory_json,
 )
-
-ALL_SUITES = (
-    "involution",
-    "independence",
-    "casimir",
-    "leaf_dims",
-    "recursion",
-    "lax",
-    "sectional2x2",
-)
-
-#: The suites that read each draw's member gradients.
-MEMBER_SUITES = ("involution", "independence")
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-10,
@@ -274,42 +257,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, cfg: RunConfig):
-    form, tol = cfg.form, cfg.tolerances
-    if name == "involution":
-        return involution_certificate(form, cfg.samples, cfg.seed, tol=tol["identity"])
-    if name == "independence":
-        return independence_certificate(form, cfg.samples, seed=cfg.seed)
-    if name == "casimir":
-        return casimir_certificate(form, cfg.samples, cfg.seed, tol=tol["casimir"])
-    if name == "leaf_dims":
-        return leaf_dimension_certificate(form, min(cfg.samples, 5), cfg.seed)
-    if name == "recursion":
-        return recursion_certificate(form, cfg.samples, cfg.seed, tol=tol["recursion"])
-    if name == "lax":
-        return lax_certificate(form, cfg.samples, cfg.seed, tol=tol["lax"])
-    if name == "sectional2x2":
-        return sectional_certificate(max(cfg.samples, 1000), cfg.seed)
-    raise ConfigError(f"unknown suite {name!r}")
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     _echo_config(cfg)
     failed = False
-    # with both member suites, one pass over the draws serves them; each
-    # outcome is used, or its exception raised, at the suite's own turn
-    shared = set(MEMBER_SUITES) <= set(cfg.suites)
-    outcomes = None
-    for name in cfg.suites:
-        if shared and name in MEMBER_SUITES:
-            if outcomes is None:
-                outcomes = member_certificates(
-                    cfg.form, cfg.samples, cfg.seed, tol=cfg.tolerances["identity"])
-            cert = outcomes[name]
-            if isinstance(cert, Exception):
-                raise cert
-        else:
-            cert = _run_suite(name, cfg)
+    outcomes = certificates(cfg.form, cfg.suites, cfg.samples, cfg.seed, cfg.tolerances)
+    for name, cert in zip(cfg.suites, outcomes):
+        if isinstance(cert, Exception):
+            raise cert
         payload = cert.to_dict()
         payload["verdict"] = (
             "not assessed" if cert.passed is None else ("pass" if cert.passed else "fail")

@@ -14,6 +14,7 @@ without a verdict.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,6 +39,9 @@ from .dynamics import lax_residual, vector_field
 
 #: Default tolerance for identity-type residuals.
 IDENTITY_TOL = 1e-10
+
+#: The lambda grid of the Lax certificate.
+LAX_LAMBDAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 #: Minimum infinity-norm separation of the two 2x2 right-hand sides in the
 #: sectional-operator comparison, away from the a = d coincidence locus.
@@ -67,21 +71,26 @@ class Certificate:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _member_draws(form: SkewCanonicalForm, seed: int):
-    """The states of ``default_rng(seed)``, each with its member gradients.
+class _Draw:
+    """One sampled state ``x``; its member gradients ``g`` are computed on first read."""
 
-    Yields (x, g) without end, g stacked (members, n, n) in
-    :func:`admissible_indices` order.
-    """
-    n = form.n
-    keys = admissible_indices(n)
+    def __init__(self, x: np.ndarray, n_skew: np.ndarray):
+        self.x, self._n_skew = x, n_skew
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        """The member gradients, stacked (members, n, n) in :func:`admissible_indices` order."""
+        n = len(self.x)
+        keys = admissible_indices(n)
+        grads = gradient_table(self.x, self._n_skew).gradients
+        return np.array([grads[key] for key in keys]).reshape(len(keys), n, n)
+
+
+def _draws(form: SkewCanonicalForm, seed: int):
+    """The states of ``default_rng(seed)`` without end, the one stream every sampled suite reads."""
     rng = np.random.default_rng(seed)
     while True:
-        x = random_sym(n, rng)
-        grads = gradient_table(x, form.skew).gradients
-        g = np.array([grads[key] for key in keys]).reshape(len(keys), n, n)
-        del grads  # hold one copy of the gradients while the suites read them
-        yield x, g
+        yield _Draw(random_sym(form.n, rng), form.skew)
 
 
 def _feed(suites: dict, draws) -> dict:
@@ -91,8 +100,7 @@ def _feed(suites: dict, draws) -> dict:
     ``yield`` and returns its certificate; every suite reads draw i as its
     i-th, so the suites see what each would draw alone, and only the current
     draw is held.  Returns name -> certificate, or the exception the suite
-    (or a draw it read) raised, for the caller to raise where the suite
-    would run alone.
+    raised, for the caller to raise where the suite would run alone.
     """
     outcomes, active = {}, []
     for name, steps in suites.items():
@@ -102,11 +110,7 @@ def _feed(suites: dict, draws) -> dict:
         except Exception as exc:
             outcomes[name] = exc
     while active:
-        try:
-            draw = next(draws)
-        except Exception as exc:  # every active suite reads this draw next
-            outcomes.update((name, exc) for name, _ in active)
-            break
+        draw = next(draws)
         waiting = []
         for name, steps in active:
             try:
@@ -120,32 +124,33 @@ def _feed(suites: dict, draws) -> dict:
     return outcomes
 
 
-def _alone(name: str, steps, form: SkewCanonicalForm, seed: int) -> Certificate:
-    outcome = _feed({name: steps}, _member_draws(form, seed))[name]
+def _alone(steps, form: SkewCanonicalForm, seed: int) -> Certificate:
+    """The certificate of one suite's steps on a stream of draws of its own."""
+    outcome = _feed({0: steps}, _draws(form, seed))[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def member_certificates(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-    tol: float = IDENTITY_TOL,
-) -> dict:
-    """The involution and independence certificates from one pass over the draws.
+def _sampled_steps(name: str, form: SkewCanonicalForm, samples: int, seed: int, tol: float, residual):
+    """Steps of a suite whose sample passes when its residual is at most ``tol``.
 
-    Both suites read each draw's state and member gradients as it is
-    computed, so each gradient table is computed once and only the current
-    one is held, however many samples.  The certificates equal those of
-    :func:`involution_certificate` and :func:`independence_certificate`
-    bit for bit.  A suite that raises maps to its exception, so a caller
-    can raise it where that suite would have run alone.
+    ``residual(draw)`` returns the draw's residual and the rest of its
+    detail; the certificate keeps the worst residual.
     """
-    return _feed({
-        "involution": _involution_steps(form, samples, seed, tol),
-        "independence": _independence_steps(form, samples, seed),
-    }, _member_draws(form, seed))
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    worst = 0.0
+    details = []
+    for s in range(samples):
+        value, detail = residual((yield))
+        worst = max(worst, value)
+        details.append({"sample": s, **detail})
+    return Certificate(
+        name=name, n=form.n, p=form.p, d=form.d, sample_count=samples,
+        max_residual=worst, tolerance=tol, passed=worst <= tol, seed=seed,
+        details=details,
+    )
 
 
 def involution_certificate(
@@ -159,7 +164,7 @@ def involution_certificate(
     Every admissible pair is evaluated in both the Lie-Poisson and the
     frozen bracket at each sampled state; all must vanish to roundoff.
     """
-    return _alone("involution", _involution_steps(form, samples, seed, tol), form, seed)
+    return _alone(_involution_steps(form, samples, seed, tol), form, seed)
 
 
 def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> tuple[int, float]:
@@ -181,28 +186,18 @@ def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> t
 
 
 def _involution_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n, n_skew = form.n, form.skew
-    keys = admissible_indices(n)
+    keys = admissible_indices(form.n)
     rows, cols = np.triu_indices(len(keys), 1)
-    worst = 0.0
-    details = []
-    for s in range(samples):
-        x, g = yield
-        k, sample_worst = _worst_member_bracket(x, g, n_skew)
-        worst = max(worst, sample_worst)
-        details.append({
-            "sample": s,
-            "max_abs_bracket": sample_worst,
+
+    def residual(draw):
+        k, worst = _worst_member_bracket(draw.x, draw.g, form.skew)
+        return worst, {
+            "max_abs_bracket": worst,
             "worst_pair": None if k < 0 else (keys[rows[k // 2]], keys[cols[k // 2]]),
             "worst_bracket": None if k < 0 else ("lie_poisson", "frozen")[k % 2],
-        })
-    return Certificate(
-        name="involution", n=n, p=form.p, d=form.d, sample_count=samples,
-        max_residual=worst, tolerance=tol, passed=worst <= tol, seed=seed,
-        details=details,
-    )
+        }
+
+    return _sampled_steps("involution", form, samples, seed, tol, residual)
 
 
 def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int | None]:
@@ -233,17 +228,20 @@ def independence_certificate(
     disagreement is flagged in the details rather than averaged away.
     Resamples take the next draws.
     """
-    return _alone("independence", _independence_steps(form, samples, seed, max_resamples), form, seed)
+    return _alone(_independence_steps(form, samples, seed, max_resamples), form, seed)
 
 
 def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
-    """Decade ranks of the member gradients, each normalized to unit norm."""
-    vecs = []
-    for member in g:
-        v = member.ravel()
-        nrm = np.linalg.norm(v)
-        vecs.append(v / nrm if nrm > 0 else v)
-    return _decade_ranks(vecs, rank_tol) if vecs else (0, 0)
+    """Decade ranks of the member gradients, each normalized to unit norm.
+
+    Each norm is the square root of its row's dot product with itself, the
+    arithmetic of ``np.linalg.norm`` on that row.
+    """
+    if not len(g):
+        return 0, 0
+    rows = g.reshape(len(g), -1)
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    return _decade_ranks(rows / np.where(norms > 0, norms, 1.0)[:, None], rank_tol)
 
 
 def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int, max_resamples: int = 3):
@@ -256,8 +254,7 @@ def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int, max_re
     for s in range(samples):
         attempt = 0
         while True:
-            _, g = yield
-            rank, rank_loose = _member_ranks(g, form.rank_tol)
+            rank, rank_loose = _member_ranks((yield).g, form.rank_tol)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= max_resamples:
                 break
@@ -336,6 +333,10 @@ def casimir_certificate(
     which only exists in the two extreme cases.  Ranks are taken at
     ``form.rank_tol``.
     """
+    return _alone(_casimir_steps(form, samples, seed, tol), form, seed)
+
+
+def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
@@ -354,10 +355,9 @@ def casimir_certificate(
         frozen_rank = numerical_rank(stack, form.rank_tol)
         worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
 
-    rng = np.random.default_rng(seed)
     rank_ok = frozen_grads is None or frozen_rank == frozen_expected
     for s in range(samples):
-        x = random_sym(n, rng)
+        x = (yield).x
         grads = np.array(lie_poisson_casimir_gradients(form, x))  # p + d(d+1)/2 >= 1 of them
         residual = max_abs(lie_poisson_tensor(x, grads, n_can))
         lp_rank = numerical_rank(grads, form.rank_tol)
@@ -389,15 +389,18 @@ def leaf_dimension_certificate(
     2p(p+d) for distinct frequencies and p(p+1+2d) when they all coincide.
     Mixed patterns are reported without a verdict.
     """
+    return _alone(_leaf_dimension_steps(form, samples, seed), form, seed)
+
+
+def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
     expect_lp, expect_frozen = expected_leaf_dimensions(form)
-    rng = np.random.default_rng(seed)
     details = []
     worst = 0.0
     for s in range(samples):
-        x = random_sym(n, rng)
+        x = (yield).x
         try:
             dim_lp, dim_frozen = leaf_dimensions(form, x)
         except RankInstabilityError as exc:
@@ -428,25 +431,18 @@ def recursion_certificate(
     tol: float = 1e-11,
 ) -> Certificate:
     """Worst recursion residual over all admissible index pairs."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n, n_skew = form.n, form.skew
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    details = []
-    for s in range(samples):
-        residuals = recursion_residuals(random_sym(n, rng), n_skew)
+    return _alone(_recursion_steps(form, samples, seed, tol), form, seed)
+
+
+def _recursion_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
+    def residual(draw):
         sample_worst, worst_pair = 0.0, None
-        for pair, res in residuals.items():
+        for pair, res in recursion_residuals(draw.x, form.skew).items():
             if res > sample_worst:
                 sample_worst, worst_pair = res, pair
-        worst = max(worst, sample_worst)
-        details.append({"sample": s, "max_residual": sample_worst, "worst_pair": worst_pair})
-    return Certificate(
-        name="recursion", n=n, p=form.p, d=form.d, sample_count=samples,
-        max_residual=worst, tolerance=tol, passed=worst <= tol, seed=seed,
-        details=details,
-    )
+        return sample_worst, {"max_residual": sample_worst, "worst_pair": worst_pair}
+
+    return _sampled_steps("recursion", form, samples, seed, tol, residual)
 
 
 def lax_certificate(
@@ -454,25 +450,18 @@ def lax_certificate(
     samples: int,
     seed: int,
     tol: float = 1e-12,
-    lambdas: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0),
+    lambdas: tuple = LAX_LAMBDAS,
 ) -> Certificate:
     """Worst parametric commutator defect over a lambda grid."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n, n_skew = form.n, form.skew
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    details = []
-    for s in range(samples):
-        x = random_sym(n, rng)
-        res = max(lax_residual(x, n_skew, lam) for lam in lambdas)
-        worst = max(worst, res)
-        details.append({"sample": s, "max_residual": res})
-    return Certificate(
-        name="lax", n=n, p=form.p, d=form.d, sample_count=samples,
-        max_residual=worst, tolerance=tol, passed=worst <= tol, seed=seed,
-        details=details,
-    )
+    return _alone(_lax_steps(form, samples, seed, tol, lambdas), form, seed)
+
+
+def _lax_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float, lambdas: tuple = LAX_LAMBDAS):
+    def residual(draw):
+        res = max(lax_residual(draw.x, form.skew, lam) for lam in lambdas)
+        return res, {"max_residual": res}
+
+    return _sampled_steps("lax", form, samples, seed, tol, residual)
 
 
 def sectional_comparison_2x2(alpha, beta, x2: np.ndarray):
@@ -535,6 +524,49 @@ def sectional_certificate(
         max_residual=residual, tolerance=0.0, passed=residual <= 0.0,
         seed=seed, details=[{"min_difference": smallest, "separation": separation}, closest],
     )
+
+
+#: The suites on the one stream of draws, in their default order, each with
+#: the sample count and tolerance key that ``symflow verify`` gives it.
+_STREAM_SUITES = {
+    "involution": lambda form, samples, seed, tols: _involution_steps(form, samples, seed, tols["identity"]),
+    "independence": lambda form, samples, seed, tols: _independence_steps(form, samples, seed),
+    "casimir": lambda form, samples, seed, tols: _casimir_steps(form, samples, seed, tols["casimir"]),
+    "leaf_dims": lambda form, samples, seed, tols: _leaf_dimension_steps(form, min(samples, 5), seed),
+    "recursion": lambda form, samples, seed, tols: _recursion_steps(form, samples, seed, tols["recursion"]),
+    "lax": lambda form, samples, seed, tols: _lax_steps(form, samples, seed, tols["lax"]),
+}
+
+#: Every suite of ``symflow verify``, in its default order.
+ALL_SUITES = (*_STREAM_SUITES, "sectional2x2")
+
+
+def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolerances: dict):
+    """Each named suite's certificate, or the exception it raised, in the order of ``names``.
+
+    ``samples`` is the command's count, which leaf_dims caps at 5 and
+    sectional2x2 raises to at least 1000 points of its own; ``tolerances``
+    maps identity, casimir, recursion and lax to their suites' tolerances.
+    Every other suite reads the one stream of draws: they run in one pass
+    when the first of them comes up, each reading draw i as its i-th, so
+    each certificate equals the suite's alone, each draw and its member
+    gradients are computed once and only the current draw is held.
+    """
+    outcomes = None
+    for name in names:
+        if name == "sectional2x2":
+            try:
+                outcome = sectional_certificate(max(samples, 1000), seed)
+            except Exception as exc:
+                outcome = exc
+        else:
+            if outcomes is None:
+                outcomes = _feed({
+                    suite: _STREAM_SUITES[suite](form, samples, seed, tolerances)
+                    for suite in names if suite != "sectional2x2"
+                }, _draws(form, seed))
+            outcome = outcomes[name]
+        yield outcome
 
 
 def flow_generation_defect(x: np.ndarray, n_skew: np.ndarray) -> tuple[float, float]:

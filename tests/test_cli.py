@@ -182,10 +182,21 @@ SUITE_ORDER_KINDS = {
 class TestSuiteOrder:
     """Certificates do not depend on which suites run or in what order.
 
-    With both listed, ``involution`` and ``independence`` run in one pass
-    over the draws; the equal-8 kind makes ``independence`` resample, so its
-    later samples read draws that ``involution`` reads as other samples.
+    Every listed suite but ``sectional2x2`` runs in one pass over the draws;
+    the equal-8 kind makes ``independence`` resample, so its later samples
+    read draws that the other suites read as other samples.
     """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"random_sym": 0, "gradient_table": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(symflow.verify, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(symflow.verify, name, counted)
+        return calls
 
     @staticmethod
     def certificates(tmp_path, canonical, suites, out):
@@ -207,25 +218,30 @@ class TestSuiteOrder:
             details = json.loads(everything["independence"])["details"]
             assert sum(d["resamples"] for d in details) > 0
 
-    def test_one_gradient_table_per_draw(self, tmp_path, monkeypatch):
-        calls = []
-        table = symflow.verify.gradient_table
-        monkeypatch.setattr(symflow.verify, "gradient_table", lambda *a: calls.append(1) or table(*a))
+    def test_one_gradient_table_per_draw(self, tmp_path, calls):
         certs = self.certificates(tmp_path, SUITE_ORDER_KINDS["equal-8"], list(ALL_SUITES), "all")
         resamples = sum(d["resamples"] for d in json.loads(certs["independence"])["details"])
-        assert resamples > 0 and len(calls) == 2 + resamples
+        assert resamples > 0
+        assert calls == {"random_sym": 2 + resamples, "gradient_table": 2 + resamples}
+
+    def test_no_gradient_table_without_member_suites(self, tmp_path, calls):
+        self.certificates(tmp_path, SUITE_ORDER_KINDS["equal-8"], ["casimir", "lax"], "pair")
+        assert calls == {"random_sym": 2, "gradient_table": 0}
 
     @pytest.mark.parametrize("suites,written", [
         (["involution", "casimir", "independence"],
          ["certificate_casimir.json", "certificate_involution.json", "runconfig.json"]),
         (["independence", "involution"], ["runconfig.json"]),
+        (["recursion", "sectional2x2", "lax", "involution"],
+         ["certificate_recursion.json", "certificate_sectional2x2.json", "runconfig.json"]),
     ])
     def test_failing_suite_raises_at_its_turn(self, tmp_path, monkeypatch, suites, written):
-        # both suites run in one pass, but a failure stops the run where the suite runs alone
+        # the suites run in one pass, but a failure stops the run where the suite runs alone
         def broken(*args):
-            raise ArithmeticError("rank")
+            raise ArithmeticError("broken")
 
         monkeypatch.setattr(symflow.verify, "_decade_ranks", broken)
+        monkeypatch.setattr(symflow.verify, "lax_residual", broken)
         code, out = run(tmp_path, "verify", dict(BASE, suites=suites))
         assert code == 3
         assert sorted(path.name for path in out.iterdir()) == written
@@ -247,11 +263,21 @@ class TestVerify:
         for path in out.glob("*.json"):
             assert path.read_text() == dumped_json(path), path.name
 
-    def test_unallocatable_samples_exit_2(self, tmp_path, capsys):
-        # 1e13 samples of 5 draws need 4e14 bytes, past the user address space
-        code, _ = run(tmp_path, "verify", dict(BASE, suites=["sectional2x2"], samples=10**13))
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+    def test_unallocatable_samples_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 1e13 samples of 5 draws need 4e14 bytes, past the user address space;
+        # the run stops there, before lax, which would take 1e13 draws
+        lax_calls = []
+
+        def lax_residual(*args):
+            lax_calls.append(args)
+            raise ArithmeticError("lax ran")
+
+        monkeypatch.setattr(symflow.verify, "lax_residual", lax_residual)
+        for suites in (["sectional2x2"], ["sectional2x2", "lax"]):
+            code, _ = run(tmp_path, "verify", dict(BASE, suites=suites, samples=10**13))
+            assert code == 2
+            assert capsys.readouterr().err.startswith("config error: ")
+        assert lax_calls == []
 
     def test_degenerate_independence_not_assessed(self, tmp_path):
         config = dict(

@@ -18,7 +18,6 @@ from symflow.verify import (
     involution_certificate,
     lax_certificate,
     leaf_dimension_certificate,
-    member_certificates,
     recursion_certificate,
     sectional_certificate,
     sectional_comparison_2x2,
@@ -135,14 +134,29 @@ class TestIndependence:
         assert cert.passed is None
         assert all(item["expected"] is None for item in cert.details)
 
+    @pytest.mark.parametrize("n", [4, 7, 16, 32])
+    def test_normalized_gradients_bit_equal_per_row_norm(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        g = verify._Draw(random_sym(n, rng), random_skew(n, rng)).g
+        seen = []
+        monkeypatch.setattr(verify, "_decade_ranks", lambda vectors, tol: seen.append(vectors) or (0, 0))
+        verify._member_ranks(g, 1e-9)
+        expected = np.array([v / np.linalg.norm(v) for v in g.reshape(len(g), -1)])
+        assert seen[0].tobytes() == expected.tobytes()
+
     def test_stability_recorded(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
         cert = independence_certificate(form, samples=2, seed=7)
         assert all(item["stable"] for item in cert.details)
 
 
+MEMBER_PAIR = ("involution", "independence")
+STREAM_SUITES = ("involution", "independence", "casimir", "leaf_dims", "recursion", "lax")
+TOLERANCES = {"identity": 1e-10, "casimir": 1e-11, "recursion": 1e-11, "lax": 1e-12}
+
+
 class TestSharedDraws:
-    """member_certificates runs involution and independence in one pass over the draws."""
+    """verify.certificates runs every sampled suite in one pass over the draws."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -152,13 +166,24 @@ class TestSharedDraws:
         return calls
 
     @staticmethod
-    def alone(form, samples, seed):
-        return {"involution": involution_certificate(form, samples, seed).to_dict(),
-                "independence": independence_certificate(form, samples, seed).to_dict()}
+    def alone(form, samples, seed, names=MEMBER_PAIR):
+        suites = {
+            "involution": lambda: involution_certificate(form, samples, seed, TOLERANCES["identity"]),
+            "independence": lambda: independence_certificate(form, samples, seed),
+            "casimir": lambda: casimir_certificate(form, samples, seed, TOLERANCES["casimir"]),
+            "leaf_dims": lambda: leaf_dimension_certificate(form, min(samples, 5), seed),
+            "recursion": lambda: recursion_certificate(form, samples, seed, TOLERANCES["recursion"]),
+            "lax": lambda: lax_certificate(form, samples, seed, TOLERANCES["lax"]),
+        }
+        return {name: suites[name]().to_dict() for name in names}
 
     @staticmethod
-    def shared(form, samples, seed):
-        return {name: cert.to_dict() for name, cert in member_certificates(form, samples, seed).items()}
+    def outcomes(form, samples, seed, names=MEMBER_PAIR):
+        return dict(zip(names, verify.certificates(form, names, samples, seed, TOLERANCES)))
+
+    @classmethod
+    def shared(cls, form, samples, seed, names=MEMBER_PAIR):
+        return {name: cert.to_dict() for name, cert in cls.outcomes(form, samples, seed, names).items()}
 
     def test_each_draw_computed_once(self, calls):
         # equal frequencies: independence resamples and reads draws past involution's
@@ -173,8 +198,9 @@ class TestSharedDraws:
     @pytest.mark.parametrize("freqs,d", [([0.6, 0.9, 1.2, 1.45], 0), ([0.6, 0.9, 1.2, 1.45], 1),
                                          ([0.6, 0.9, 1.2, 1.45], 2), ([1.3] * 4, 0), ([1.0, 1.0, 2.0], 1)])
     def test_matches_each_suite_alone(self, freqs, d):
+        # 7 samples: leaf_dims stops at 5 draws while the others read on
         form = canonical_form(canonical_skew_matrix(freqs, d))
-        assert self.shared(form, 3, 5) == self.alone(form, 3, 5)
+        assert self.shared(form, 7, 5, STREAM_SUITES) == self.alone(form, 7, 5, STREAM_SUITES)
 
     def test_same_n_and_seed_other_form(self, calls):
         form_a = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2]))
@@ -194,7 +220,7 @@ class TestSharedDraws:
         def peak(samples):
             tracemalloc.start()
             try:
-                member_certificates(form, samples, 3)
+                self.outcomes(form, samples, 3, STREAM_SUITES)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -211,7 +237,7 @@ class TestSharedDraws:
             raise ArithmeticError("rank")
 
         monkeypatch.setattr(verify, "_decade_ranks", broken)
-        outcomes = member_certificates(form, 2, 7)
+        outcomes = self.outcomes(form, 2, 7)
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
         with pytest.raises(ArithmeticError, match="rank"):
@@ -230,14 +256,15 @@ class TestSharedDraws:
             return table(*args)
 
         monkeypatch.setattr(verify, "gradient_table", third_fails)
-        outcomes = member_certificates(form, 2, 4)
+        outcomes = self.outcomes(form, 2, 4)
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
 
     def test_no_samples(self):
         form = canonical_form(canonical_skew_matrix([0.6, 0.9]))
-        outcomes = member_certificates(form, 0, 1)
-        assert all(isinstance(outcomes[name], ValueError) for name in ("involution", "independence"))
+        outcomes = self.outcomes(form, 0, 1, STREAM_SUITES + ("sectional2x2",))
+        assert all(isinstance(outcomes[name], ValueError) for name in STREAM_SUITES)
+        assert outcomes["sectional2x2"].sample_count == 1000
         with pytest.raises(ValueError, match="at least one sample"):
             involution_certificate(form, 0, 1)
 
