@@ -7,7 +7,6 @@ involution and independence.  A batch CLI lives in :mod:`symflow.cli`.
 """
 
 from .matrix_core import (
-    anticommutator,
     commutator,
     frobenius_inner,
     max_abs,
@@ -17,17 +16,6 @@ from .matrix_core import (
     skew_matrix,
     sym_matrix,
     symmetrize,
-)
-from .lie_structure import (
-    BlockDecomp,
-    cocycle,
-    extended_bracket,
-    from_blocks,
-    hom_defect,
-    invariant_form,
-    n_bracket,
-    quadratic_field,
-    split_blocks,
 )
 from .poisson import (
     RankInstabilityError,
@@ -57,7 +45,6 @@ from .dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
     Trajectory,
-    block_vector_field,
     integrate,
     lax_residual,
     vector_field,

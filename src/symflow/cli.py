@@ -15,11 +15,11 @@ the memory included), 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,28 +31,22 @@ from .poisson import (
     lie_poisson_casimirs,
 )
 from .dynamics import FlowDivergenceError, IntegratorConfig, integrate
-from .verify import ALL_SUITES, certificates, expected_leaf_dimensions, integrability_summary
+from .verify import (
+    ALL_SUITES, DEFAULT_TOLERANCES, certificates, expected_leaf_dimensions, integrability_summary,
+)
 from ._io import (
     _echo_config, _inv_label, _monitor_table, _write_csv, _write_json, _write_trajectory_csv,
     _write_trajectory_json,
 )
 
-DEFAULT_TOLERANCES = {
-    "identity": 1e-10,
-    "rank": 1e-9,
-    "recursion": 1e-11,
-    "lax": 1e-12,
-    "casimir": 1e-11,
-}
-
-INTEGRATOR_FIELDS = ("step", "t_end", "scheme", "monitor_stride")
+INTEGRATOR_FIELDS = tuple(f.name for f in dataclasses.fields(IntegratorConfig))
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     n: int
     n_skew: np.ndarray

@@ -22,7 +22,6 @@ import numpy as np
 
 from .matrix_core import as_square, commutator, max_abs, symmetrize
 from .invariants import admissible_indices, invariant_table
-from .lie_structure import BlockDecomp
 from .poisson import SkewCanonicalForm, lie_poisson_casimirs
 
 #: Reference values below this switch the drift monitor from relative to
@@ -64,20 +63,6 @@ def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam: float) -> float:
     lax_matrix = x + lam * n_skew
     companion = n_skew @ x + x @ n_skew + lam * (n_skew @ n_skew)
     return max_abs(vector_field(x, n_skew) - commutator(lax_matrix, companion))
-
-
-def block_vector_field(b: BlockDecomp, core_skew: np.ndarray) -> BlockDecomp:
-    """Flow in block coordinates adapted to im(N) + ker(N).
-
-    The image block obeys its own flow driven by S^2 + A A^T, the coupling
-    block is transported by -Nb (S A + A B), and the kernel block is frozen.
-    """
-    s, a, bk = b.image_block, b.coupling, b.kernel_block
-    if core_skew.shape != s.shape:
-        raise ValueError("core block size does not match the image block")
-    ds = commutator(s @ s + a @ a.T, core_skew)
-    da = -core_skew @ (s @ a + a @ bk)
-    return BlockDecomp(image_block=ds, coupling=da, kernel_block=np.zeros_like(bk))
 
 
 @dataclass(frozen=True)
@@ -133,13 +118,6 @@ class Trajectory:
 
     def spectrum_drift(self) -> np.ndarray:
         return self._drift(self.spectra)
-
-    def max_drift(self) -> float:
-        worst = 0.0
-        for block in (self.invariant_drift(), self.casimir_drift(), self.spectrum_drift()):
-            if block.size:
-                worst = max(worst, float(block.max()))
-        return worst
 
 
 def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig) -> Trajectory:

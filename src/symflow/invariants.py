@@ -100,9 +100,6 @@ class InvariantTable:
     def keys(self) -> list[tuple[int, int]]:
         return sorted(self.values.keys())
 
-    def as_vector(self) -> np.ndarray:
-        return np.asarray([self.values[key] for key in self.keys()])
-
 
 def _check_pair(x, n_skew) -> np.ndarray:
     x = as_square(x)

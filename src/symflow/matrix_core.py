@@ -79,11 +79,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab + ba.  For a symmetric and b skew the result is skew-symmetric."""
-    return a @ b + b @ a
-
-
 def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
     """trace(x y), the inner product making Sym(n) self-dual."""
     return float(np.einsum("ij,ji->", x, y))

@@ -92,9 +92,6 @@ class SkewCanonicalForm:
         """Conjugate a matrix from the original into the canonical basis."""
         return self.basis @ x @ self.basis.T
 
-    def from_canonical(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.T @ x @ self.basis
-
     def mode(self) -> str:
         """Multiplicity pattern of the frequencies: distinct, equal, or mixed.
 
@@ -243,20 +240,18 @@ def _sym_unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def frozen_casimir_gradients(form: SkewCanonicalForm, mode: str) -> list[np.ndarray]:
+def frozen_casimir_gradients(form: SkewCanonicalForm) -> list[np.ndarray]:
     """Gradient matrices of the frozen-bracket Casimirs, in the canonical basis.
 
-    ``mode='distinct'`` (all frequencies different) yields p paired diagonal
-    units plus the d(d+1)/2 kernel-block units.  ``mode='equal'`` (all
-    frequencies coincide) enlarges the first family to p^2 matrices: paired
-    symmetric units and paired skew units.  The multiplicity pattern of the
-    form must match the requested mode.
+    For distinct frequencies (:meth:`SkewCanonicalForm.mode`) they are p
+    paired diagonal units plus the d(d+1)/2 kernel-block units; for equal
+    frequencies the first family grows to p^2 matrices: paired symmetric
+    units and paired skew units.  Mixed frequencies have no closed-form
+    basis and raise ``ValueError``.
     """
-    actual = form.mode()
-    if mode not in ("distinct", "equal"):
-        raise ValueError(f"mode must be 'distinct' or 'equal', got {mode!r}")
-    if actual == "mixed" or (actual != mode and form.p > 1):
-        raise ValueError(f"frequency pattern is {actual!r}, not {mode!r}")
+    mode = form.mode()
+    if mode == "mixed":
+        raise ValueError("frequency pattern is 'mixed': the frozen Casimirs have no closed-form basis")
     n, p, d = form.n, form.p, form.d
     out: list[np.ndarray] = []
     if mode == "distinct":

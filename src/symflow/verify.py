@@ -37,8 +37,31 @@ from .poisson import (
 )
 from .dynamics import lax_residual, vector_field
 
-#: Default tolerance for identity-type residuals.
-IDENTITY_TOL = 1e-10
+#: The tolerances of ``symflow verify`` and of each certificate's signature,
+#: keyed as a config's ``tolerances``: identity (involution), casimir,
+#: recursion and lax bound their suites' residuals, and rank is the relative
+#: cut of the canonical form and of every rank decision made with it.
+DEFAULT_TOLERANCES = {
+    "identity": 1e-10,
+    "rank": 1e-9,
+    "recursion": 1e-11,
+    "lax": 1e-12,
+    "casimir": 1e-11,
+}
+
+#: The suites on the one stream of draws, in their default order, each with
+#: the sample count and tolerance key that ``symflow verify`` gives it.
+_STREAM_SUITES = {
+    "involution": lambda form, samples, seed, tols: _involution_steps(form, samples, seed, tols["identity"]),
+    "independence": lambda form, samples, seed, tols: _independence_steps(form, samples, seed),
+    "casimir": lambda form, samples, seed, tols: _casimir_steps(form, samples, seed, tols["casimir"]),
+    "leaf_dims": lambda form, samples, seed, tols: _leaf_dimension_steps(form, min(samples, 5), seed),
+    "recursion": lambda form, samples, seed, tols: _recursion_steps(form, samples, seed, tols["recursion"]),
+    "lax": lambda form, samples, seed, tols: _lax_steps(form, samples, seed, tols["lax"]),
+}
+
+#: Every suite of ``symflow verify``, in its default order.
+ALL_SUITES = (*_STREAM_SUITES, "sectional2x2")
 
 #: The lambda grid of the Lax certificate.
 LAX_LAMBDAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -157,7 +180,7 @@ def involution_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int,
-    tol: float = IDENTITY_TOL,
+    tol: float = DEFAULT_TOLERANCES["identity"],
 ) -> Certificate:
     """Worst pairwise bracket value among all conserved-family members.
 
@@ -321,7 +344,7 @@ def casimir_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOLERANCES["casimir"],
 ) -> Certificate:
     """Annihilation residuals and gradient ranks of both Casimir families.
 
@@ -343,7 +366,7 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
     n_can = form.canonical_skew
     mode = form.mode()
     lp_expected_rank, frozen_expected = form.casimir_counts()
-    frozen_grads = None if frozen_expected is None else frozen_casimir_gradients(form, mode)
+    frozen_grads = None if frozen_expected is None else frozen_casimir_gradients(form)
 
     worst = 0.0
     details = []
@@ -428,7 +451,7 @@ def recursion_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOLERANCES["recursion"],
 ) -> Certificate:
     """Worst recursion residual over all admissible index pairs."""
     return _alone(_recursion_steps(form, samples, seed, tol), form, seed)
@@ -449,7 +472,7 @@ def lax_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOLERANCES["lax"],
     lambdas: tuple = LAX_LAMBDAS,
 ) -> Certificate:
     """Worst parametric commutator defect over a lambda grid."""
@@ -524,21 +547,6 @@ def sectional_certificate(
         max_residual=residual, tolerance=0.0, passed=residual <= 0.0,
         seed=seed, details=[{"min_difference": smallest, "separation": separation}, closest],
     )
-
-
-#: The suites on the one stream of draws, in their default order, each with
-#: the sample count and tolerance key that ``symflow verify`` gives it.
-_STREAM_SUITES = {
-    "involution": lambda form, samples, seed, tols: _involution_steps(form, samples, seed, tols["identity"]),
-    "independence": lambda form, samples, seed, tols: _independence_steps(form, samples, seed),
-    "casimir": lambda form, samples, seed, tols: _casimir_steps(form, samples, seed, tols["casimir"]),
-    "leaf_dims": lambda form, samples, seed, tols: _leaf_dimension_steps(form, min(samples, 5), seed),
-    "recursion": lambda form, samples, seed, tols: _recursion_steps(form, samples, seed, tols["recursion"]),
-    "lax": lambda form, samples, seed, tols: _lax_steps(form, samples, seed, tols["lax"]),
-}
-
-#: Every suite of ``symflow verify``, in its default order.
-ALL_SUITES = (*_STREAM_SUITES, "sectional2x2")
 
 
 def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolerances: dict):

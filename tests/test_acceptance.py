@@ -12,19 +12,11 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import (
+    commutator,
     max_abs,
     numerical_rank,
     random_skew,
     random_sym,
-)
-from symflow.lie_structure import (
-    BlockDecomp,
-    cocycle_defect,
-    extended_bracket,
-    from_blocks,
-    hom_defect,
-    n_bracket,
-    n_bracket_jacobi_defect,
 )
 from symflow.poisson import (
     canonical_form,
@@ -35,7 +27,6 @@ from symflow.poisson import (
 from symflow.invariants import invariant_table, recursion_residuals
 from symflow.dynamics import (
     IntegratorConfig,
-    block_vector_field,
     integrate,
     lax_residual,
     vector_field,
@@ -169,38 +160,78 @@ def test_c08_casimir_annihilation_and_counts():
            time.perf_counter() - start, 30.0)
 
 
+def n_bracket(x, y, nsk):
+    """The bracket [x, y]_N = xNy - yNx that a skew N induces on Sym(n)."""
+    return x @ nsk @ y - y @ nsk @ x
+
+
 def test_c09_structural_algebra():
+    # For N = [[core, 0], [0, 0]] a symmetric matrix is a block triple (S, A, B),
+    # and the bracket of two triples is ([S, S']_core, S core A' - S' core A,
+    # c(A, A')) with the cocycle c(A, A') = A^T core A' - A'^T core A.
+    def cocycle(a1, a2, core):
+        return a1.T @ core @ a2 - a2.T @ core @ a1
+
+    def block_bracket(b1, b2, core):
+        (s1, a1, _), (s2, a2, _) = b1, b2
+        return n_bracket(s1, s2, core), s1 @ core @ a2 - s2 @ core @ a1, cocycle(a1, a2, core)
+
+    def assemble(s, a, b):
+        return np.block([[s, a], [a.T, b]])
+
+    def kappa(x, y, nsk):
+        """tr(NxNy), the ad-invariant form of the bracket."""
+        return float(np.einsum("ij,ji->", nsk @ x, nsk @ y))
+
     start = time.perf_counter()
     rng = np.random.default_rng(109)
     sizes = (2, 3, 4, 5, 6, 7, 8)
     worst_jacobi = worst_hom = worst_psi = worst_cocycle = worst_compat = 0.0
+    worst_adinv = worst_pairing = 0.0
+    quadratics = []
     for i in range(100):
         n = sizes[i % len(sizes)]
         x, y, z = (random_sym(n, rng) for _ in range(3))
         nsk = random_skew(n, rng)
-        worst_jacobi = max(worst_jacobi, n_bracket_jacobi_defect(x, y, z, nsk))
-        worst_hom = max(worst_hom, hom_defect(x, y, nsk))
+        jacobi = (n_bracket(n_bracket(x, y, nsk), z, nsk) + n_bracket(n_bracket(y, z, nsk), x, nsk)
+                  + n_bracket(n_bracket(z, x, nsk), y, nsk))
+        worst_jacobi = max(worst_jacobi, max_abs(jacobi))
+        # X -> NX is a homomorphism into matrices under the commutator
+        worst_hom = max(worst_hom, max_abs(nsk @ n_bracket(x, y, nsk) - commutator(nsk @ x, nsk @ y)))
 
         p, d = max(1, n // 4), n % 3
         core = random_skew(2 * p, rng)
         n_embed = np.zeros((2 * p + d, 2 * p + d))
         n_embed[:2 * p, :2 * p] = core
         blocks = [
-            BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)),
-                        random_sym(max(d, 1), rng)[:d, :d])
+            (random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(max(d, 1), rng)[:d, :d])
             for _ in range(3)
         ]
-        lhs = from_blocks(extended_bracket(blocks[0], blocks[1], core))
-        rhs = n_bracket(from_blocks(blocks[0]), from_blocks(blocks[1]), n_embed)
+        lhs = assemble(*block_bracket(blocks[0], blocks[1], core))
+        rhs = n_bracket(assemble(*blocks[0]), assemble(*blocks[1]), n_embed)
         worst_psi = max(worst_psi, max_abs(lhs - rhs))
-        worst_cocycle = max(worst_cocycle, cocycle_defect(*blocks, core))
+        b1, b2, b3 = blocks
+        cyclic = sum(cocycle(block_bracket(u, v, core)[1], w[1], core)
+                     for u, v, w in ((b1, b2, b3), (b2, b3, b1), (b3, b1, b2)))
+        worst_cocycle = max(worst_cocycle, max_abs(cyclic))
 
         fs = tuple((random_sym(n, rng), random_sym(n, rng)) for _ in range(3))
         worst_compat = max(worst_compat, poisson_jacobi_defect(x, nsk, *fs, weights=(1.0, 1.0)))
+
+        adinv = kappa(n_bracket(z, x, nsk), y, nsk) + kappa(x, n_bracket(z, y, nsk), nsk)
+        worst_adinv = max(worst_adinv, abs(adinv))
+        quadratics.append((x, y, nsk))
+    # the quadratic Hamiltonians v^T x v / 2 and v^T y v / 2 pair to (x v)^T N (y v);
+    # their points are drawn last, so the draws above keep their values
+    for x, y, nsk in quadratics:
+        v = rng.standard_normal(len(x))
+        pairing = 0.5 * float(v @ (n_bracket(x, y, nsk) @ v)) - float((x @ v) @ (nsk @ (y @ v)))
+        worst_pairing = max(worst_pairing, abs(pairing))
     elapsed = time.perf_counter() - start
-    worst_identity = max(worst_jacobi, worst_hom, worst_psi, worst_cocycle)
+    worst_identity = max(worst_jacobi, worst_hom, worst_psi, worst_cocycle, worst_adinv, worst_pairing)
     print(f"[acceptance] C09 detail: jacobi {worst_jacobi:.2e} hom {worst_hom:.2e} "
-          f"psi {worst_psi:.2e} cocycle {worst_cocycle:.2e} compat {worst_compat:.2e}")
+          f"psi {worst_psi:.2e} cocycle {worst_cocycle:.2e} compat {worst_compat:.2e} "
+          f"ad-invariance {worst_adinv:.2e} pairing {worst_pairing:.2e}")
     report(9, "structural-algebra", "max identity defect", worst_identity, 1e-12, elapsed, 30.0)
     assert worst_compat <= 1e-10
 
@@ -237,11 +268,13 @@ def test_c12_block_consistency():
         core = random_skew(2 * p, rng)
         n_embed = np.zeros((2 * p + d, 2 * p + d))
         n_embed[:2 * p, :2 * p] = core
-        b = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)),
-                        random_sym(d, rng))
-        db = block_vector_field(b, core)
-        assert max_abs(db.kernel_block) == 0.0
-        worst = max(worst, max_abs(from_blocks(db) - vector_field(from_blocks(b), n_embed)))
+        s, a, b = random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(d, rng)
+        # in block coordinates the field is ([S^2 + A A^T, core], -core (S A + A B), 0)
+        coupling = -core @ (s @ a + a @ b)
+        closed = np.block([[commutator(s @ s + a @ a.T, core), coupling], [coupling.T, np.zeros((d, d))]])
+        field = vector_field(np.block([[s, a], [a.T, b]]), n_embed)
+        assert max_abs(field[2 * p:, 2 * p:]) == 0.0
+        worst = max(worst, max_abs(field - closed))
     report(12, "block-consistency", "max defect", worst, 1e-12,
            time.perf_counter() - start, 5.0)
 

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import sys
 import tracemalloc
 import warnings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import symflow._io
+import symflow.cli
 import symflow.verify
 from symflow._io import (
     CSV_CHUNK_ROWS,
@@ -476,6 +480,76 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads((out / "leaf_dims.json").read_text())
         assert payload["lie_poisson_dim"] == payload["lie_poisson_expected"] == 8
+
+
+#: The public functions that no command reaches, each with the reason it stays.
+UNREACHED_REFERENCES = {
+    "matrix_core.frobenius_inner": "the trace pairing of the two bracket references",
+    "poisson.lie_poisson_bracket": "pair-by-pair reference for the involution suite",
+    "poisson.frozen_bracket": "pair-by-pair reference for the involution suite",
+    "poisson.poisson_jacobi_defect": "compatibility of the two Poisson structures, acceptance C09",
+    "verify.flow_generation_defect": "the flow generated through each Poisson structure, acceptance C10",
+    **{f"verify.{suite}_certificate": "single-suite reference for verify.certificates"
+       for suite in ("involution", "independence", "casimir", "leaf_dimension", "recursion", "lax")},
+}
+
+
+def public_functions() -> dict:
+    """Code object -> "module.name" of every public function and method that symflow defines."""
+    found = {}
+    for info in pkgutil.iter_modules(symflow.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"symflow.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                           if not attr.startswith("_")]
+            for label, value in members:
+                # property, cached_property, staticmethod, functools.cache
+                for unwrap in ("fget", "func", "__func__", "__wrapped__"):
+                    value = getattr(value, unwrap, value)
+                if inspect.isfunction(value):
+                    found[value.__code__] = f"{info.name}.{label}"
+    return found
+
+
+class TestEveryPublicFunctionReached:
+    """Every public function and method of symflow runs under some command, or is a listed reference."""
+
+    CONFIGS = [
+        {"N": {"canonical": {"v": [0.8, 1.3], "d": 1}}, "X0": {"random": {"seed": 4}}},
+        {"N": {"explicit": [[0.0, 1.0, 0.5, 0.0], [-1.0, 0.0, 0.2, 0.3],
+                            [-0.5, -0.2, 0.0, 0.9], [0.0, -0.3, -0.9, 0.0]]},
+         "X0": {"explicit": [[1.0, 0.2, 0.0, 0.1], [0.2, -0.5, 0.3, 0.0],
+                             [0.0, 0.3, 0.7, 0.4], [0.1, 0.0, 0.4, 0.2]]}},
+        {"n": 4, "N": {"random": {"seed": 5}}},
+    ]
+    COMMON = {"integrator": {"step": 0.01, "t_end": 0.04, "monitor_stride": 2},
+              "suites": "all", "samples": 2, "seed": 6}
+
+    def test_unreached_are_the_references(self, tmp_path):
+        functions = public_functions()
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in functions:
+                called.add(functions[frame.f_code])
+
+        symflow.cli.build_parser.cache_clear()  # a cached parser would skip its body
+        codes = []
+        sys.setprofile(profile)
+        try:
+            for i, config in enumerate(self.CONFIGS):
+                for command in ("simulate", "verify", "invariants", "casimirs", "leaf-dims"):
+                    codes.append(run(tmp_path, command, dict(self.COMMON, **config), out=f"{i}-{command}")[0])
+        finally:
+            sys.setprofile(None)
+        assert set(codes) <= {0, 1}
+        assert sorted(set(functions.values()) - called) == sorted(UNREACHED_REFERENCES)
 
 
 class TestCanonicalFormOncePerRun:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import frob_norm, max_abs, random_skew, random_sym, symmetrize
-from symflow.lie_structure import BlockDecomp, from_blocks, split_blocks
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
-    block_vector_field,
     integrate,
     lax_residual,
     vector_field,
@@ -125,45 +123,6 @@ class TestFrobeniusGeodesic:
         rng = np.random.default_rng(8)
         n_skew = canonical_skew_matrix(0.5 + rng.random(4))
         assert geodesic_departure(random_sym(8, rng), n_skew) > 1e-3
-
-
-class TestBlockVectorField:
-    def test_decoupled_when_coupling_vanishes(self):
-        rng = np.random.default_rng(6)
-        s = random_sym(4, rng)
-        core = random_skew(4, rng)
-        b = BlockDecomp(s, np.zeros((4, 2)), random_sym(2, rng))
-        db = block_vector_field(b, core)
-        s2 = s @ s
-        assert max_abs(db.image_block - (s2 @ core - core @ s2)) <= 1e-15
-        assert max_abs(db.coupling) == 0.0
-        assert max_abs(db.kernel_block) == 0.0
-
-    def test_zero_block(self):
-        b = BlockDecomp(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 1)))
-        db = block_vector_field(b, N2)
-        assert max_abs(from_blocks(db)) == 0.0
-
-    @pytest.mark.parametrize("p,d", [(1, 1), (2, 1), (2, 2)])
-    def test_equivariance_with_full_field(self, p, d):
-        rng = np.random.default_rng(10 * p + d)
-        core = random_skew(2 * p, rng)
-        n_embed = np.zeros((2 * p + d, 2 * p + d))
-        n_embed[:2 * p, :2 * p] = core
-        for _ in range(10):
-            b = BlockDecomp(
-                random_sym(2 * p, rng),
-                rng.standard_normal((2 * p, d)),
-                random_sym(d, rng),
-            )
-            lhs = from_blocks(block_vector_field(b, core))
-            rhs = vector_field(from_blocks(b), n_embed)
-            assert max_abs(lhs - rhs) <= 1e-12
-
-    def test_kernel_block_exactly_frozen(self):
-        rng = np.random.default_rng(7)
-        b = BlockDecomp(random_sym(4, rng), rng.standard_normal((4, 2)), random_sym(2, rng))
-        assert np.array_equal(block_vector_field(b, random_skew(4, rng)).kernel_block, np.zeros((2, 2)))
 
 
 class TestIntegratorConfig:
@@ -286,7 +245,8 @@ class TestIntegrate:
         x0 = random_sym(4, rng)
         nsk = canonical_skew_matrix([1.0, 2.0])
         traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=100))
-        assert traj.max_drift() <= 1e-9
+        for block in (traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()):
+            assert block.max() <= 1e-9
 
     def test_trace_powers_conserved(self):
         rng = np.random.default_rng(10)
@@ -387,51 +347,23 @@ def padded(core, d):
     return n_skew
 
 
-def block_field_integrate(b0, core, config):
-    """RK4 on the closed-form block field block_vector_field, the reference loop."""
-    p, h = core.shape[0] // 2, config.step
-
-    def field(x):
-        return from_blocks(block_vector_field(split_blocks(x, p), core))
-
-    x = from_blocks(b0)
-    for _ in range(config.n_steps):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 class TestIntegrateBlocks:
-    """Block coordinates: integrate on the padded N, then split_blocks each state."""
-
-    def test_matches_full_integration(self):
-        rng = np.random.default_rng(14)
-        p, d = 1, 1
-        core = random_skew(2 * p, rng)
-        b0 = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)),
-                         random_sym(d, rng))
-        cfg = IntegratorConfig(step=1e-3, t_end=0.5)
-        traj = integrate(from_blocks(b0), canonical_form(padded(core, d)), cfg)
-        end = split_blocks(traj.states[-1], p)
-        assert max_abs(from_blocks(end) - block_field_integrate(b0, core, cfg)) <= 1e-14
+    """States in block coordinates: X0 = [[S, A], [A^T, B]] on the padded N = [[core, 0], [0, 0]]."""
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33])
     def test_states_exactly_symmetric(self, n):
         rng = np.random.default_rng(300 + n)
         p, d = n // 2, n % 2
-        b0 = BlockDecomp(random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(d, rng))
+        s, a, b = random_sym(2 * p, rng), rng.standard_normal((2 * p, d)), random_sym(d, rng)
         form = canonical_form(padded(random_skew(2 * p, rng), d))
-        traj = integrate(from_blocks(b0), form, IntegratorConfig(step=0.01, t_end=0.5))
+        traj = integrate(np.block([[s, a], [a.T, b]]), form, IntegratorConfig(step=0.01, t_end=0.5))
         for state in traj.states:
-            x = from_blocks(split_blocks(state, p))
-            assert np.array_equal(x, x.T)
+            assert np.array_equal(state, state.T)
 
     def test_kernel_block_constant(self):
         rng = np.random.default_rng(15)
-        b0 = BlockDecomp(random_sym(2, rng), rng.standard_normal((2, 2)), random_sym(2, rng))
-        traj = integrate(from_blocks(b0), canonical_form(padded(N2, 2)), IntegratorConfig(step=0.01, t_end=0.3))
+        s, a, b = random_sym(2, rng), rng.standard_normal((2, 2)), random_sym(2, rng)
+        traj = integrate(np.block([[s, a], [a.T, b]]), canonical_form(padded(N2, 2)),
+                         IntegratorConfig(step=0.01, t_end=0.3))
         for state in traj.states:
-            assert np.array_equal(split_blocks(state, 1).kernel_block, b0.kernel_block)
+            assert np.array_equal(state[2:, 2:], b)

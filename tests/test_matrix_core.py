@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from symflow.matrix_core import (
     _decade_ranks,
     _pivot_norms,
-    anticommutator,
     commutator,
     frobenius_inner,
     max_abs,
@@ -83,31 +82,9 @@ class TestCommutator:
         for n in (2, 4, 6):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
             lhs = commutator(x @ x, nsk)
-            rhs = commutator(x, anticommutator(x, nsk))
+            rhs = commutator(x, x @ nsk + nsk @ x)
             assert max_abs(lhs - rhs) < 1e-14
             assert max_abs(lhs - lhs.T) < 1e-14
-
-
-class TestAnticommutator:
-    def test_trace_multiple_2x2(self):
-        # XN + NX = (a + d) N for any 2x2 symmetric X
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a, b, d = rng.uniform(-2, 2, 3)
-            x = np.array([[a, b], [b, d]])
-            assert max_abs(anticommutator(x, N2) - (a + d) * N2) < 1e-15
-
-    def test_zero_input(self):
-        assert max_abs(anticommutator(np.zeros((2, 2)), N2)) == 0.0
-
-    def test_identity_doubles(self):
-        assert np.allclose(anticommutator(np.eye(2), N2), [[0.0, 2.0], [-2.0, 0.0]], atol=0, rtol=0)
-
-    def test_result_is_skew(self):
-        rng = np.random.default_rng(4)
-        x, nsk = random_sym(5, rng), random_skew(5, rng)
-        r = anticommutator(x, nsk)
-        assert max_abs(r + r.T) < 1e-15
 
 
 class TestFrobeniusInner:
@@ -302,7 +279,7 @@ class TestInPlaceElimination:
         # units of norm sqrt(2) and 2: every pivot step is an exact norm tie
         for d in (0, 1, 2):
             form = canonical_form(canonical_skew_matrix([1.3] * p, d))
-            grads = frozen_casimir_gradients(form, "equal")
+            grads = frozen_casimir_gradients(form)
             self.check(grads)
             self.check(grads[::-1])
 

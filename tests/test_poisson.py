@@ -262,41 +262,41 @@ class TestCanonicalForm:
         nsk = random_skew(5, rng)
         form = canonical_form(nsk)
         x = random_sym(5, rng)
-        assert max_abs(form.from_canonical(form.to_canonical(x)) - x) < 1e-13
+        assert max_abs(form.basis.T @ form.to_canonical(x) @ form.basis - x) < 1e-13
 
 
 class TestFrozenCasimirs:
     def test_distinct_count(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0], 1))
-        grads = frozen_casimir_gradients(form, "distinct")
+        grads = frozen_casimir_gradients(form)
         assert len(grads) == form.p + form.d * (form.d + 1) // 2 == 3
 
     def test_equal_count(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))
-        grads = frozen_casimir_gradients(form, "equal")
+        grads = frozen_casimir_gradients(form)
         assert len(grads) == form.p ** 2 == 4
 
     def test_structural_annihilation_exact(self):
         for freqs, d, mode in ([[1.0, 2.0], 1, "distinct"], [[1.5, 1.5], 2, "equal"]):
             form = canonical_form(canonical_skew_matrix(freqs, d))
-            for e in frozen_casimir_gradients(form, mode):
+            assert form.mode() == mode
+            for e in frozen_casimir_gradients(form):
                 assert max_abs(frozen_tensor(e, form.canonical_skew)) == 0.0
 
     def test_linearly_independent(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0], 2))
-        grads = frozen_casimir_gradients(form, "equal")
+        grads = frozen_casimir_gradients(form)
         assert numerical_rank([e.ravel() for e in grads], 1e-9) == len(grads)
 
     def test_mode_mismatch_raises(self):
-        form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
+        # mixed frequencies have no closed-form frozen Casimir basis
+        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
-            frozen_casimir_gradients(form, "equal")
-        with pytest.raises(ValueError):
-            frozen_casimir_gradients(form, "other")
+            frozen_casimir_gradients(form)
 
     def test_gradients_symmetric(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0], 1))
-        for e in frozen_casimir_gradients(form, "equal"):
+        for e in frozen_casimir_gradients(form):
             assert np.array_equal(e, e.T)
 
 
@@ -310,7 +310,7 @@ class TestCasimirCounts:
                 kernel = d * (d + 1) // 2
                 frozen = (p if mode == "distinct" else p * p) + kernel
                 assert form.casimir_counts() == (p + kernel, frozen)
-                assert frozen == len(frozen_casimir_gradients(form, mode))
+                assert frozen == len(frozen_casimir_gradients(form))
 
     def test_mixed_has_no_frozen_count(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], 1))

@@ -348,8 +348,8 @@ class TestStackedCasimirResiduals:
         form = canonical_form(canonical_skew_matrix(freqs, 1))
         rng = np.random.default_rng(13)
         perturbed = [e + 1e-3 * (k + 1) * random_sym(form.n, rng)
-                     for k, e in enumerate(frozen_casimir_gradients(form, mode))]
-        monkeypatch.setattr(verify, "frozen_casimir_gradients", lambda form, mode: perturbed)
+                     for k, e in enumerate(frozen_casimir_gradients(form))]
+        monkeypatch.setattr(verify, "frozen_casimir_gradients", lambda form: perturbed)
         cert = casimir_certificate(form, samples=1, seed=13)
         expected = max(max_abs(frozen_tensor(e, form.canonical_skew)) for e in perturbed)
         assert expected > 0.0
