@@ -34,7 +34,6 @@ from .poisson import (
     tensor_as_matrix,
 )
 from .invariants import (
-    InvariantTable,
     admissible_indices,
     gradient_table,
     invariant_count,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrix_core import random_skew, random_sym, skew_matrix, sym_matrix
-from .invariants import gradient_table, invariant_count
+from .invariants import admissible_indices, gradient_table, invariant_count
 from .poisson import (
     RankInstabilityError, SkewCanonicalForm, canonical_form, canonical_skew_matrix, leaf_dimensions,
     lie_poisson_casimirs,
@@ -107,6 +107,14 @@ def _integer(value, name: str, minimum: int) -> int:
     number = _convert(integral, value, name)
     if number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
+def _tolerance(value, name: str) -> float:
+    """A finite tolerance above zero, else a ConfigError."""
+    number = _convert(real, value, name)
+    if number <= 0:
+        raise ConfigError(f"{name} must be > 0, got {number!r}")
     return number
 
 
@@ -212,11 +220,11 @@ def resolve_config(raw: dict, args) -> RunConfig:
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in _object(raw.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES).items():
-        tolerances[key] = _convert(real, value, f"tolerance {key}")
+        tolerances[key] = _tolerance(value, f"tolerance {key}")
     if args.tol is not None:
-        tolerances["identity"] = _convert(real, args.tol, "--tol")
+        tolerances["identity"] = _tolerance(args.tol, "--tol")
     if args.rank_tol is not None:
-        tolerances["rank"] = _convert(real, args.rank_tol, "--rank-tol")
+        tolerances["rank"] = _tolerance(args.rank_tol, "--rank-tol")
 
     output = _object(raw.get("output", {}), "output")
     out_dir = _convert(Path, args.out if args.out is not None else output.get("dir", "out"), "output dir")
@@ -272,17 +280,18 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_invariants(cfg: RunConfig) -> int:
     _echo_config(cfg)
-    table = gradient_table(cfg.x0, cfg.n_skew)
-    keys = table.keys()
-    rows = [[k, two_r, table.values[(k, two_r)]] for (k, two_r) in keys]
+    keys = admissible_indices(cfg.n)
+    values, gradients = gradient_table(cfg.x0, cfg.n_skew)
     if "csv" in cfg.formats:
+        rows = [[k, two_r, value] for (k, two_r), value in zip(keys, values)]
         _write_csv(cfg.out_dir / "invariants.csv", ["k", "two_r", "value"], rows)
+    labels = [_inv_label(key) for key in keys]
     payload = {
         "n": cfg.n,
         "count": len(keys),
         "count_expected": invariant_count(cfg.n),
-        "values": {_inv_label(k): table.values[k] for k in keys},
-        "gradients": {_inv_label(k): table.gradients[k] for k in keys},
+        "values": dict(zip(labels, values)),
+        "gradients": dict(zip(labels, gradients)),
     }
     _write_json(cfg.out_dir / "invariants.json", payload)
     return 0

@@ -162,8 +162,7 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
 
     def record(t: float, state: np.ndarray) -> None:
         monitor_times.append(t)
-        table = invariant_table(state, n_skew)
-        inv_rows.append([table.values[key] for key in labels])
+        inv_rows.append(invariant_table(state, n_skew))
         cas_rows.append(lie_poisson_casimirs(form, form.to_canonical(state)))
         spec_rows.append(np.linalg.eigvalsh(state))
 

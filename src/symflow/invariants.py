@@ -22,13 +22,13 @@ pair trace for k = 2m-1 and k = 2m, so the values walk only to
 m = ceil((n-1)/2); for even n the last GEMM pairs zeros for k = n, which
 is beyond the table.  The gradients continue the same walk to n-2.  One
 bincount sums the pair traces into coefficients, one mask checks the odd
-structural zeros, and one stacked symmetrize per stack gives its gradients.
+structural zeros, and one stacked symmetrize per stack writes its gradients
+into the (members, n, n) array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,20 +85,12 @@ def invariant_count(n: int) -> int:
 
 
 def admissible_indices(n: int) -> list[tuple[int, int]]:
-    """All (k, 2r) with 1 <= k <= n-1 and 0 <= 2r < k, in table order."""
+    """All (k, 2r) with 1 <= k <= n-1 and 0 <= 2r < k, in table order.
+
+    Table order is the order of every values and gradients array of this
+    module: k ascending, then 2r ascending.
+    """
     return [(k, 2 * r) for k in range(1, n) for r in range(0, (k - 1) // 2 + 1)]
-
-
-@dataclass
-class InvariantTable:
-    """Values (and optionally gradients) of the conserved family at one state."""
-
-    n: int
-    values: dict = field(default_factory=dict)
-    gradients: dict | None = None
-
-    def keys(self) -> list[tuple[int, int]]:
-        return sorted(self.values.keys())
 
 
 def _check_pair(x, n_skew) -> np.ndarray:
@@ -108,18 +100,19 @@ def _check_pair(x, n_skew) -> np.ndarray:
     return x
 
 
-def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: dict | None) -> np.ndarray:
+def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.ndarray | None) -> np.ndarray:
     """Walk the stacks of P = X + tN up to P^depth, depth >= n // 2 >= 1.
 
     Returns the (n-1, n) array whose row k - 1 holds the coefficients of
     t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond t^k).
-    If ``gradients`` is a dict, it receives the member gradients in table
-    order, the (m+1, j) ones from stack m < n - 1.
+    If ``gradients`` is a (members, n, n) array, it receives the member
+    gradients in table order, the (m+1, j) ones from stack m < n - 1.
     """
     n = x.shape[0]
     half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
     if gradients is not None:
-        gradients[(1, 0)] = np.eye(n)
+        gradients[0] = np.eye(n)
+    filled = 1
     grams = []
     prev = np.eye(n)[None]  # stack of P^{m-1}; the zeroth power is the identity
     for m, power in enumerate(_power_stacks(x, n_skew, depth), start=1):
@@ -132,8 +125,8 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: dict |
                 pairs[m:] = 0.0
             grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
         if gradients is not None and m < n - 1:
-            keys = [(m + 1, j) for j in range(0, m + 1, 2)]
-            gradients.update(zip(keys, symmetrize(power[0::2])))
+            gradients[filled:filled + m // 2 + 1] = symmetrize(power[0::2])
+            filled += m // 2 + 1
         prev = power
     # coefficient j of trace(P^k) sums the pair traces with a + b = j
     width = 2 * half + 1
@@ -141,11 +134,12 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: dict |
     return sums.reshape(width, width)[1:n, :n] / np.arange(1, n)[:, None]
 
 
-def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> InvariantTable:
+def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
+    """The member values and, if asked, the (members, n, n) gradients, else None, in table order."""
     n = x.shape[0]
-    table = InvariantTable(n=n, gradients={} if with_gradients else None)
+    gradients = np.empty((invariant_count(n), n, n)) if with_gradients else None
     if n < 2:
-        return table
+        return np.empty(0), gradients
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
     # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
     base = frob_norm(x) + frob_norm(n_skew)
@@ -156,7 +150,7 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> Invaria
             f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}"
         ) from exc
     depth = max(n - 2, n // 2) if with_gradients else n // 2
-    traces = _trace_walk(x, n_skew, depth, table.gradients)
+    traces = _trace_walk(x, n_skew, depth, gradients)
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
     odd = member[:, 1::2] & (np.abs(traces[:, 1::2]) > ODD_COEFF_TOL * scale[:, None])
@@ -166,17 +160,16 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool) -> Invaria
             f"odd-power trace coefficient (k={row + 1}, j={2 * col + 1}) is "
             f"{float(traces[row, 2 * col + 1]):.3e}, expected a structural zero"
         )
-    table.values.update(zip(admissible_indices(n), traces[:, 0::2][member[:, 0::2]].tolist()))
-    return table
+    return traces[:, 0::2][member[:, 0::2]], gradients
 
 
-def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> InvariantTable:
-    """Values of every admissible (k, 2r) member at the state x."""
-    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=False)
+def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
+    """The (members,) values of the admissible members at the state x, in table order."""
+    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=False)[0]
 
 
-def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> InvariantTable:
-    """Values and gradients of every admissible member at the state x."""
+def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (members,) values and (members, n, n) gradients of the members at x, in table order."""
     return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=True)
 
 

@@ -47,25 +47,25 @@ def as_square(a) -> np.ndarray:
     return a
 
 
-def sym_matrix(a, reject_tol: float = ASYM_REJECT_TOL) -> np.ndarray:
+def sym_matrix(a) -> np.ndarray:
     """Validating constructor for a symmetric matrix.
 
     Projects ``(a + a.T)/2`` so the result is exactly symmetric, but rejects
-    inputs whose asymmetry exceeds ``reject_tol`` in max-abs.
+    inputs whose asymmetry exceeds :data:`ASYM_REJECT_TOL` in max-abs.
     """
     a = as_square(a)
     defect = max_abs(a - a.T)
-    if defect > reject_tol:
-        raise ValueError(f"matrix is not symmetric (defect {defect:.3e} > {reject_tol:.1e})")
+    if defect > ASYM_REJECT_TOL:
+        raise ValueError(f"matrix is not symmetric (defect {defect:.3e} > {ASYM_REJECT_TOL:.1e})")
     return (a + a.T) / 2.0
 
 
-def skew_matrix(a, reject_tol: float = ASYM_REJECT_TOL) -> np.ndarray:
-    """Validating constructor for a skew-symmetric matrix (projects, rejects above tol)."""
+def skew_matrix(a) -> np.ndarray:
+    """Validating constructor for a skew-symmetric matrix (projects, rejects above :data:`ASYM_REJECT_TOL`)."""
     a = as_square(a)
     defect = max_abs(a + a.T)
-    if defect > reject_tol:
-        raise ValueError(f"matrix is not skew-symmetric (defect {defect:.3e} > {reject_tol:.1e})")
+    if defect > ASYM_REJECT_TOL:
+        raise ValueError(f"matrix is not skew-symmetric (defect {defect:.3e} > {ASYM_REJECT_TOL:.1e})")
     return (a - a.T) / 2.0
 
 

@@ -231,53 +231,40 @@ def _validate_form(form: SkewCanonicalForm, kernel_tol: float) -> None:
         )
 
 
-def _sym_unit(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n))
-    if i == j:
-        e[i, i] = 1.0
-    else:
-        e[i, j] = e[j, i] = 1.0
-    return e
+def _kernel_units(form: SkewCanonicalForm) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (a <= b, row-major) of the d(d+1)/2 kernel-block units in the canonical basis."""
+    rows, cols = np.triu_indices(form.d)
+    return 2 * form.p + rows, 2 * form.p + cols
 
 
-def frozen_casimir_gradients(form: SkewCanonicalForm) -> list[np.ndarray]:
-    """Gradient matrices of the frozen-bracket Casimirs, in the canonical basis.
+def frozen_casimir_gradients(form: SkewCanonicalForm) -> np.ndarray:
+    """Gradient matrices of the frozen-bracket Casimirs in the canonical basis, stacked (count, n, n).
 
     For distinct frequencies (:meth:`SkewCanonicalForm.mode`) they are p
-    paired diagonal units plus the d(d+1)/2 kernel-block units; for equal
-    frequencies the first family grows to p^2 matrices: paired symmetric
-    units and paired skew units.  Mixed frequencies have no closed-form
-    basis and raise ``ValueError``.
+    paired diagonal units (k, k) plus the d(d+1)/2 kernel-block units; for
+    equal frequencies the first family grows to p^2 matrices: the paired
+    symmetric units k <= l, then the paired skew units k < l, each
+    row-major.  Mixed frequencies have no closed-form basis and raise
+    ``ValueError``.
     """
     mode = form.mode()
     if mode == "mixed":
         raise ValueError("frequency pattern is 'mixed': the frozen Casimirs have no closed-form basis")
-    n, p, d = form.n, form.p, form.d
-    out: list[np.ndarray] = []
+    n, p = form.n, form.p
     if mode == "distinct":
-        for k in range(p):
-            e = np.zeros((n, n))
-            e[k, k] = 1.0
-            e[p + k, p + k] = 1.0
-            out.append(e)
+        rows = cols = np.arange(p)
     else:
-        for k in range(p):
-            for l in range(k, p):
-                e = np.zeros((n, n))
-                e[k, l] = e[l, k] = 1.0
-                e[p + k, p + l] = e[p + l, p + k] = 1.0
-                out.append(e)
-        for k in range(p):
-            for l in range(k + 1, p):
-                e = np.zeros((n, n))
-                e[k, p + l] = e[p + l, k] = 1.0
-                e[l, p + k] = e[p + k, l] = -1.0
-                out.append(e)
-    for a in range(d):
-        for b in range(a, d):
-            e = np.zeros((n, n))
-            e[2 * p + a, 2 * p + b] = e[2 * p + b, 2 * p + a] = 1.0
-            out.append(e)
+        rows, cols = np.triu_indices(p)
+    skew_rows, skew_cols = np.triu_indices(p if mode == "equal" else 0, 1)  # none if distinct
+    kernel_rows, kernel_cols = _kernel_units(form)
+    slots = np.arange(len(rows) + len(skew_rows) + len(kernel_rows))
+    sym, skew, kernel = np.split(slots, [len(rows), len(rows) + len(skew_rows)])
+    out = np.zeros((len(slots), n, n))
+    out[sym, rows, cols] = out[sym, cols, rows] = 1.0
+    out[sym, p + rows, p + cols] = out[sym, p + cols, p + rows] = 1.0
+    out[skew, skew_rows, p + skew_cols] = out[skew, p + skew_cols, skew_rows] = 1.0
+    out[skew, skew_cols, p + skew_rows] = out[skew, p + skew_rows, skew_cols] = -1.0
+    out[kernel, kernel_rows, kernel_cols] = out[kernel, kernel_cols, kernel_rows] = 1.0
     return out
 
 
@@ -326,51 +313,48 @@ def lie_poisson_casimirs(form: SkewCanonicalForm, x_canonical: np.ndarray) -> np
             vals.append(float(np.trace(power)) / (2 * k))
             if k < form.p:
                 power = power @ w2
-    off = 2 * form.p
-    for a in range(form.d):
-        for b in range(a, form.d):
-            if a == b:
-                vals.append(float(x[off + a, off + a]))
-            else:
-                vals.append(float(x[off + a, off + b] + x[off + b, off + a]))
-    return np.asarray(vals)
+    rows, cols = _kernel_units(form)
+    linear = x[rows, cols]  # a copy: the diagonal units keep their entry, not a sum
+    pair = rows != cols
+    linear[pair] += x[cols[pair], rows[pair]]
+    return np.concatenate([vals, linear])
 
 
-def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarray) -> list[np.ndarray]:
-    """Gradients of the Lie-Poisson Casimirs at a state in the canonical basis.
+def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarray) -> np.ndarray:
+    """Gradients of the Lie-Poisson Casimirs at a state in the canonical basis, stacked (count, n, n).
 
-    The trace-power family has image-block gradient
-    g = core^{-1} (z core^{-1})^{2k-1} with z the kernel-block Schur
-    complement; the coupling and kernel blocks -g A B^{-1} and
-    B^{-1} A^T g A B^{-1} make the full gradient land in the tensor kernel.
-    The linear family keeps its constant kernel-block unit gradients.
+    The trace-power family (k = 1..p) comes first, then the linear family in
+    the order of :func:`lie_poisson_casimirs`.  The trace-power family has
+    image-block gradient g = core^{-1} (z core^{-1})^{2k-1} with z the
+    kernel-block Schur complement; the coupling and kernel blocks
+    -g A B^{-1} and B^{-1} A^T g A B^{-1} make the full gradient land in the
+    tensor kernel.  The linear family keeps its constant kernel-block unit
+    gradients.
     """
     x = as_square(x_canonical)
     if x.shape[0] != form.n:
         raise ValueError(f"state size {x.shape[0]} does not match form size {form.n}")
     n, p, d = form.n, form.p, form.d
-    grads: list[np.ndarray] = []
+    m = 2 * p
+    rows, cols = _kernel_units(form)
+    grads = np.zeros((p + len(rows), n, n))
     if p > 0:
-        core_inv = form.pseudo_inverse[:2 * p, :2 * p]
+        core_inv = form.pseudo_inverse[:m, :m]
         z, a, b_inv = _reduced_state(form, x)
         w = z @ core_inv
         power = w  # (z core^{-1})^(2k-1), starting at k = 1
-        for k in range(1, p + 1):
+        for k, full in enumerate(grads[:p], start=1):
             g = symmetrize(core_inv @ power)
-            full = np.zeros((n, n))
-            full[:2 * p, :2 * p] = g
+            full[:m, :m] = g
             if d > 0:
                 coupling = -g @ a @ b_inv
-                full[:2 * p, 2 * p:] = coupling
-                full[2 * p:, :2 * p] = coupling.T
-                full[2 * p:, 2 * p:] = b_inv @ a.T @ g @ a @ b_inv
-            grads.append(full)
+                full[:m, m:] = coupling
+                full[m:, :m] = coupling.T
+                full[m:, m:] = b_inv @ a.T @ g @ a @ b_inv
             if k < p:
                 power = power @ w @ w
-    off = 2 * p
-    for a_i in range(d):
-        for b_i in range(a_i, d):
-            grads.append(_sym_unit(n, off + a_i, off + b_i))
+    units = np.arange(p, len(grads))
+    grads[units, rows, cols] = grads[units, cols, rows] = 1.0
     return grads
 
 

@@ -63,6 +63,10 @@ _STREAM_SUITES = {
 #: Every suite of ``symflow verify``, in its default order.
 ALL_SUITES = (*_STREAM_SUITES, "sectional2x2")
 
+#: Further draws the independence certificate takes for a sample whose rank
+#: misses the expected one before it reports that rank.
+MAX_RESAMPLES = 3
+
 #: The lambda grid of the Lax certificate.
 LAX_LAMBDAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -103,10 +107,7 @@ class _Draw:
     @functools.cached_property
     def g(self) -> np.ndarray:
         """The member gradients, stacked (members, n, n) in :func:`admissible_indices` order."""
-        n = len(self.x)
-        keys = admissible_indices(n)
-        grads = gradient_table(self.x, self._n_skew).gradients
-        return np.array([grads[key] for key in keys]).reshape(len(keys), n, n)
+        return gradient_table(self.x, self._n_skew)[1]
 
 
 def _draws(form: SkewCanonicalForm, seed: int):
@@ -239,7 +240,6 @@ def independence_certificate(
     form: SkewCanonicalForm,
     samples: int,
     seed: int = 0,
-    max_resamples: int = 3,
 ) -> Certificate:
     """Rank of the stacked conserved-family gradients at sampled states.
 
@@ -249,9 +249,9 @@ def independence_certificate(
     computation (scale does not affect independence) and the rank, at
     ``form.rank_tol``, is re-checked one tolerance decade higher;
     disagreement is flagged in the details rather than averaged away.
-    Resamples take the next draws.
+    Up to :data:`MAX_RESAMPLES` resamples per sample take the next draws.
     """
-    return _alone(_independence_steps(form, samples, seed, max_resamples), form, seed)
+    return _alone(_independence_steps(form, samples, seed), form, seed)
 
 
 def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
@@ -267,7 +267,7 @@ def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
     return _decade_ranks(rows / np.where(norms > 0, norms, 1.0)[:, None], rank_tol)
 
 
-def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int, max_resamples: int = 3):
+def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int):
     if samples < 1:
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
@@ -279,7 +279,7 @@ def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int, max_re
         while True:
             rank, rank_loose = _member_ranks((yield).g, form.rank_tol)
             stable = rank == rank_loose
-            if expected is None or rank == expected or attempt >= max_resamples:
+            if expected is None or rank == expected or attempt >= MAX_RESAMPLES:
                 break
             attempt += 1  # degenerate sample; resample per the genericity claim
         gap = 0.0 if expected is None else abs(rank - expected)
@@ -372,16 +372,15 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
     details = []
     frozen_residual = 0.0
     frozen_rank = None
-    if frozen_grads:
-        stack = np.array(frozen_grads)
-        frozen_residual = max_abs(frozen_tensor(stack, n_can))
-        frozen_rank = numerical_rank(stack, form.rank_tol)
+    if frozen_grads is not None:
+        frozen_residual = max_abs(frozen_tensor(frozen_grads, n_can))
+        frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
         worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
 
     rank_ok = frozen_grads is None or frozen_rank == frozen_expected
     for s in range(samples):
         x = (yield).x
-        grads = np.array(lie_poisson_casimir_gradients(form, x))  # p + d(d+1)/2 >= 1 of them
+        grads = lie_poisson_casimir_gradients(form, x)  # p + d(d+1)/2 >= 1 of them
         residual = max_abs(lie_poisson_tensor(x, grads, n_can))
         lp_rank = numerical_rank(grads, form.rank_tol)
         rank_ok = rank_ok and lp_rank == lp_expected_rank
@@ -473,15 +472,14 @@ def lax_certificate(
     samples: int,
     seed: int,
     tol: float = DEFAULT_TOLERANCES["lax"],
-    lambdas: tuple = LAX_LAMBDAS,
 ) -> Certificate:
-    """Worst parametric commutator defect over a lambda grid."""
-    return _alone(_lax_steps(form, samples, seed, tol, lambdas), form, seed)
+    """Worst parametric commutator defect over the grid :data:`LAX_LAMBDAS`."""
+    return _alone(_lax_steps(form, samples, seed, tol), form, seed)
 
 
-def _lax_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float, lambdas: tuple = LAX_LAMBDAS):
+def _lax_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
     def residual(draw):
-        res = max(lax_residual(draw.x, form.skew, lam) for lam in lambdas)
+        res = max(lax_residual(draw.x, form.skew, lam) for lam in LAX_LAMBDAS)
         return res, {"max_residual": res}
 
     return _sampled_steps("lax", form, samples, seed, tol, residual)
@@ -516,15 +514,15 @@ def sectional_certificate(
     samples: int,
     seed: int,
     min_gap: float = 0.1,
-    separation: float = SECTIONAL_SEPARATION,
 ) -> Certificate:
     """Sampled check that the 2x2 flow differs from the family (beta/alpha) diag(-2ab, 2bd).
 
     Draws (a, b, d, alpha, beta) uniformly from [-1, 1], rejecting
     |a - d| <= min_gap and alpha = 0, and requires the two right-hand sides
-    of :func:`sectional_comparison_2x2` to stay at least ``separation``
-    apart in max-abs norm.  A pass says only that: the 2x2 flow is itself
-    of sectional-operator type, with (a, b) = (I, I).
+    of :func:`sectional_comparison_2x2` to stay at least
+    :data:`SECTIONAL_SEPARATION` apart in max-abs norm.  A pass says only
+    that: the 2x2 flow is itself of sectional-operator type, with
+    (a, b) = (I, I).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -541,11 +539,11 @@ def sectional_certificate(
     s = int(np.argmin(differences))
     smallest = float(differences[s])
     closest = {"sample": s, "point": points[s].tolist(), "difference": smallest}
-    residual = max(0.0, separation - smallest)
+    residual = max(0.0, SECTIONAL_SEPARATION - smallest)
     return Certificate(
         name="sectional2x2", n=2, p=1, d=0, sample_count=samples,
         max_residual=residual, tolerance=0.0, passed=residual <= 0.0,
-        seed=seed, details=[{"min_difference": smallest, "separation": separation}, closest],
+        seed=seed, details=[{"min_difference": smallest, "separation": SECTIONAL_SEPARATION}, closest],
     )
 
 

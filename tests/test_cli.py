@@ -406,6 +406,18 @@ class TestVerify:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "invariants", "casimirs", "leaf-dims"])
+    @pytest.mark.parametrize("fields, extra, message", [
+        ({"tolerances": {"rank": 0}}, (), "tolerance rank must be > 0, got 0.0"),
+        ({"tolerances": {"lax": -1}}, (), "tolerance lax must be > 0, got -1.0"),
+        ({}, ("--tol", "-5"), "--tol must be > 0, got -5.0"),
+    ], ids=["rank-zero", "lax-negative", "tol-flag-negative"])
+    def test_non_positive_tolerance_exit_2(self, tmp_path, capsys, command, fields, extra, message):
+        # every command rejects it, whether or not it reads that tolerance
+        code, _ = run(tmp_path, command, dict(BASE, **fields), extra=extra)
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_malformed_output_dir_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(BASE, output={"dir": 5}))
         assert main(["verify", "--config", config]) == 2

@@ -9,7 +9,6 @@ from symflow.matrix_core import frob_norm, frobenius_inner, max_abs, random_skew
 from symflow.poisson import lie_poisson_tensor
 from symflow.invariants import (
     ODD_COEFF_TOL,
-    InvariantTable,
     _harvest,
     _pair_slots,
     _power_stacks,
@@ -41,9 +40,13 @@ def trace_coefficient_oracle(x, nsk, k, j):
 
 
 def loop_harvest(x, nsk, with_gradients):
-    """Reference harvest with one np.trace call per coefficient (k, j)."""
+    """Reference harvest with one np.trace call per coefficient (k, j).
+
+    Returns the (k, j) keys, the values and the stacked (members, n, n)
+    gradients (None without them), all in the order the loop visits them.
+    """
     n = x.shape[0]
-    table = InvariantTable(n=n, gradients={} if with_gradients else None)
+    keys, values, gradients = [], [], []
     scale_base = frob_norm(x) + frob_norm(nsk)
     prev = None
     for k, power in enumerate(_power_stacks(x, nsk, n - 1), start=1):
@@ -56,11 +59,19 @@ def loop_harvest(x, nsk, with_gradients):
                         "expected a structural zero"
                     )
                 continue
-            table.values[(k, j)] = tr
+            keys.append((k, j))
+            values.append(tr)
             if with_gradients:
-                table.gradients[(k, j)] = np.eye(n) if k == 1 else symmetrize(prev[j])
+                gradients.append(np.eye(n) if k == 1 else symmetrize(prev[j]))
         prev = power
-    return table
+    gradients = np.array(gradients).reshape(len(keys), n, n) if with_gradients else None
+    return keys, np.array(values), gradients
+
+
+def by_key(values, n):
+    """The (k, 2r) -> value dict of a table-order values or gradients array of size n."""
+    assert len(values) == len(admissible_indices(n))
+    return dict(zip(admissible_indices(n), values))
 
 
 def loop_recursion_residuals(x, nsk):
@@ -168,9 +179,9 @@ class TestCounts:
     def test_one_by_one_has_no_members(self):
         assert invariant_count(1) == 0 == len(admissible_indices(1))
         x, nsk = np.ones((1, 1)), np.zeros((1, 1))
-        assert invariant_table(x, nsk).values == {}
-        table = gradient_table(x, nsk)
-        assert table.values == {} and table.gradients == {}
+        assert invariant_table(x, nsk).shape == (0,)
+        values, gradients = gradient_table(x, nsk)
+        assert values.shape == (0,) and gradients.shape == (0, 1, 1)
 
     def test_n4_index_set(self):
         assert admissible_indices(4) == [(1, 0), (2, 0), (3, 0), (3, 2)]
@@ -178,32 +189,35 @@ class TestCounts:
 
 class TestInvariantTable:
     def test_n4_keys(self):
+        # one float64 value per member, in the order (1, 0), (2, 0), (3, 0), (3, 2)
         rng = np.random.default_rng(4)
-        table = invariant_table(random_sym(4, rng), random_skew(4, rng))
-        assert table.keys() == [(1, 0), (2, 0), (3, 0), (3, 2)]
+        x, nsk = random_sym(4, rng), random_skew(4, rng)
+        values = invariant_table(x, nsk)
+        assert values.shape == (4,) and values.dtype == np.float64
+        expected = [np.trace(x), np.trace(x @ x) / 2, np.trace(x @ x @ x) / 3, np.trace(nsk @ nsk @ x)]
+        assert values == pytest.approx(expected, abs=1e-13)
 
     def test_h32_closed_form(self):
         # coefficient (3, 2) equals trace(n^2 x)
         rng = np.random.default_rng(5)
         for n in (4, 5, 6):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            table = invariant_table(x, nsk)
-            assert table.values[(3, 2)] == pytest.approx(np.trace(nsk @ nsk @ x), abs=1e-13)
+            values = by_key(invariant_table(x, nsk), n)
+            assert values[(3, 2)] == pytest.approx(np.trace(nsk @ nsk @ x), abs=1e-13)
 
     def test_h42_closed_form(self):
         # coefficient (4, 2) equals trace(n^2 x^2) + trace(n x n x) / 2
         rng = np.random.default_rng(6)
         for n in (5, 6):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            table = invariant_table(x, nsk)
+            values = by_key(invariant_table(x, nsk), n)
             expected = np.trace(nsk @ nsk @ x @ x) + 0.5 * np.trace(nsk @ x @ nsk @ x)
-            assert table.values[(4, 2)] == pytest.approx(expected, abs=1e-13)
+            assert values[(4, 2)] == pytest.approx(expected, abs=1e-13)
 
     def test_zero_structure(self):
         rng = np.random.default_rng(7)
         x = random_sym(5, rng)
-        table = invariant_table(x, np.zeros((5, 5)))
-        for (k, j), val in table.values.items():
+        for (k, j), val in by_key(invariant_table(x, np.zeros((5, 5))), 5).items():
             if j == 0:
                 assert val == pytest.approx(np.trace(np.linalg.matrix_power(x, k)) / k, abs=1e-14)
             else:
@@ -213,19 +227,18 @@ class TestInvariantTable:
         # every member has at least one state factor, so all values vanish
         rng = np.random.default_rng(8)
         nsk = random_skew(6, rng)
-        table = invariant_table(np.zeros((6, 6)), nsk)
-        assert max(abs(v) for v in table.values.values()) == 0.0
+        assert np.max(np.abs(invariant_table(np.zeros((6, 6)), nsk))) == 0.0
 
     def test_multi_index_oracle(self):
         # the table stores 1/k times the bare multi-index sum
         rng = np.random.default_rng(9)
         for n in (2, 3, 4):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            table = invariant_table(x, nsk)
+            values = by_key(invariant_table(x, nsk), n)
             for k in range(1, min(4, n)):
                 for j in range(0, k, 2):
                     oracle = trace_coefficient_oracle(x, nsk, k, j)
-                    assert k * table.values[(k, j)] == pytest.approx(oracle, abs=1e-12)
+                    assert k * values[(k, j)] == pytest.approx(oracle, abs=1e-12)
 
     def test_odd_oracle_coefficients_vanish(self):
         rng = np.random.default_rng(10)
@@ -239,40 +252,38 @@ class TestGradientTable:
     def test_h20_gradient_is_state(self):
         rng = np.random.default_rng(11)
         x, nsk = random_sym(4, rng), random_skew(4, rng)
-        table = gradient_table(x, nsk)
-        assert np.array_equal(table.gradients[(2, 0)], x)
+        gradients = by_key(gradient_table(x, nsk)[1], 4)
+        assert np.array_equal(gradients[(2, 0)], x)
 
     def test_h10_gradient_is_identity(self):
         rng = np.random.default_rng(12)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        assert np.array_equal(gradient_table(x, nsk).gradients[(1, 0)], np.eye(3))
+        assert np.array_equal(by_key(gradient_table(x, nsk)[1], 3)[(1, 0)], np.eye(3))
 
     def test_top_even_gradient_is_structure_power(self):
         # for odd k the (k, k-1) gradient is the constant n^{k-1}
         rng = np.random.default_rng(13)
         x, nsk = random_sym(6, rng), random_skew(6, rng)
-        table = gradient_table(x, nsk)
+        gradients = by_key(gradient_table(x, nsk)[1], 6)
         for k in (3, 5):
             expected = np.linalg.matrix_power(nsk, k - 1)
-            assert max_abs(table.gradients[(k, k - 1)] - expected) <= 1e-14
+            assert max_abs(gradients[(k, k - 1)] - expected) <= 1e-14
 
     def test_gradients_exactly_symmetric(self):
         rng = np.random.default_rng(14)
         x, nsk = random_sym(5, rng), random_skew(5, rng)
-        for g in gradient_table(x, nsk).gradients.values():
-            assert np.array_equal(g, g.T)
+        gradients = gradient_table(x, nsk)[1]
+        assert np.array_equal(gradients, gradients.transpose(0, 2, 1))
 
     def test_finite_difference_oracle(self):
         # central difference of each value along a random direction
         rng = np.random.default_rng(15)
         x, nsk = random_sym(6, rng), random_skew(6, rng)
-        table = gradient_table(x, nsk)
+        gradients = gradient_table(x, nsk)[1]
         y = random_sym(6, rng)
         eps = 1e-5
-        plus = invariant_table(x + eps * y, nsk)
-        minus = invariant_table(x - eps * y, nsk)
-        for key, grad in table.gradients.items():
-            fd = (plus.values[key] - minus.values[key]) / (2 * eps)
+        fds = (invariant_table(x + eps * y, nsk) - invariant_table(x - eps * y, nsk)) / (2 * eps)
+        for fd, grad in zip(fds, gradients, strict=True):
             assert fd == pytest.approx(frobenius_inner(grad, y), abs=1e-6)
 
 
@@ -295,23 +306,23 @@ class TestArrayHarvest:
 
     @pytest.mark.parametrize("n, kind", HARVEST_CASES)
     def test_matches_loop(self, n, kind):
-        # gradients and key order bit for bit; the values sum half-power pair
-        # traces, so they agree with the full-power traces at roundoff, on the
-        # scale of the k-th power, and both tables share them exactly
+        # the (members, n, n) gradient stack bit for bit, and the loop visits
+        # admissible_indices in order; the values sum half-power pair traces,
+        # so they agree with the full-power traces at roundoff, on the scale
+        # of the k-th power, and both tables share them bit for bit
         rng = np.random.default_rng(n)
         nsk = structure(kind, n, rng)
         for x in (random_sym(n, rng), np.zeros((n, n))):
-            values = invariant_table(x, nsk).values
-            assert list(values) == admissible_indices(n)
-            table, expected = gradient_table(x, nsk), loop_harvest(x, nsk, True)
-            assert table.values == values
-            assert list(table.values) == list(expected.values)
-            assert list(table.gradients) == list(expected.gradients)
-            for key, grad in expected.gradients.items():
-                assert np.array_equal(table.gradients[key], grad)
+            values = invariant_table(x, nsk)
+            keys, expected_values, expected_gradients = loop_harvest(x, nsk, True)
+            assert keys == admissible_indices(n)
+            got_values, gradients = gradient_table(x, nsk)
+            assert got_values.tobytes() == values.tobytes()
+            assert gradients.shape == expected_gradients.shape == (len(keys), n, n)
+            assert gradients.tobytes() == expected_gradients.tobytes()
             base = frob_norm(x) + frob_norm(nsk)
-            for (k, j), value in expected.values.items():
-                assert abs(values[(k, j)] - value) <= 1e-14 * max(1.0, base**k)
+            for (k, j), value, expected in zip(keys, values, expected_values, strict=True):
+                assert abs(value - expected) <= 1e-14 * max(1.0, base**k)
 
     def test_every_coefficient_against_oracle(self):
         # odd and top coefficients included, from both walk depths
@@ -319,7 +330,8 @@ class TestArrayHarvest:
         for n in range(2, 7):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
             traces = _trace_walk(x, nsk, n // 2, None)
-            assert np.array_equal(traces, _trace_walk(x, nsk, max(n - 2, n // 2), {}))
+            gradients = np.empty((invariant_count(n), n, n))
+            assert np.array_equal(traces, _trace_walk(x, nsk, max(n - 2, n // 2), gradients))
             for k in range(1, n):
                 for j in range(n):
                     oracle = trace_coefficient_oracle(x, nsk, k, j) / k
@@ -359,7 +371,7 @@ class TestArrayHarvest:
         nsk = canonical_skew_matrix([1.0, 2.0])
         x = np.diag([1e90, 1.0, 2.0, 3.0])
         with np.errstate(over="raise"):
-            values = list(invariant_table(x, nsk).values.values())
+            values = invariant_table(x, nsk)
         assert np.isfinite(values).all()
 
     def test_odd_coefficient_error(self):
@@ -381,8 +393,7 @@ class TestArrayHarvest:
         rng = np.random.default_rng(1)
         x, nsk = random_sym(5, rng), random_skew(5, rng)
         x[0, 0] = np.nan
-        got, expected = ([table.values[key] for key in table.keys()]
-                         for table in (_harvest(x, nsk, False), loop_harvest(x, nsk, False)))
+        got, expected = _harvest(x, nsk, False)[0], loop_harvest(x, nsk, False)[1]
         assert np.isnan(got).any()
         assert np.array_equal(got, expected, equal_nan=True)
 

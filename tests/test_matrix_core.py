@@ -15,7 +15,7 @@ from symflow.matrix_core import (
     skew_matrix,
     sym_matrix,
 )
-from symflow.invariants import admissible_indices, gradient_table
+from symflow.invariants import gradient_table
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_casimir_gradients
 
 N2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -248,8 +248,7 @@ def member_gradients(n, d, seed, normalized):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     nsk = q @ canonical_skew_matrix(rng.uniform(0.5, 1.5, (n - d) // 2), d) @ q.T
-    grads = gradient_table(random_sym(n, rng), (nsk - nsk.T) / 2).gradients
-    vecs = [grads[key].ravel() for key in admissible_indices(n)]
+    vecs = [g.ravel() for g in gradient_table(random_sym(n, rng), (nsk - nsk.T) / 2)[1]]
     return [v / np.linalg.norm(v) for v in vecs] if normalized else vecs
 
 

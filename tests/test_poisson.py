@@ -8,12 +8,13 @@ from symflow.matrix_core import (
     numerical_rank,
     random_skew,
     random_sym,
+    symmetrize,
 )
 from symflow.poisson import (
     CANONICAL_TOL,
     RankInstabilityError,
     SkewCanonicalForm,
-    _sym_unit,
+    _reduced_state,
     _validate_form,
     canonical_form,
     canonical_skew_matrix,
@@ -32,6 +33,91 @@ from symflow.poisson import (
 )
 
 N2 = canonical_skew_matrix([1.0])
+
+
+def sym_unit(n, i, j):
+    """The symmetric unit with ones at (i, j) and (j, i)."""
+    e = np.zeros((n, n))
+    e[i, j] = e[j, i] = 1.0
+    return e
+
+
+def loop_frozen_casimir_gradients(form):
+    """Reference frozen Casimir gradients, one unit matrix at a time."""
+    n, p, d = form.n, form.p, form.d
+    out = []
+    if form.mode() == "distinct":
+        for k in range(p):
+            e = np.zeros((n, n))
+            e[k, k] = 1.0
+            e[p + k, p + k] = 1.0
+            out.append(e)
+    else:
+        for k in range(p):
+            for l in range(k, p):
+                e = np.zeros((n, n))
+                e[k, l] = e[l, k] = 1.0
+                e[p + k, p + l] = e[p + l, p + k] = 1.0
+                out.append(e)
+        for k in range(p):
+            for l in range(k + 1, p):
+                e = np.zeros((n, n))
+                e[k, p + l] = e[p + l, k] = 1.0
+                e[l, p + k] = e[p + k, l] = -1.0
+                out.append(e)
+    for a in range(d):
+        for b in range(a, d):
+            out.append(sym_unit(n, 2 * p + a, 2 * p + b))
+    return out
+
+
+def loop_lie_poisson_casimirs(form, x):
+    """Reference Lie-Poisson Casimir values, the kernel-block functions one entry pair at a time."""
+    vals = []
+    if form.p > 0:
+        core_inv = form.pseudo_inverse[:2 * form.p, :2 * form.p]
+        w = _reduced_state(form, x)[0] @ core_inv
+        w2 = w @ w
+        power = w2
+        for k in range(1, form.p + 1):
+            vals.append(float(np.trace(power)) / (2 * k))
+            if k < form.p:
+                power = power @ w2
+    off = 2 * form.p
+    for a in range(form.d):
+        for b in range(a, form.d):
+            if a == b:
+                vals.append(float(x[off + a, off + a]))
+            else:
+                vals.append(float(x[off + a, off + b] + x[off + b, off + a]))
+    return np.asarray(vals)
+
+
+def loop_lie_poisson_casimir_gradients(form, x):
+    """Reference Lie-Poisson Casimir gradients, one full matrix per Casimir."""
+    n, p, d = form.n, form.p, form.d
+    grads = []
+    if p > 0:
+        core_inv = form.pseudo_inverse[:2 * p, :2 * p]
+        z, a, b_inv = _reduced_state(form, x)
+        w = z @ core_inv
+        power = w
+        for k in range(1, p + 1):
+            g = symmetrize(core_inv @ power)
+            full = np.zeros((n, n))
+            full[:2 * p, :2 * p] = g
+            if d > 0:
+                coupling = -g @ a @ b_inv
+                full[:2 * p, 2 * p:] = coupling
+                full[2 * p:, :2 * p] = coupling.T
+                full[2 * p:, 2 * p:] = b_inv @ a.T @ g @ a @ b_inv
+            grads.append(full)
+            if k < p:
+                power = power @ w @ w
+    for a_i in range(d):
+        for b_i in range(a_i, d):
+            grads.append(sym_unit(n, 2 * p + a_i, 2 * p + b_i))
+    return grads
 
 
 class TestTensors:
@@ -372,6 +458,50 @@ class TestLiePoissonCasimirs:
             lie_poisson_casimirs(form, np.zeros((3, 3)))
 
 
+STACKED_CASIMIR_CASES = [(p, d, mode) for p in range(4) for d in range(4) if p + d
+                         for mode in ("distinct", "equal")]
+
+
+class TestStackedCasimirFamilies:
+    """The stacked Casimir families equal the per-matrix loops bit for bit, in their order."""
+
+    @staticmethod
+    def form(p, d, mode):
+        freqs = [1.3] * p if mode == "equal" else [0.7 + 0.3 * k for k in range(p)]
+        return canonical_form(canonical_skew_matrix(freqs, d))
+
+    @pytest.mark.parametrize("p, d, mode", STACKED_CASIMIR_CASES)
+    def test_frozen_gradients(self, p, d, mode):
+        form = self.form(p, d, mode)
+        got, expected = frozen_casimir_gradients(form), np.array(loop_frozen_casimir_gradients(form))
+        assert got.shape == (form.casimir_counts()[1], form.n, form.n) == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p, d, mode", STACKED_CASIMIR_CASES)
+    def test_lie_poisson_values_and_gradients(self, p, d, mode):
+        form = self.form(p, d, mode)
+        rng = np.random.default_rng(10 * p + d)
+        count = form.casimir_counts()[0]
+        for scale in (1.0, -1e-3, 50.0):
+            x = scale * random_sym(form.n, rng)
+            values = lie_poisson_casimirs(form, x)
+            assert values.shape == (count,)
+            assert values.tobytes() == loop_lie_poisson_casimirs(form, x).tobytes()
+            grads = lie_poisson_casimir_gradients(form, x)
+            assert grads.shape == (count, form.n, form.n)
+            assert grads.tobytes() == np.array(loop_lie_poisson_casimir_gradients(form, x)).tobytes()
+
+    def test_diagonal_kernel_values_copied(self):
+        # the diagonal kernel functions copy their entry: -0.0 stays -0.0, and
+        # 1e308 raises no overflow, as a doubled entry would
+        form = canonical_form(np.zeros((2, 2)))
+        x = np.array([[-0.0, 0.5], [0.5, 1e308]])
+        with np.errstate(all="raise"):
+            values = lie_poisson_casimirs(form, x)
+        assert values.tobytes() == loop_lie_poisson_casimirs(form, x).tobytes()
+        assert np.signbit(values[0]) and values.tolist() == [0.0, 1.0, 1e308]
+
+
 class TestTensorMatrix:
     def test_zero_structure(self):
         rng = np.random.default_rng(18)
@@ -424,8 +554,8 @@ class TestTensorMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_sym_basis_matches_units(self, n):
-        units = [_sym_unit(n, i, i) for i in range(n)]
-        units += [_sym_unit(n, i, j) / np.sqrt(2.0) for i in range(n) for j in range(i + 1, n)]
+        units = [sym_unit(n, i, i) for i in range(n)]
+        units += [sym_unit(n, i, j) / np.sqrt(2.0) for i in range(n) for j in range(i + 1, n)]
         assert np.array_equal(sym_basis(n), np.stack(units))
 
     def test_sym_basis_orthonormal(self):

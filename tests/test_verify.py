@@ -31,7 +31,7 @@ def loop_involution_details(form, samples, seed):
     details = []
     for s in range(samples):
         x = random_sym(form.n, rng)
-        grads = gradient_table(x, form.skew).gradients
+        grads = dict(zip(keys, gradient_table(x, form.skew)[1]))
         worst, pair, bracket = 0.0, None, None
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
@@ -347,8 +347,8 @@ class TestStackedCasimirResiduals:
         freqs = [0.6, 0.9, 1.3] if mode == "distinct" else [1.3] * 3
         form = canonical_form(canonical_skew_matrix(freqs, 1))
         rng = np.random.default_rng(13)
-        perturbed = [e + 1e-3 * (k + 1) * random_sym(form.n, rng)
-                     for k, e in enumerate(frozen_casimir_gradients(form))]
+        perturbed = np.array([e + 1e-3 * (k + 1) * random_sym(form.n, rng)
+                              for k, e in enumerate(frozen_casimir_gradients(form))])
         monkeypatch.setattr(verify, "frozen_casimir_gradients", lambda form: perturbed)
         cert = casimir_certificate(form, samples=1, seed=13)
         expected = max(max_abs(frozen_tensor(e, form.canonical_skew)) for e in perturbed)
