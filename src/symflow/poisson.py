@@ -24,9 +24,8 @@ from .matrix_core import (
     symmetrize,
 )
 
-#: Frequencies closer than this count as equal when :meth:`SkewCanonicalForm.mode`
-#: classifies the multiplicity pattern (distinct vs equal) for the frozen
-#: Casimir basis.
+#: Relative grouping cut of :attr:`SkewCanonicalForm.clusters`: neighbouring
+#: frequencies at most this times the largest frequency apart share a cluster.
 FREQUENCY_GROUP_TOL = 1e-8
 
 #: Tolerance on the structural invariants of a canonical form.
@@ -92,32 +91,38 @@ class SkewCanonicalForm:
         """Conjugate a matrix from the original into the canonical basis."""
         return self.basis @ x @ self.basis.T
 
-    def mode(self) -> str:
-        """Multiplicity pattern of the frequencies: distinct, equal, or mixed.
+    @property
+    def clusters(self) -> np.ndarray:
+        """Frequency cluster labels 0, 1, ..., one per frequency, shape (p,).
 
-        Frequencies closer than :data:`FREQUENCY_GROUP_TOL` count as equal.
+        The frequencies are sorted in descending order, and a new cluster
+        starts wherever the gap to the previous frequency exceeds
+        :data:`FREQUENCY_GROUP_TOL` times the largest frequency.  Only
+        neighbouring gaps are compared, so a chain of gaps each within the
+        cut is one cluster, however far its ends lie apart.
         """
         v = self.frequencies
-        if self.p <= 1:
-            return "distinct"
-        gaps = np.abs(np.subtract.outer(v, v))[np.triu_indices(self.p, 1)]
-        if np.all(gaps > FREQUENCY_GROUP_TOL):
-            return "distinct"
-        if np.all(gaps <= FREQUENCY_GROUP_TOL):
-            return "equal"
-        return "mixed"
+        return np.cumsum(-np.diff(v, prepend=v[:1]) > FREQUENCY_GROUP_TOL * v[:1])
 
-    def casimir_counts(self) -> tuple[int, int | None]:
+    def mode(self) -> str:
+        """Name of the cluster sizes: distinct (all single), equal (one cluster) or mixed."""
+        sizes = np.bincount(self.clusters)
+        if np.all(sizes == 1):
+            return "distinct"
+        return "equal" if len(sizes) == 1 else "mixed"
+
+    def casimir_counts(self) -> tuple[int, int]:
         """Numbers of Lie-Poisson and frozen Casimirs.
 
         Lie-Poisson: p trace powers plus d(d+1)/2 kernel-block functions.
-        Frozen: p (distinct frequencies) or p^2 (all equal) plus the same
-        d(d+1)/2, and None for mixed frequencies, which have no closed form.
-        Each generic leaf dimension is n(n+1)/2 minus one of these counts.
+        Frozen: the sum of m_c^2 over the frequency clusters of sizes m_c
+        (p for distinct frequencies, p^2 for all equal) plus the same
+        d(d+1)/2.  Each generic leaf dimension is n(n+1)/2 minus one of
+        these counts.
         """
         kernel = self.d * (self.d + 1) // 2
-        frozen = {"distinct": self.p, "equal": self.p * self.p}.get(self.mode())
-        return self.p + kernel, None if frozen is None else frozen + kernel
+        sizes = np.bincount(self.clusters)
+        return self.p + kernel, int(sizes @ sizes) + kernel
 
 
 def _core_block(frequencies: np.ndarray) -> np.ndarray:
@@ -240,22 +245,19 @@ def _kernel_units(form: SkewCanonicalForm) -> tuple[np.ndarray, np.ndarray]:
 def frozen_casimir_gradients(form: SkewCanonicalForm) -> np.ndarray:
     """Gradient matrices of the frozen-bracket Casimirs in the canonical basis, stacked (count, n, n).
 
-    For distinct frequencies (:meth:`SkewCanonicalForm.mode`) they are p
-    paired diagonal units (k, k) plus the d(d+1)/2 kernel-block units; for
-    equal frequencies the first family grows to p^2 matrices: the paired
-    symmetric units k <= l, then the paired skew units k < l, each
-    row-major.  Mixed frequencies have no closed-form basis and raise
-    ``ValueError``.
+    They span the centraliser of the structure matrix in Sym(n).  Each
+    frequency cluster (:attr:`SkewCanonicalForm.clusters`) of size m
+    contributes m^2 of them: the paired symmetric units k <= l come first,
+    then the paired skew units k < l, each over the same-cluster pairs in
+    row-major order; the d(d+1)/2 kernel-block units follow.  Distinct
+    frequencies give the p paired diagonal units (k, k), all equal ones p^2
+    matrices.
     """
-    mode = form.mode()
-    if mode == "mixed":
-        raise ValueError("frequency pattern is 'mixed': the frozen Casimirs have no closed-form basis")
     n, p = form.n, form.p
-    if mode == "distinct":
-        rows = cols = np.arange(p)
-    else:
-        rows, cols = np.triu_indices(p)
-    skew_rows, skew_cols = np.triu_indices(p if mode == "equal" else 0, 1)  # none if distinct
+    rows, cols = np.triu_indices(p)
+    same = form.clusters[rows] == form.clusters[cols]
+    rows, cols = rows[same], cols[same]
+    skew_rows, skew_cols = rows[rows < cols], cols[rows < cols]
     kernel_rows, kernel_cols = _kernel_units(form)
     slots = np.arange(len(rows) + len(skew_rows) + len(kernel_rows))
     sym, skew, kernel = np.split(slots, [len(rows), len(rows) + len(skew_rows)])

@@ -7,9 +7,9 @@ tolerance.  Certificates carry enough detail (seeds, per-sample worst
 offenders) to be reproduced exactly.
 
 Rank-based verdicts are only issued where a closed-form expected value
-exists: nullity 0 or 1 for independence, and the two extreme frequency
-patterns for the frozen Casimir basis.  Everything else is reported
-without a verdict.
+exists: the Casimir and leaf-dimension counts have one for every frequency
+pattern, independence only for nullity 0 or 1.  Larger nullities are
+reported without an independence verdict.
 """
 
 from __future__ import annotations
@@ -224,16 +224,17 @@ def _involution_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: flo
     return _sampled_steps("involution", form, samples, seed, tol, residual)
 
 
-def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int | None]:
+def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int]:
     """Generic leaf dimensions (Lie-Poisson, frozen): n(n+1)/2 less each Casimir count.
 
-    They come to 2p(p+d) and, for the frozen structure, 2p(p+d) (distinct
-    frequencies), p(p+1+2d) (all equal) or None (mixed); the member count
-    p(p+d) is half the first.
+    They come to 2p(p+d) and, for the frozen structure, 2p(p+d) + p less
+    the sum of m_c^2 over the frequency clusters: 2p(p+d) for distinct
+    frequencies, p(p+1+2d) for all equal.  The member count p(p+d) is half
+    the first.
     """
     full = form.n * (form.n + 1) // 2
     lp_count, frozen_count = form.casimir_counts()
-    return full - lp_count, None if frozen_count is None else full - frozen_count
+    return full - lp_count, full - frozen_count
 
 
 def independence_certificate(
@@ -351,10 +352,9 @@ def casimir_certificate(
     Works in the canonical basis with the exact block structure matrix.
     The Lie-Poisson family must be tensor-annihilated at every sampled
     state and keep gradient rank p + d(d+1)/2; the frozen family is
-    state-independent with rank p + d(d+1)/2 (distinct frequencies) or
-    p^2 + d(d+1)/2 (all equal).  Mixed patterns skip the frozen basis,
-    which only exists in the two extreme cases.  Ranks are taken at
-    ``form.rank_tol``.
+    state-independent with rank the sum of m_c^2 over the frequency
+    clusters plus d(d+1)/2 (p or p^2 in place of the sum for distinct or
+    all equal frequencies).  Ranks are taken at ``form.rank_tol``.
     """
     return _alone(_casimir_steps(form, samples, seed, tol), form, seed)
 
@@ -364,20 +364,13 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
         raise ValueError("need at least one sample")
     n, p, d = form.n, form.p, form.d
     n_can = form.canonical_skew
-    mode = form.mode()
     lp_expected_rank, frozen_expected = form.casimir_counts()
-    frozen_grads = None if frozen_expected is None else frozen_casimir_gradients(form)
-
-    worst = 0.0
+    frozen_grads = frozen_casimir_gradients(form)
+    frozen_residual = max_abs(frozen_tensor(frozen_grads, n_can))
+    frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
+    worst = max(frozen_residual, float(abs(frozen_rank - frozen_expected)))
+    rank_ok = frozen_rank == frozen_expected
     details = []
-    frozen_residual = 0.0
-    frozen_rank = None
-    if frozen_grads is not None:
-        frozen_residual = max_abs(frozen_tensor(frozen_grads, n_can))
-        frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
-        worst = max(worst, frozen_residual, float(abs(frozen_rank - frozen_expected)))
-
-    rank_ok = frozen_grads is None or frozen_rank == frozen_expected
     for s in range(samples):
         x = (yield).x
         grads = lie_poisson_casimir_gradients(form, x)  # p + d(d+1)/2 >= 1 of them
@@ -387,7 +380,7 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
         worst = max(worst, residual, float(abs(lp_rank - lp_expected_rank)))
         details.append({"sample": s, "lie_poisson_residual": residual, "lie_poisson_rank": lp_rank})
     details.append({
-        "frozen_mode": mode,
+        "frozen_mode": form.mode(),
         "frozen_residual": frozen_residual,
         "frozen_rank": frozen_rank,
         "frozen_expected_rank": frozen_expected,
@@ -407,9 +400,10 @@ def leaf_dimension_certificate(
 ) -> Certificate:
     """Sampled leaf dimensions against the closed-form counts.
 
-    The Lie-Poisson side expects 2p(p+d) always; the frozen side expects
+    Both sides expect :func:`expected_leaf_dimensions` for every frequency
+    pattern: 2p(p+d) for the Lie-Poisson structure, and for the frozen one
+    2p(p+d) + p less the sum of m_c^2 over the frequency clusters, which is
     2p(p+d) for distinct frequencies and p(p+1+2d) when they all coincide.
-    Mixed patterns are reported without a verdict.
     """
     return _alone(_leaf_dimension_steps(form, samples, seed), form, seed)
 
@@ -429,9 +423,7 @@ def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
             details.append({"sample": s, "unstable": str(exc)})
             worst = max(worst, float(n * (n + 1) // 2))
             continue
-        gap = abs(dim_lp - expect_lp)
-        if expect_frozen is not None:
-            gap = max(gap, abs(dim_frozen - expect_frozen))
+        gap = max(abs(dim_lp - expect_lp), abs(dim_frozen - expect_frozen))
         worst = max(worst, float(gap))
         details.append({
             "sample": s,
@@ -441,7 +433,7 @@ def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
     return Certificate(
         name="leaf_dims", n=n, p=p, d=d, sample_count=samples,
         max_residual=worst, tolerance=0.0,
-        passed=None if expect_frozen is None else worst <= 0.0,
+        passed=worst <= 0.0,
         seed=seed, details=details,
     )
 

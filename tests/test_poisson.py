@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from symflow.matrix_core import (
 )
 from symflow.poisson import (
     CANONICAL_TOL,
+    FREQUENCY_GROUP_TOL,
     RankInstabilityError,
     SkewCanonicalForm,
     _reduced_state,
@@ -31,6 +34,7 @@ from symflow.poisson import (
     sym_basis,
     tensor_as_matrix,
 )
+from symflow.verify import casimir_certificate
 
 N2 = canonical_skew_matrix([1.0])
 
@@ -43,28 +47,21 @@ def sym_unit(n, i, j):
 
 
 def loop_frozen_casimir_gradients(form):
-    """Reference frozen Casimir gradients, one unit matrix at a time."""
+    """Reference frozen Casimir gradients, one unit matrix per same-cluster pair."""
     n, p, d = form.n, form.p, form.d
+    pairs = [(k, l) for k in range(p) for l in range(k, p) if form.clusters[k] == form.clusters[l]]
     out = []
-    if form.mode() == "distinct":
-        for k in range(p):
+    for k, l in pairs:
+        e = np.zeros((n, n))
+        e[k, l] = e[l, k] = 1.0
+        e[p + k, p + l] = e[p + l, p + k] = 1.0
+        out.append(e)
+    for k, l in pairs:
+        if k < l:
             e = np.zeros((n, n))
-            e[k, k] = 1.0
-            e[p + k, p + k] = 1.0
+            e[k, p + l] = e[p + l, k] = 1.0
+            e[l, p + k] = e[p + k, l] = -1.0
             out.append(e)
-    else:
-        for k in range(p):
-            for l in range(k, p):
-                e = np.zeros((n, n))
-                e[k, l] = e[l, k] = 1.0
-                e[p + k, p + l] = e[p + l, p + k] = 1.0
-                out.append(e)
-        for k in range(p):
-            for l in range(k + 1, p):
-                e = np.zeros((n, n))
-                e[k, p + l] = e[p + l, k] = 1.0
-                e[l, p + k] = e[p + k, l] = -1.0
-                out.append(e)
     for a in range(d):
         for b in range(a, d):
             out.append(sym_unit(n, 2 * p + a, 2 * p + b))
@@ -374,11 +371,18 @@ class TestFrozenCasimirs:
         grads = frozen_casimir_gradients(form)
         assert numerical_rank([e.ravel() for e in grads], 1e-9) == len(grads)
 
-    def test_mode_mismatch_raises(self):
-        # mixed frequencies have no closed-form frozen Casimir basis
-        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            frozen_casimir_gradients(form)
+    def test_mixed_gradients_per_cluster(self):
+        # frequencies [2, 1, 1]: the single 2 gives one unit, the pair of 1s four
+        for d in (0, 1):
+            form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
+            n = form.n
+            grads = frozen_casimir_gradients(form)
+            assert np.array_equal(grads, [
+                sym_unit(n, 0, 0) + sym_unit(n, 3, 3), sym_unit(n, 1, 1) + sym_unit(n, 4, 4),
+                sym_unit(n, 1, 2) + sym_unit(n, 4, 5), sym_unit(n, 2, 2) + sym_unit(n, 5, 5),
+                sym_unit(n, 1, 5) - sym_unit(n, 2, 4),
+            ] + [sym_unit(n, 6, 6) for _ in range(d)])
+            assert max_abs(frozen_tensor(grads, form.canonical_skew)) == 0.0
 
     def test_gradients_symmetric(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0], 1))
@@ -398,9 +402,86 @@ class TestCasimirCounts:
                 assert form.casimir_counts() == (p + kernel, frozen)
                 assert frozen == len(frozen_casimir_gradients(form))
 
-    def test_mixed_has_no_frozen_count(self):
-        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], 1))
-        assert form.casimir_counts() == (4, None)
+    def test_mixed_frozen_count(self):
+        # clusters of sizes 1 and 2: 1 + 4 frozen Casimirs, plus the kernel unit
+        for d, counts in ((0, (3, 5)), (1, (4, 6))):
+            form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
+            assert form.casimir_counts() == counts
+            assert all(type(count) is int for count in form.casimir_counts())
+
+
+class TestFrequencyClusters:
+    """Cluster labels split the descending frequencies at gaps above the relative cut."""
+
+    @staticmethod
+    def labels(frequencies):
+        form = canonical_form(N2)
+        return dataclasses.replace(form, frequencies=np.array(frequencies)).clusters
+
+    def test_no_frequency(self):
+        form = canonical_form(np.zeros((2, 2)))
+        assert form.clusters.shape == (0,)
+        assert form.mode() == "distinct"
+        assert form.casimir_counts() == (3, 3)
+
+    def test_one_frequency(self):
+        form = canonical_form(canonical_skew_matrix([1.5], 1))
+        assert form.clusters.tolist() == [0]
+        assert form.clusters.dtype.kind == "i"
+        assert form.mode() == "distinct"
+
+    def test_canonical_labels(self):
+        form = canonical_form(canonical_skew_matrix([1.0, 2.0, 1.0, 3.0, 2.0]))
+        assert np.allclose(form.frequencies, [3.0, 2.0, 2.0, 1.0, 1.0], rtol=1e-14, atol=0.0)
+        assert form.clusters.tolist() == [0, 1, 1, 2, 2]
+
+    def test_gap_at_the_cut(self):
+        top = 1e8
+        cut = FREQUENCY_GROUP_TOL * top
+        assert top - (top - cut) == cut  # the gap below is exactly the cut
+        assert self.labels([top, top - cut]).tolist() == [0, 0]
+        assert self.labels([top, np.nextafter(top - cut, 0.0)]).tolist() == [0, 1]
+
+    def test_cut_is_relative(self):
+        for scale in (1e-9, 1.0, 1e10):
+            assert self.labels(scale * np.array([3.0, 2.0, 1.0])).tolist() == [0, 1, 2]
+            assert self.labels(scale * np.array([1.0, 1.0 - 5e-9, 1.0 - 5e-9])).tolist() == [0, 0, 0]
+
+    def test_chain_of_small_gaps_is_one_cluster(self):
+        # each gap is within the cut, the span is not: the pairwise rule read this as mixed
+        v = [1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8]
+        assert v[0] - v[2] > FREQUENCY_GROUP_TOL
+        assert self.labels(v).tolist() == [0, 0, 0]
+        form = canonical_form(canonical_skew_matrix(v))
+        assert form.mode() == "equal"
+        assert form.casimir_counts() == (3, 9)
+
+
+#: Frequency patterns whose frozen Casimir count was measured as the null space of the frozen tensor.
+CENTRALISER_PATTERNS = [
+    [1.0, 1.7], [1.0, 1.0, 1.7], [1.0, 1.0, 1.7, 1.7], [1.0, 1.0, 1.0, 1.7], [1.0, 1.0, 1.7, 2.3],
+    [1.0, 1.0, 1.0, 1.7, 1.7], [1.3] * 2, [1.3] * 3, [1.3] * 4, [1.3] * 6,
+]
+
+
+class TestFrozenCentraliser:
+    """The frozen Casimir gradients span the centraliser of N in Sym(n), in a rotated basis too."""
+
+    @pytest.mark.parametrize("d", range(4))
+    @pytest.mark.parametrize("freqs", CENTRALISER_PATTERNS)
+    def test_count_is_null_space_dimension(self, freqs, d):
+        n = 2 * len(freqs) + d
+        q = np.linalg.qr(np.random.default_rng(len(freqs) + 10 * d).standard_normal((n, n)))[0]
+        n_skew = q @ canonical_skew_matrix(freqs, d) @ q.T
+        form = canonical_form(n_skew)
+        frozen = tensor_as_matrix(np.zeros((n, n)), n_skew, "frozen")
+        count = len(frozen) - numerical_rank(frozen, 1e-9)
+        grads = frozen_casimir_gradients(form)
+        assert form.casimir_counts()[1] == len(grads) == count
+        rotated = form.basis.T @ grads @ form.basis
+        assert max_abs(frozen_tensor(rotated, n_skew)) <= 1e-14
+        details = casimir_certificate(form, samples=1, seed=d).details[-1]
+        assert details["frozen_rank"] == details["frozen_expected_rank"] == count
 
 
 class TestLiePoissonCasimirs:
@@ -461,16 +542,24 @@ class TestLiePoissonCasimirs:
 STACKED_CASIMIR_CASES = [(p, d, mode) for p in range(4) for d in range(4) if p + d
                          for mode in ("distinct", "equal")]
 
+#: Every p in 0..5 and d in 0..3 with distinct and equal frequencies, and mixed ones from p = 3.
+FROZEN_CASIMIR_CASES = [(p, d, mode) for p in range(6) for d in range(4) if p + d
+                        for mode in ("distinct", "equal", "mixed") if mode != "mixed" or p >= 3]
+
 
 class TestStackedCasimirFamilies:
     """The stacked Casimir families equal the per-matrix loops bit for bit, in their order."""
 
     @staticmethod
     def form(p, d, mode):
-        freqs = [1.3] * p if mode == "equal" else [0.7 + 0.3 * k for k in range(p)]
+        freqs = {
+            "distinct": [0.7 + 0.3 * k for k in range(p)],
+            "equal": [1.3] * p,
+            "mixed": [1.3, 0.7, 1.3, 0.7, 0.4][:p],
+        }[mode]
         return canonical_form(canonical_skew_matrix(freqs, d))
 
-    @pytest.mark.parametrize("p, d, mode", STACKED_CASIMIR_CASES)
+    @pytest.mark.parametrize("p, d, mode", FROZEN_CASIMIR_CASES)
     def test_frozen_gradients(self, p, d, mode):
         form = self.form(p, d, mode)
         got, expected = frozen_casimir_gradients(form), np.array(loop_frozen_casimir_gradients(form))

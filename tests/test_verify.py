@@ -317,11 +317,15 @@ class TestCasimirCertificate:
         assert cert.passed
         assert cert.details[-1]["frozen_expected_rank"] == 4
 
-    def test_mixed_mode_skips_frozen_family(self):
-        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0]))
-        cert = casimir_certificate(form, samples=2, seed=11)
-        assert cert.details[-1]["frozen_mode"] == "mixed"
-        assert cert.details[-1]["frozen_rank"] is None
+    def test_mixed_mode_checks_frozen_family(self):
+        # clusters of sizes 1 and 2 give 1 + 4 frozen Casimirs, plus the kernel unit
+        for d, frozen in ((0, 5), (1, 6)):
+            form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
+            cert = casimir_certificate(form, samples=2, seed=11)
+            assert cert.passed is True
+            assert cert.details[-1]["frozen_mode"] == "mixed"
+            assert cert.details[-1]["frozen_residual"] == 0.0
+            assert cert.details[-1]["frozen_rank"] == cert.details[-1]["frozen_expected_rank"] == frozen
 
 
 class TestStackedCasimirResiduals:
@@ -366,8 +370,9 @@ class TestLeafDimensionCertificate:
                 assert expected_leaf_dimensions(distinct) == (lp, lp)
                 assert expected_leaf_dimensions(equal) == (lp, p * (p + 1 + 2 * d))
                 assert integrability_summary(distinct).required == p * (p + d)
-        mixed = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], 1))
-        assert expected_leaf_dimensions(mixed) == (24, None)
+        for d, dims in ((0, (18, 16)), (1, (24, 22))):
+            mixed = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
+            assert expected_leaf_dimensions(mixed) == dims
 
     def test_distinct(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
@@ -381,10 +386,23 @@ class TestLeafDimensionCertificate:
         assert cert.passed
         assert cert.details[0]["dims"] == [8, 6]
 
-    def test_mixed_no_verdict(self):
-        form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0]))
-        cert = leaf_dimension_certificate(form, samples=1, seed=14)
-        assert cert.passed is None
+    def test_mixed_verdict(self):
+        for d, dims in ((0, [18, 16]), (1, [24, 22])):
+            form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
+            cert = leaf_dimension_certificate(form, samples=1, seed=14)
+            assert cert.passed is True
+            assert cert.details[0]["dims"] == cert.details[0]["expected"] == dims
+
+    @pytest.mark.parametrize("freqs", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+    def test_verdict_independent_of_scale(self, freqs):
+        # the frequency grouping cut is relative: a rotated equal N at 1e10 has
+        # frequencies about 1e-6 apart, and [1e-9, 2e-9, 3e-9] gaps of 1e-9
+        q = np.linalg.qr(np.random.default_rng(22).standard_normal((6, 6)))[0]
+        n_skew = q @ canonical_skew_matrix(freqs) @ q.T
+        n_skew = n_skew - n_skew.T  # exactly skew: the skew check is absolute
+        verdicts = [leaf_dimension_certificate(canonical_form(scale * n_skew), samples=2, seed=15).passed
+                    for scale in (1e-9, 1.0, 1e10)]
+        assert verdicts == [True] * 3
 
 
 class TestRecursionAndLax:
