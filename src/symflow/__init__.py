@@ -51,15 +51,9 @@ from .dynamics import (
 from .verify import (
     Certificate,
     IntegrabilitySummary,
-    casimir_certificate,
     certificates,
     expected_leaf_dimensions,
-    independence_certificate,
     integrability_summary,
-    involution_certificate,
-    lax_certificate,
-    leaf_dimension_certificate,
-    recursion_certificate,
     sectional_certificate,
     sectional_comparison_2x2,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_square, commutator, max_abs, symmetrize
+from .matrix_core import commutator, max_abs
 from .invariants import admissible_indices, invariant_table
 from .poisson import SkewCanonicalForm, lie_poisson_casimirs
 
@@ -44,8 +44,9 @@ def vector_field(x: np.ndarray, n_skew: np.ndarray, out: np.ndarray | None = Non
     constructors produce them; then (x^2 n)^T = -n x^2, so the commutator
     takes two products, and m + m^T is symmetric bit for bit because
     floating-point addition commutes.  Inputs are not re-validated here:
-    :func:`integrate` checks x0 and N once at entry, and non-finite
-    intermediate RK4 stages must reach its divergence check.
+    the constructors check x0 and N once, where they enter, and non-finite
+    intermediate RK4 stages must reach the divergence check of
+    :func:`integrate`.
 
     ``out``, if given, is a float array of x's shape that receives the
     result; it must not alias x.
@@ -125,7 +126,10 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
 
     Parameters
     ----------
-    x0 : initial symmetric state.
+    x0 : initial state of ``form.n`` rows, exactly symmetric, as
+        :func:`symflow.matrix_core.sym_matrix` and
+        :func:`symflow.matrix_core.random_sym` make it; it is not checked
+        or projected again.
     form : canonical form of the structure matrix; the flow steps
         ``form.skew`` and the Casimir monitors read the form.
     config : step size, horizon, scheme, and monitor stride.
@@ -144,10 +148,7 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
     ValueError if the states of the whole horizon cannot be allocated.
     """
     n_skew = form.skew
-    x = symmetrize(as_square(x0))
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
-    n = x.shape[0]
+    n = x0.shape[0]
     labels = admissible_indices(n)
 
     h, n_steps, stride = config.step, config.n_steps, config.monitor_stride
@@ -156,7 +157,7 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
         states = np.empty((n_steps + 1, n, n))
     except (MemoryError, ValueError):
         raise ValueError(f"{n_steps} steps of a {n}x{n} state do not fit in memory") from None
-    states[0] = x
+    states[0] = x0
     y, k1, k2, k3, k4 = np.empty((5, n, n))
     monitor_times, inv_rows, cas_rows, spec_rows = [], [], [], []
 
@@ -166,7 +167,7 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
         cas_rows.append(lie_poisson_casimirs(form, form.to_canonical(state)))
         spec_rows.append(np.linalg.eigvalsh(state))
 
-    record(0.0, x)
+    record(0.0, x0)
     for start in range(1, n_steps + 1, stride):
         stop = min(start + stride, n_steps + 1)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .matrix_core import as_square, frob_norm, symmetrize
+from .matrix_core import frob_norm, symmetrize
 from .poisson import frozen_tensor, lie_poisson_tensor
 
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
@@ -91,13 +91,6 @@ def admissible_indices(n: int) -> list[tuple[int, int]]:
     module: k ascending, then 2r ascending.
     """
     return [(k, 2 * r) for k in range(1, n) for r in range(0, (k - 1) // 2 + 1)]
-
-
-def _check_pair(x, n_skew) -> np.ndarray:
-    x = as_square(x)
-    if x.shape != n_skew.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {n_skew.shape}")
-    return x
 
 
 def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.ndarray | None) -> np.ndarray:
@@ -165,12 +158,12 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
 
 def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
     """The (members,) values of the admissible members at the state x, in table order."""
-    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=False)[0]
+    return _harvest(x, n_skew, with_gradients=False)[0]
 
 
 def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (members,) values and (members, n, n) gradients of the members at x, in table order."""
-    return _harvest(_check_pair(x, n_skew), n_skew, with_gradients=True)
+    return _harvest(x, n_skew, with_gradients=True)
 
 
 #: Bytes of gradients one stacked recursion batch collects before it is
@@ -204,7 +197,6 @@ def recursion_residuals(x: np.ndarray, n_skew: np.ndarray) -> dict:
     tensor is applied once per batch of :data:`RECURSION_BATCH_BYTES`, with
     the arithmetic of one pair at a time.
     """
-    x = _check_pair(x, n_skew)
     n = x.shape[0]
     keys, residuals, lows, highs = [], [], [], []
     size = 0

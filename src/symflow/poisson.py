@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import (
-    as_square,
-    frobenius_inner,
-    max_abs,
-    symmetrize,
-)
+from .matrix_core import frobenius_inner, max_abs, symmetrize
 
 #: Relative grouping cut of :attr:`SkewCanonicalForm.clusters`: neighbouring
 #: frequencies at most this times the largest frequency apart share a cluster.
@@ -164,15 +159,15 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     basis.  Kernel membership is decided by |lambda| <= rank_tol * v_max,
     and the form records that ``rank_tol``.
 
-    Raises ``ValueError`` if the cut splits an eigenvalue pair, if the form
-    misses its structural invariants at :data:`CANONICAL_TOL`, or if its
-    kernel block exceeds the rank cut ``rank_tol * v_max``.
+    ``n_skew`` is exactly skew, as :func:`symflow.matrix_core.skew_matrix`,
+    :func:`canonical_skew_matrix` and :func:`symflow.matrix_core.random_skew`
+    make it.  Raises ``ValueError`` if ``rank_tol`` is not positive, if the
+    cut splits an eigenvalue pair, if the form misses its structural
+    invariants at :data:`CANONICAL_TOL`, or if its kernel block exceeds the
+    rank cut ``rank_tol * v_max``.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    n_skew = as_square(n_skew)
-    if max_abs(n_skew + n_skew.T) > 1e-8:
-        raise ValueError("matrix is not skew-symmetric")
     n = n_skew.shape[0]
     lam, vecs = np.linalg.eigh(1j * n_skew)
     v_max = float(np.abs(lam).max())
@@ -293,17 +288,14 @@ def _reduced_state(form: SkewCanonicalForm, x: np.ndarray) -> tuple[np.ndarray, 
     return s - a @ b_inv @ a.T, a, b_inv
 
 
-def lie_poisson_casimirs(form: SkewCanonicalForm, x_canonical: np.ndarray) -> np.ndarray:
-    """Casimir values of the Lie-Poisson bracket at a state in the canonical basis.
+def lie_poisson_casimirs(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
+    """Casimir values of the Lie-Poisson bracket at a state x of size ``form.n`` in the canonical basis.
 
     The first p values are trace((z core^{-1})^{2k}) / 2k for k = 1..p,
     where z is the Schur complement of the kernel block of the state (for
     invertible N this is plain trace((x n^{-1})^{2k}) / 2k).  The remaining
     d(d+1)/2 values are the linear kernel-block functions trace(x e).
     """
-    x = as_square(x_canonical)
-    if x.shape[0] != form.n:
-        raise ValueError(f"state size {x.shape[0]} does not match form size {form.n}")
     vals = []
     if form.p > 0:
         core_inv = form.pseudo_inverse[:2 * form.p, :2 * form.p]
@@ -322,8 +314,8 @@ def lie_poisson_casimirs(form: SkewCanonicalForm, x_canonical: np.ndarray) -> np
     return np.concatenate([vals, linear])
 
 
-def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarray) -> np.ndarray:
-    """Gradients of the Lie-Poisson Casimirs at a state in the canonical basis, stacked (count, n, n).
+def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
+    """Gradients of the Lie-Poisson Casimirs at a state x in the canonical basis, stacked (count, n, n).
 
     The trace-power family (k = 1..p) comes first, then the linear family in
     the order of :func:`lie_poisson_casimirs`.  The trace-power family has
@@ -333,9 +325,6 @@ def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x_canonical: np.ndarr
     tensor kernel.  The linear family keeps its constant kernel-block unit
     gradients.
     """
-    x = as_square(x_canonical)
-    if x.shape[0] != form.n:
-        raise ValueError(f"state size {x.shape[0]} does not match form size {form.n}")
     n, p, d = form.n, form.p, form.d
     m = 2 * p
     rows, cols = _kernel_units(form)
@@ -377,25 +366,23 @@ def sym_basis(n: int) -> np.ndarray:
     return basis
 
 
-def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, which: str) -> np.ndarray:
-    """Matrix of a Poisson tensor in the orthonormal Sym(n) basis.
+def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (Lie-Poisson, frozen) of both Poisson tensors in the orthonormal Sym(n) basis.
 
-    ``which`` selects ``'lie_poisson'`` or ``'frozen'``.  The result is an
-    antisymmetric m x m matrix, m = n(n+1)/2, whose numerical rank is the
-    symplectic leaf dimension through the chosen structure.
+    Each is an antisymmetric m x m matrix, m = n(n+1)/2, whose numerical
+    rank is the symplectic leaf dimension through its structure.  Both come
+    from one :func:`sym_basis` and one product ``basis @ n_skew``.
     """
-    if which not in ("lie_poisson", "frozen"):
-        raise ValueError(f"unknown tensor {which!r}")
     basis = sym_basis(x.shape[0])
     m = len(basis)
-    left = basis @ x if which == "lie_poisson" else basis
     # With L = x (Lie-Poisson) or the identity (frozen), entry (i, j) is
     # trace(E_i L E_j N) - trace(E_i N E_j L) = g[i, j] - g[j, i] by
     # cyclicity, where g[i, j] = trace(left_i right_j) is one GEMM of the
-    # flattened left_i against the flattened transposes of right_j = E_j N.
-    right = (basis @ n_skew).transpose(0, 2, 1).reshape(m, -1)
-    g = left.reshape(m, -1) @ right.T
-    return g - g.T
+    # flattened left_i = E_i L against the flattened transposes of right_j = E_j N.
+    right = (basis @ n_skew).transpose(0, 2, 1).reshape(m, -1).T
+    g_lp = (basis @ x).reshape(m, -1) @ right
+    g_frozen = basis.reshape(m, -1) @ right
+    return g_lp - g_lp.T, g_frozen - g_frozen.T
 
 
 def rank_certified(vectors, tol: float) -> int:
@@ -406,16 +393,10 @@ def rank_certified(vectors, tol: float) -> int:
     and is re-counted at s > 10 * tol * s[0].  Raises
     :class:`RankInstabilityError` when the two counts disagree, which flags
     a spectrum straddling the threshold instead of silently returning either
-    answer.  A zero matrix has rank 0.
+    answer.  A zero matrix has rank 0.  Expects at least one vector and a
+    positive ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    try:
-        work = np.asarray(vectors, dtype=float)
-    except ValueError as exc:
-        raise ValueError("vectors have inconsistent lengths") from exc
-    if work.ndim == 0 or len(work) == 0:
-        raise ValueError("rank of an empty set")
+    work = np.asarray(vectors, dtype=float)
     s = np.linalg.svd(work.reshape(len(work), work[0].size), compute_uv=False)
     top = s.max(initial=0.0)
     r, r_loose = int(np.sum(s > tol * top)), int(np.sum(s > 10.0 * tol * top))
@@ -434,8 +415,7 @@ def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray) -> tuple[int, int]:
     caller is expected to pass a generic x (resample if a rank instability
     is flagged).
     """
-    b_mat = tensor_as_matrix(x, form.skew, "lie_poisson")
-    c_mat = tensor_as_matrix(x, form.skew, "frozen")
+    b_mat, c_mat = tensor_as_matrix(x, form.skew)
     # Both matrices are antisymmetric: their rows are the negated columns.
     dim_lp = rank_certified(b_mat, form.rank_tol)
     dim_frozen = rank_certified(c_mat, form.rank_tol)

@@ -1,10 +1,12 @@
 """Numerical certificates for the structural claims about the flow.
 
-Each certificate samples random unit-Frobenius symmetric states (standard
-normal entries, symmetrized, normalized) with a recorded seed, evaluates a
-family of residuals or ranks, and reports the worst case against a fixed
-tolerance.  Certificates carry enough detail (seeds, per-sample worst
-offenders) to be reproduced exactly.
+:func:`certificates` is the one entry: it runs the named suites, one of
+them alone or all of ``symflow verify``'s.  Each sampled suite draws random
+unit-Frobenius symmetric states (standard normal entries, symmetrized,
+normalized) with a recorded seed, evaluates a family of residuals or
+ranks, and reports the worst case against a fixed tolerance.  Certificates
+carry enough detail (seeds, per-sample worst offenders) to be reproduced
+exactly.
 
 Rank-based verdicts are only issued where a closed-form expected value
 exists: the Casimir and leaf-dimension counts have one for every frequency
@@ -37,8 +39,7 @@ from .poisson import (
 )
 from .dynamics import lax_residual, vector_field
 
-#: The tolerances of ``symflow verify`` and of each certificate's signature,
-#: keyed as a config's ``tolerances``: identity (involution), casimir,
+#: The tolerances of ``symflow verify``, keyed as a config's ``tolerances``: identity (involution), casimir,
 #: recursion and lax bound their suites' residuals, and rank is the relative
 #: cut of the canonical form and of every rank decision made with it.
 DEFAULT_TOLERANCES = {
@@ -148,22 +149,12 @@ def _feed(suites: dict, draws) -> dict:
     return outcomes
 
 
-def _alone(steps, form: SkewCanonicalForm, seed: int) -> Certificate:
-    """The certificate of one suite's steps on a stream of draws of its own."""
-    outcome = _feed({0: steps}, _draws(form, seed))[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _sampled_steps(name: str, form: SkewCanonicalForm, samples: int, seed: int, tol: float, residual):
     """Steps of a suite whose sample passes when its residual is at most ``tol``.
 
     ``residual(draw)`` returns the draw's residual and the rest of its
     detail; the certificate keeps the worst residual.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     worst = 0.0
     details = []
     for s in range(samples):
@@ -175,20 +166,6 @@ def _sampled_steps(name: str, form: SkewCanonicalForm, samples: int, seed: int, 
         max_residual=worst, tolerance=tol, passed=worst <= tol, seed=seed,
         details=details,
     )
-
-
-def involution_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOLERANCES["identity"],
-) -> Certificate:
-    """Worst pairwise bracket value among all conserved-family members.
-
-    Every admissible pair is evaluated in both the Lie-Poisson and the
-    frozen bracket at each sampled state; all must vanish to roundoff.
-    """
-    return _alone(_involution_steps(form, samples, seed, tol), form, seed)
 
 
 def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> tuple[int, float]:
@@ -210,6 +187,7 @@ def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> t
 
 
 def _involution_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
+    """Worst bracket, Lie-Poisson and frozen, over every pair of members; all vanish to roundoff."""
     keys = admissible_indices(form.n)
     rows, cols = np.triu_indices(len(keys), 1)
 
@@ -237,24 +215,6 @@ def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int]:
     return full - lp_count, full - frozen_count
 
 
-def independence_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int = 0,
-) -> Certificate:
-    """Rank of the stacked conserved-family gradients at sampled states.
-
-    For nullity 0 or 1 the expected rank is p(p+d), the full member count,
-    and a verdict is issued; larger nullities are reported rank-only since
-    the family is then redundant.  Gradients are normalized before the rank
-    computation (scale does not affect independence) and the rank, at
-    ``form.rank_tol``, is re-checked one tolerance decade higher;
-    disagreement is flagged in the details rather than averaged away.
-    Up to :data:`MAX_RESAMPLES` resamples per sample take the next draws.
-    """
-    return _alone(_independence_steps(form, samples, seed), form, seed)
-
-
 def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
     """Decade ranks of the member gradients, each normalized to unit norm.
 
@@ -269,8 +229,11 @@ def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
 
 
 def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int):
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    """Rank of the normalized member gradients at ``form.rank_tol``, and its stability a decade higher.
+
+    Nullity 0 or 1 expects p(p+d), the member count; larger nullities get no
+    verdict.  A missed rank takes up to :data:`MAX_RESAMPLES` further draws.
+    """
     n, p, d = form.n, form.p, form.d
     expected = expected_leaf_dimensions(form)[0] // 2 if d in (0, 1) else None
     details = []
@@ -341,27 +304,12 @@ def integrability_summary(form: SkewCanonicalForm) -> IntegrabilitySummary:
     )
 
 
-def casimir_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOLERANCES["casimir"],
-) -> Certificate:
-    """Annihilation residuals and gradient ranks of both Casimir families.
-
-    Works in the canonical basis with the exact block structure matrix.
-    The Lie-Poisson family must be tensor-annihilated at every sampled
-    state and keep gradient rank p + d(d+1)/2; the frozen family is
-    state-independent with rank the sum of m_c^2 over the frequency
-    clusters plus d(d+1)/2 (p or p^2 in place of the sum for distinct or
-    all equal frequencies).  Ranks are taken at ``form.rank_tol``.
-    """
-    return _alone(_casimir_steps(form, samples, seed, tol), form, seed)
-
-
 def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    """Both Casimir families in the canonical basis, each annihilated by its tensor and of full rank.
+
+    The ranks at ``form.rank_tol`` are p + d(d+1)/2 (Lie-Poisson, per draw) and
+    sum_c m_c^2 + d(d+1)/2 (frozen, state-independent, once): :meth:`SkewCanonicalForm.casimir_counts`.
+    """
     n, p, d = form.n, form.p, form.d
     n_can = form.canonical_skew
     lp_expected_rank, frozen_expected = form.casimir_counts()
@@ -393,62 +341,24 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
     )
 
 
-def leaf_dimension_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-) -> Certificate:
-    """Sampled leaf dimensions against the closed-form counts.
-
-    Both sides expect :func:`expected_leaf_dimensions` for every frequency
-    pattern: 2p(p+d) for the Lie-Poisson structure, and for the frozen one
-    2p(p+d) + p less the sum of m_c^2 over the frequency clusters, which is
-    2p(p+d) for distinct frequencies and p(p+1+2d) when they all coincide.
-    """
-    return _alone(_leaf_dimension_steps(form, samples, seed), form, seed)
-
-
 def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n, p, d = form.n, form.p, form.d
-    expect_lp, expect_frozen = expected_leaf_dimensions(form)
-    details = []
-    worst = 0.0
-    for s in range(samples):
-        x = (yield).x
+    """Leaf dimensions against :func:`expected_leaf_dimensions`; an unstable rank counts n(n+1)/2."""
+    expected = expected_leaf_dimensions(form)
+
+    def residual(draw):
         try:
-            dim_lp, dim_frozen = leaf_dimensions(form, x)
+            dims = leaf_dimensions(form, draw.x)
         except RankInstabilityError as exc:
-            details.append({"sample": s, "unstable": str(exc)})
-            worst = max(worst, float(n * (n + 1) // 2))
-            continue
-        gap = max(abs(dim_lp - expect_lp), abs(dim_frozen - expect_frozen))
-        worst = max(worst, float(gap))
-        details.append({
-            "sample": s,
-            "dims": [dim_lp, dim_frozen],
-            "expected": [expect_lp, expect_frozen],
-        })
-    return Certificate(
-        name="leaf_dims", n=n, p=p, d=d, sample_count=samples,
-        max_residual=worst, tolerance=0.0,
-        passed=worst <= 0.0,
-        seed=seed, details=details,
-    )
+            return float(form.n * (form.n + 1) // 2), {"unstable": str(exc)}
+        gap = max(abs(dims[0] - expected[0]), abs(dims[1] - expected[1]))
+        return float(gap), {"dims": list(dims), "expected": list(expected)}
 
-
-def recursion_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOLERANCES["recursion"],
-) -> Certificate:
-    """Worst recursion residual over all admissible index pairs."""
-    return _alone(_recursion_steps(form, samples, seed, tol), form, seed)
+    return _sampled_steps("leaf_dims", form, samples, seed, 0.0, residual)
 
 
 def _recursion_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
+    """Worst recursion residual over all admissible index pairs."""
+
     def residual(draw):
         sample_worst, worst_pair = 0.0, None
         for pair, res in recursion_residuals(draw.x, form.skew).items():
@@ -459,17 +369,9 @@ def _recursion_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: floa
     return _sampled_steps("recursion", form, samples, seed, tol, residual)
 
 
-def lax_certificate(
-    form: SkewCanonicalForm,
-    samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOLERANCES["lax"],
-) -> Certificate:
-    """Worst parametric commutator defect over the grid :data:`LAX_LAMBDAS`."""
-    return _alone(_lax_steps(form, samples, seed, tol), form, seed)
-
-
 def _lax_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
+    """Worst parametric commutator defect over the grid :data:`LAX_LAMBDAS`."""
+
     def residual(draw):
         res = max(lax_residual(draw.x, form.skew, lam) for lam in LAX_LAMBDAS)
         return res, {"max_residual": res}
@@ -485,14 +387,10 @@ def sectional_comparison_2x2(alpha, beta, x2: np.ndarray):
     this flow gives (a+d) [[-2b, a-d], [a-d, 2b]]; the two coincide only on
     the a = d locus.  Broadcasts over a stack of states of shape (..., 2, 2)
     with alpha and beta of shape (...).  Returns (sectional_rhs, flow_rhs,
-    differ).
+    differ).  Expects nonzero alpha.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha == 0):
-        raise ValueError("alpha must be nonzero")
     x2 = np.asarray(x2, dtype=float)
-    if x2.shape[-2:] != (2, 2):
-        raise ValueError("comparison is specific to 2x2 states")
     a, b, d = x2[..., 0, 0], x2[..., 0, 1], x2[..., 1, 1]
     zero = np.zeros_like(a)
     sectional = np.stack([-2.0 * a * b, zero, zero, 2.0 * b * d], -1) * (beta / alpha)[..., None]
@@ -516,8 +414,6 @@ def sectional_certificate(
     that: the 2x2 flow is itself of sectional-operator type, with
     (a, b) = (I, I).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     points = np.empty((0, 5))  # batches accept, in order, what single draws would
     while len(points) < samples:
@@ -542,7 +438,8 @@ def sectional_certificate(
 def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolerances: dict):
     """Each named suite's certificate, or the exception it raised, in the order of ``names``.
 
-    ``samples`` is the command's count, which leaf_dims caps at 5 and
+    The one way to run a suite: ``[name]`` runs it alone.  ``samples``, at
+    least 1, is the command's count, which leaf_dims caps at 5 and
     sectional2x2 raises to at least 1000 points of its own; ``tolerances``
     maps identity, casimir, recursion and lax to their suites' tolerances.
     Every other suite reads the one stream of draws: they run in one pass
@@ -550,6 +447,8 @@ def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolera
     each certificate equals the suite's alone, each draw and its member
     gradients are computed once and only the current draw is held.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     outcomes = None
     for name in names:
         if name == "sectional2x2":

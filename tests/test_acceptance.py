@@ -32,13 +32,20 @@ from symflow.dynamics import (
     vector_field,
 )
 from symflow.verify import (
-    casimir_certificate,
+    DEFAULT_TOLERANCES,
+    certificates,
     expected_leaf_dimensions,
     flow_generation_defect,
-    independence_certificate,
-    involution_certificate,
     sectional_certificate,
 )
+
+
+def run_suite(form, name, samples, seed, **tolerances):
+    """The certificate of one suite run alone by ``certificates``; raises the exception it yields."""
+    (outcome,) = certificates(form, [name], samples, seed, {**DEFAULT_TOLERANCES, **tolerances})
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def report(num, name, metric, value, tol, elapsed, cap, comparison="<="):
@@ -110,7 +117,7 @@ def test_c05_involution():
     rng = np.random.default_rng(105)
     worst = 0.0
     for n in (4, 6, 8):
-        cert = involution_certificate(canonical_form(random_skew(n, rng)), samples=20, seed=105 + n)
+        cert = run_suite(canonical_form(random_skew(n, rng)), "involution", 20, 105 + n)
         worst = max(worst, cert.max_residual)
     report(5, "involution-both-brackets", "max |bracket|", worst, 1e-10,
            time.perf_counter() - start, 60.0)
@@ -124,7 +131,7 @@ def test_c06_independence():
             rng = np.random.default_rng(1000 * n + seed)
             form = canonical_form(random_skew(n, rng))
             assert (form.n - 2 * form.p) == d
-            cert = independence_certificate(form, samples=1, seed=seed)
+            cert = run_suite(form, "independence", 1, seed)
             worst_gap = max(worst_gap, cert.max_residual)
     report(6, "independence-rank", "max |rank gap|", worst_gap, 0.0,
            time.perf_counter() - start, 60.0)
@@ -153,7 +160,7 @@ def test_c08_casimir_annihilation_and_counts():
     cases = [([1.0, 2.0], 0), ([1.3, 2.2], 1), ([1.0, 2.0], 2), ([1.0, 1.0], 0)]
     for freqs, d in cases:
         form = canonical_form(canonical_skew_matrix(freqs, d))
-        cert = casimir_certificate(form, samples=10, seed=108, tol=1e-11)
+        cert = run_suite(form, "casimir", 10, 108, casimir=1e-11)
         assert cert.passed, f"casimir certificate failed at freqs={freqs} d={d}"
         worst = max(worst, cert.max_residual)
     report(8, "casimir-annihilation", "max residual", worst, 1e-11,

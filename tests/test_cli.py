@@ -501,8 +501,6 @@ UNREACHED_REFERENCES = {
     "poisson.frozen_bracket": "pair-by-pair reference for the involution suite",
     "poisson.poisson_jacobi_defect": "compatibility of the two Poisson structures, acceptance C09",
     "verify.flow_generation_defect": "the flow generated through each Poisson structure, acceptance C10",
-    **{f"verify.{suite}_certificate": "single-suite reference for verify.certificates"
-       for suite in ("involution", "independence", "casimir", "leaf_dimension", "recursion", "lax")},
 }
 
 
@@ -608,6 +606,23 @@ class TestConfigHandling:
                                              [0, 0, 1.0, 0], [0, 0, 0, 1.0]]})
         code, _ = run(tmp_path, "simulate", config)
         assert code == 2
+
+    def test_scaled_explicit_n_accepted(self, tmp_path):
+        # 1e10 q J q^T carries roundoff asymmetry of about 2e-6, within the relative bound
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
+        code, out = run(tmp_path, "leaf-dims", dict(BASE, n=6, N={"explicit": (1e10 * q @ j @ q.T).tolist()}))
+        assert code == 0
+        payload = json.loads((out / "leaf_dims.json").read_text())
+        assert payload["frequency_mode"] == "equal"
+        assert payload["frozen_dim"] == payload["frozen_expected"] == 12
+
+    def test_tiny_symmetric_n_rejected(self, tmp_path, capsys):
+        # entries of about 1e-10: symmetric at every scale, so not a skew N
+        a = 1e-10 * np.random.default_rng(4).standard_normal((6, 6))
+        code, _ = run(tmp_path, "leaf-dims", dict(BASE, n=6, N={"explicit": (a + a.T).tolist()}))
+        assert code == 2
+        assert "config error: explicit N rejected: matrix is not skew-symmetric" in capsys.readouterr().err
 
     def test_bad_integrator(self, tmp_path):
         config = dict(BASE, integrator={"step": -0.1, "t_end": 1.0})

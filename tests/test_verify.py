@@ -10,22 +10,26 @@ from symflow.invariants import admissible_indices, gradient_table, invariant_cou
 from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
 from symflow.verify import (
-    casimir_certificate,
+    DEFAULT_TOLERANCES,
+    certificates,
     expected_leaf_dimensions,
     flow_generation_defect,
-    independence_certificate,
     integrability_summary,
-    involution_certificate,
-    lax_certificate,
-    leaf_dimension_certificate,
-    recursion_certificate,
     sectional_certificate,
     sectional_comparison_2x2,
 )
 
 
+def run_suite(form, name, samples, seed, **tolerances):
+    """The certificate of one suite run alone by ``certificates``; raises the exception it yields."""
+    (outcome,) = certificates(form, [name], samples, seed, {**DEFAULT_TOLERANCES, **tolerances})
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def loop_involution_details(form, samples, seed):
-    """Pair-by-pair bracket loop, the reference form of involution_certificate."""
+    """Pair-by-pair bracket loop, the reference form of the involution suite."""
     keys = admissible_indices(form.n)
     rng = np.random.default_rng(seed)
     details = []
@@ -72,7 +76,7 @@ def both_forms(alpha, beta, x):
 class TestInvolution:
     def test_passes_n4(self):
         rng = np.random.default_rng(0)
-        cert = involution_certificate(canonical_form(random_skew(4, rng)), samples=10, seed=1)
+        cert = run_suite(canonical_form(random_skew(4, rng)), "involution", 10, 1)
         assert cert.passed
         assert cert.max_residual <= 1e-10
         assert cert.sample_count == 10
@@ -80,23 +84,23 @@ class TestInvolution:
 
     def test_vacuous_n2(self):
         # single member: no pairs beyond self, residual exactly zero
-        cert = involution_certificate(canonical_form(canonical_skew_matrix([1.0])), samples=3, seed=2)
+        cert = run_suite(canonical_form(canonical_skew_matrix([1.0])), "involution", 3, 2)
         assert cert.passed
         assert cert.max_residual == 0.0
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(3)
         form = canonical_form(random_skew(4, rng))
-        c1 = involution_certificate(form, samples=4, seed=9)
-        c2 = involution_certificate(form, samples=4, seed=9)
+        c1 = run_suite(form, "involution", 4, 9)
+        c2 = run_suite(form, "involution", 4, 9)
         assert c1.max_residual == c2.max_residual
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            involution_certificate(canonical_form(canonical_skew_matrix([1.0])), samples=0, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            run_suite(canonical_form(canonical_skew_matrix([1.0])), "involution", 0, 0)
 
     def check_against_loop(self, form, samples, seed):
-        cert = involution_certificate(form, samples=samples, seed=seed)
+        cert = run_suite(form, "involution", samples, seed)
         expected = loop_involution_details(form, samples, seed)
         assert cert.details == expected
         assert cert.max_residual == max(item["max_abs_bracket"] for item in expected)
@@ -124,13 +128,13 @@ class TestIndependence:
     def test_generic_ranks(self, n, expected_rank):
         rng = np.random.default_rng(n)
         form = canonical_form(random_skew(n, rng))
-        cert = independence_certificate(form, samples=3, seed=5)
+        cert = run_suite(form, "independence", 3, 5)
         assert cert.passed
         assert all(item["rank"] == expected_rank for item in cert.details)
 
     def test_degenerate_reported_without_verdict(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0], 2))
-        cert = independence_certificate(form, samples=2, seed=6)
+        cert = run_suite(form, "independence", 2, 6)
         assert cert.passed is None
         assert all(item["expected"] is None for item in cert.details)
 
@@ -146,7 +150,7 @@ class TestIndependence:
 
     def test_stability_recorded(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
-        cert = independence_certificate(form, samples=2, seed=7)
+        cert = run_suite(form, "independence", 2, 7)
         assert all(item["stable"] for item in cert.details)
 
 
@@ -167,15 +171,7 @@ class TestSharedDraws:
 
     @staticmethod
     def alone(form, samples, seed, names=MEMBER_PAIR):
-        suites = {
-            "involution": lambda: involution_certificate(form, samples, seed, TOLERANCES["identity"]),
-            "independence": lambda: independence_certificate(form, samples, seed),
-            "casimir": lambda: casimir_certificate(form, samples, seed, TOLERANCES["casimir"]),
-            "leaf_dims": lambda: leaf_dimension_certificate(form, min(samples, 5), seed),
-            "recursion": lambda: recursion_certificate(form, samples, seed, TOLERANCES["recursion"]),
-            "lax": lambda: lax_certificate(form, samples, seed, TOLERANCES["lax"]),
-        }
-        return {name: suites[name]().to_dict() for name in names}
+        return {name: run_suite(form, name, samples, seed, **TOLERANCES).to_dict() for name in names}
 
     @staticmethod
     def outcomes(form, samples, seed, names=MEMBER_PAIR):
@@ -231,7 +227,7 @@ class TestSharedDraws:
 
     def test_failing_suite_keeps_the_other(self, monkeypatch):
         form = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2]))
-        expected = involution_certificate(form, 2, 7).to_dict()
+        expected = run_suite(form, "involution", 2, 7).to_dict()
 
         def broken(*args):
             raise ArithmeticError("rank")
@@ -241,12 +237,12 @@ class TestSharedDraws:
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
         with pytest.raises(ArithmeticError, match="rank"):
-            independence_certificate(form, 2, 7)
+            run_suite(form, "independence", 2, 7)
 
     def test_failing_draw_reaches_only_its_readers(self, monkeypatch):
         # the third draw is read by independence alone (a resample after two samples)
         form = canonical_form(canonical_skew_matrix([1.3] * 3))
-        expected = involution_certificate(form, 2, 4).to_dict()
+        expected = run_suite(form, "involution", 2, 4).to_dict()
         table, calls = verify.gradient_table, []
 
         def third_fails(*args):
@@ -260,13 +256,16 @@ class TestSharedDraws:
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
 
-    def test_no_samples(self):
+    def test_no_samples(self, monkeypatch):
+        # checked once, before any suite runs, sectional2x2 included
         form = canonical_form(canonical_skew_matrix([0.6, 0.9]))
-        outcomes = self.outcomes(form, 0, 1, STREAM_SUITES + ("sectional2x2",))
-        assert all(isinstance(outcomes[name], ValueError) for name in STREAM_SUITES)
-        assert outcomes["sectional2x2"].sample_count == 1000
-        with pytest.raises(ValueError, match="at least one sample"):
-            involution_certificate(form, 0, 1)
+        ran = []
+        monkeypatch.setattr(verify, "_draws", lambda *a: ran.append("draws"))
+        monkeypatch.setattr(verify, "sectional_certificate", lambda *a: ran.append("sectional2x2"))
+        for names in (("sectional2x2",) + STREAM_SUITES, STREAM_SUITES, ("sectional2x2",)):
+            with pytest.raises(ValueError, match="at least one sample"):
+                self.outcomes(form, 0, 1, names)
+        assert ran == []
 
 
 class TestIntegrabilitySummary:
@@ -290,7 +289,7 @@ class TestIntegrabilitySummary:
 class TestCasimirCertificate:
     def test_full_rank_case(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
-        cert = casimir_certificate(form, samples=5, seed=8)
+        cert = run_suite(form, "casimir", 5, 8)
         assert cert.passed
         assert cert.max_residual <= 1e-11
         assert cert.details[-1]["frozen_expected_rank"] == 2
@@ -298,7 +297,7 @@ class TestCasimirCertificate:
     def test_rank_two_structure_on_n3(self):
         # p = 1, d = 1: one trace Casimir plus one kernel entry
         form = canonical_form(canonical_skew_matrix([1.5], 1))
-        cert = casimir_certificate(form, samples=5, seed=9)
+        cert = run_suite(form, "casimir", 5, 9)
         assert cert.passed
         assert cert.details[-1]["frozen_expected_rank"] == 2
         assert cert.details[-1]["lie_poisson_expected_rank"] == 2
@@ -313,7 +312,7 @@ class TestCasimirCertificate:
 
     def test_equal_mode_rank(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))
-        cert = casimir_certificate(form, samples=4, seed=10)
+        cert = run_suite(form, "casimir", 4, 10)
         assert cert.passed
         assert cert.details[-1]["frozen_expected_rank"] == 4
 
@@ -321,7 +320,7 @@ class TestCasimirCertificate:
         # clusters of sizes 1 and 2 give 1 + 4 frozen Casimirs, plus the kernel unit
         for d, frozen in ((0, 5), (1, 6)):
             form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
-            cert = casimir_certificate(form, samples=2, seed=11)
+            cert = run_suite(form, "casimir", 2, 11)
             assert cert.passed is True
             assert cert.details[-1]["frozen_mode"] == "mixed"
             assert cert.details[-1]["frozen_residual"] == 0.0
@@ -336,7 +335,7 @@ class TestStackedCasimirResiduals:
     def test_lie_poisson_residuals_match_loop(self, freqs, d):
         from symflow.poisson import lie_poisson_casimir_gradients, lie_poisson_tensor
         form = canonical_form(canonical_skew_matrix(freqs, d))
-        cert = casimir_certificate(form, samples=3, seed=12)
+        cert = run_suite(form, "casimir", 3, 12)
         rng = np.random.default_rng(12)
         for detail in cert.details[:-1]:
             x = random_sym(form.n, rng)
@@ -354,7 +353,7 @@ class TestStackedCasimirResiduals:
         perturbed = np.array([e + 1e-3 * (k + 1) * random_sym(form.n, rng)
                               for k, e in enumerate(frozen_casimir_gradients(form))])
         monkeypatch.setattr(verify, "frozen_casimir_gradients", lambda form: perturbed)
-        cert = casimir_certificate(form, samples=1, seed=13)
+        cert = run_suite(form, "casimir", 1, 13)
         expected = max(max_abs(frozen_tensor(e, form.canonical_skew)) for e in perturbed)
         assert expected > 0.0
         assert cert.details[-1]["frozen_residual"] == expected
@@ -376,22 +375,30 @@ class TestLeafDimensionCertificate:
 
     def test_distinct(self):
         form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
-        cert = leaf_dimension_certificate(form, samples=2, seed=12)
+        cert = run_suite(form, "leaf_dims", 2, 12)
         assert cert.passed
         assert cert.details[0]["dims"] == [8, 8]
 
     def test_equal(self):
         form = canonical_form(canonical_skew_matrix([1.0, 1.0]))
-        cert = leaf_dimension_certificate(form, samples=2, seed=13)
+        cert = run_suite(form, "leaf_dims", 2, 13)
         assert cert.passed
         assert cert.details[0]["dims"] == [8, 6]
 
     def test_mixed_verdict(self):
         for d, dims in ((0, [18, 16]), (1, [24, 22])):
             form = canonical_form(canonical_skew_matrix([1.0, 1.0, 2.0], d))
-            cert = leaf_dimension_certificate(form, samples=1, seed=14)
+            cert = run_suite(form, "leaf_dims", 1, 14)
             assert cert.passed is True
             assert cert.details[0]["dims"] == cert.details[0]["expected"] == dims
+
+    def test_unstable_rank_counts_full_dimension(self):
+        # a chain of sub-cut gaps: the leaf ranks straddle the tolerance decade
+        form = canonical_form(canonical_skew_matrix([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8]))
+        cert = run_suite(form, "leaf_dims", 2, 0)
+        assert cert.passed is False and cert.max_residual == 21.0  # n(n+1)/2 at n = 6
+        unstable = "rank 18 at tol 1.0e-09 but 12 at 1.0e-08"
+        assert cert.details == [{"sample": s, "unstable": unstable} for s in range(2)]
 
     @pytest.mark.parametrize("freqs", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
     def test_verdict_independent_of_scale(self, freqs):
@@ -399,8 +406,8 @@ class TestLeafDimensionCertificate:
         # frequencies about 1e-6 apart, and [1e-9, 2e-9, 3e-9] gaps of 1e-9
         q = np.linalg.qr(np.random.default_rng(22).standard_normal((6, 6)))[0]
         n_skew = q @ canonical_skew_matrix(freqs) @ q.T
-        n_skew = n_skew - n_skew.T  # exactly skew: the skew check is absolute
-        verdicts = [leaf_dimension_certificate(canonical_form(scale * n_skew), samples=2, seed=15).passed
+        n_skew = n_skew - n_skew.T  # exactly skew, as the constructors make N
+        verdicts = [run_suite(canonical_form(scale * n_skew), "leaf_dims", 2, 15).passed
                     for scale in (1e-9, 1.0, 1e10)]
         assert verdicts == [True] * 3
 
@@ -408,13 +415,13 @@ class TestLeafDimensionCertificate:
 class TestRecursionAndLax:
     def test_recursion_certificate(self):
         rng = np.random.default_rng(15)
-        cert = recursion_certificate(canonical_form(random_skew(5, rng)), samples=5, seed=16)
+        cert = run_suite(canonical_form(random_skew(5, rng)), "recursion", 5, 16)
         assert cert.passed
         assert cert.max_residual <= 1e-11
 
     def test_lax_certificate(self):
         rng = np.random.default_rng(17)
-        cert = lax_certificate(canonical_form(random_skew(6, rng)), samples=5, seed=18)
+        cert = run_suite(canonical_form(random_skew(6, rng)), "lax", 5, 18)
         assert cert.passed
         assert cert.max_residual <= 1e-12
 
@@ -442,15 +449,6 @@ class TestSectional:
         for sectional, flow, differ in both_forms(2.0, 1.0, x):
             assert max_abs(sectional) == 0.0 and max_abs(flow) == 0.0
             assert not differ
-
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            sectional_comparison_2x2(0.0, 1.0, np.eye(2))
-        for position in range(3):
-            alpha = np.ones(3)
-            alpha[position] = 0.0
-            with pytest.raises(ValueError, match="alpha must be nonzero"):
-                sectional_comparison_2x2(alpha, np.ones(3), np.stack([np.eye(2)] * 3))
 
     def test_certificate_separation(self):
         cert = sectional_certificate(1000, seed=0)
@@ -502,7 +500,7 @@ class TestCertificatePlumbing:
 
     def test_to_dict_shares_nested_containers(self):
         # the CLI writes the dict at once; a deep copy per certificate is waste
-        cert = involution_certificate(canonical_form(canonical_skew_matrix([1.0, 2.0])), 2, seed=1)
+        cert = run_suite(canonical_form(canonical_skew_matrix([1.0, 2.0])), "involution", 2, 1)
         payload = cert.to_dict()
         assert payload["details"] is cert.details
         assert payload == dataclasses.asdict(cert)
