@@ -7,8 +7,9 @@ RK4 on a field that is exactly symmetric by construction, so every state is
 exactly symmetric with no projection; conservation is monitored rather than
 enforced, so drift doubles as an accuracy diagnostic.
 
-The stepper allocates no array per step: its stage buffers live for the run
-and each step is written into the preallocated states.  Steps run in
+The stepper's stage buffers and step constants are made once per run, and
+each step is written into the preallocated states; per step, only the
+field allocates: its two products and one transposed copy.  Steps run in
 segments that end at the monitor points, with one finiteness check each.
 """
 
@@ -49,10 +50,12 @@ def vector_field(x: np.ndarray, n_skew: np.ndarray, out: np.ndarray | None = Non
     :func:`integrate`.
 
     ``out``, if given, is a float array of x's shape that receives the
-    result; it must not alias x.
+    result; it must not alias x.  The transpose is copied before the add:
+    a strided operand sends numpy's iterator down a slower path than a
+    contiguous one, and the copy is exact, so the sum keeps its bits.
     """
     m = x.dot(x).dot(n_skew)
-    return np.add(m, m.T, out=out)
+    return np.add(m, m.T.copy(), out=out)
 
 
 def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam: float) -> float:
@@ -158,7 +161,15 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
     except (MemoryError, ValueError):
         raise ValueError(f"{n_steps} steps of a {n}x{n} state do not fit in memory") from None
     states[0] = x0
-    y, k1, k2, k3, k4 = np.empty((5, n, n))
+    stages = np.empty((5, n, n))
+    y, k1, k2, k3, k4 = stages
+    k2_k3 = stages[2:4]  # 2 k2 and 2 k3 in one multiply
+    # 0-d arrays, not Python floats or float64 scalars: a ufunc converts
+    # either to this same float64 on every call, at a cost that sets the
+    # step time at small n
+    half_h, full_h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
+    # bound per run, not at import, so a wrapper installed on the module is called
+    add, multiply, field = np.add, np.multiply, vector_field
     monitor_times, inv_rows, cas_rows, spec_rows = [], [], [], []
 
     def record(t: float, state: np.ndarray) -> None:
@@ -173,15 +184,16 @@ def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(start, stop):
                 x = states[i - 1]
-                vector_field(x, n_skew, out=k1)
-                vector_field(np.add(x, np.multiply(k1, 0.5 * h, out=y), out=y), n_skew, out=k2)
-                vector_field(np.add(x, np.multiply(k2, 0.5 * h, out=y), out=y), n_skew, out=k3)
-                vector_field(np.add(x, np.multiply(k3, h, out=y), out=y), n_skew, out=k4)
+                field(x, n_skew, out=k1)
+                field(add(x, multiply(k1, half_h, out=y), out=y), n_skew, out=k2)
+                field(add(x, multiply(k2, half_h, out=y), out=y), n_skew, out=k3)
+                field(add(x, multiply(k3, full_h, out=y), out=y), n_skew, out=k4)
                 # x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), in this order
-                np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
-                np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
-                np.add(k1, k4, out=k1)
-                np.add(x, np.multiply(k1, h / 6.0, out=k1), out=states[i])
+                multiply(k2_k3, two, out=k2_k3)
+                add(k1, k2, out=k1)
+                add(k1, k3, out=k1)
+                add(k1, k4, out=k1)
+                add(x, multiply(k1, sixth_h, out=k1), out=states[i])
         # the segment's first non-finite step is the one a per-step check would stop at
         finite = np.isfinite(states[start:stop]).all(axis=(1, 2))
         if not finite.all():

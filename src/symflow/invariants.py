@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .matrix_core import frob_norm, symmetrize
+from .matrix_core import frob_norm, max_abs, symmetrize
 from .poisson import frozen_tensor, lie_poisson_tensor
 
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
@@ -134,10 +134,13 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
     if n < 2:
         return np.empty(0), gradients
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
-    # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
-    base = frob_norm(x) + frob_norm(n_skew)
+    # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite;
+    # each norm is taken of a / max|a|, whose squares cannot overflow
+    base = sum(s * frob_norm(a / s) for a in (x, n_skew) if (s := max_abs(a)) > 0)
     try:
         scale = np.array([max(1.0, base**k) for k in range(1, n)])
+        if not np.isfinite(scale[-1]):  # base itself is inf
+            raise OverflowError
     except OverflowError as exc:
         raise OverflowError(
             f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}"

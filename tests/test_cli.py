@@ -174,6 +174,17 @@ class TestNumericalAbort:
         assert err.startswith("numerical abort: ") and "float range" in err
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
+    def test_entry_past_the_squares_range_exit_3(self, tmp_path, capsys):
+        # |X|_F as a plain sum of squares overflows to inf here, and inf^k
+        # would pass the range check and write inf into invariants.csv
+        config = dict(BASE, X0={"explicit": [[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]})
+        code, out = run(tmp_path, "invariants", config)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: ")
+        assert "(|X|_F + |N|_F)^k = 1.000e+200^k passes the float range before k = 3" in err
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
 
 SUITE_ORDER_KINDS = {
     "distinct-8": {"v": [0.6, 0.9, 1.2, 1.45], "d": 0},

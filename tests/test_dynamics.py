@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import frob_norm, max_abs, random_skew, random_sym, symmetrize
-from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_tensor, lie_poisson_tensor
+from symflow.invariants import invariant_table
+from symflow.poisson import (
+    canonical_form,
+    canonical_skew_matrix,
+    frozen_tensor,
+    lie_poisson_casimirs,
+    lie_poisson_tensor,
+)
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
@@ -66,6 +73,16 @@ class TestVectorField:
             assert np.array_equal(f, f.T)
             scale = frob_norm(x) ** 2 * frob_norm(nsk)
             assert max_abs(f - commutator_field(x, nsk)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_bits_match_reference_form(self, n):
+        # the transposed copy is exact, so the buffered, the allocating and
+        # the `@` forms agree bit for bit
+        rng = np.random.default_rng(500 + n)
+        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        buf = np.empty((n, n))
+        assert vector_field(x, nsk, out=buf) is buf
+        assert buf.tobytes() == vector_field(x, nsk).tobytes() == matmul_field(x, nsk).tobytes()
 
     def test_bi_hamiltonian_generation(self):
         # the same field through either Poisson structure
@@ -220,8 +237,11 @@ class TestIntegrate:
             assert np.array_equal(traj.states, states)
             steps = [i for i in range(config.n_steps + 1) if i % stride == 0 or i == config.n_steps]
             assert np.array_equal(traj.monitor_times, [i * config.step for i in steps])
-            for row, i in zip(traj.spectra, steps, strict=True):
-                assert np.array_equal(row, np.linalg.eigvalsh(states[i]))
+            rows = zip(traj.spectra, traj.invariant_values, traj.casimir_values, steps, strict=True)
+            for spectrum, invariant_row, casimir_row, i in rows:
+                assert np.array_equal(spectrum, np.linalg.eigvalsh(states[i]))
+                assert np.array_equal(invariant_row, invariant_table(states[i], nsk))
+                assert np.array_equal(casimir_row, lie_poisson_casimirs(form, form.to_canonical(states[i])))
 
     def test_equilibrium_is_exactly_constant(self):
         cfg = IntegratorConfig(step=0.01, t_end=0.5)

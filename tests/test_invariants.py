@@ -374,6 +374,25 @@ class TestArrayHarvest:
             values = invariant_table(x, nsk)
         assert np.isfinite(values).all()
 
+    @pytest.mark.parametrize("big", [1e200, 1e306, 1.7e308])
+    def test_scale_past_the_squares_range_raises_before_the_walk(self, big):
+        # |X|_F of an entry past about 1.3e154 overflows as a plain sum of
+        # squares; the scaled norm stays finite, so base^3 is what overflows
+        nsk = canonical_skew_matrix([1.0, 2.0])
+        x = np.diag([big, 1.0, 2.0, 3.0])
+        for harvest in (invariant_table, gradient_table):
+            with np.errstate(over="raise", invalid="raise"), pytest.raises(OverflowError) as raised:
+                harvest(x, nsk)
+            assert str(raised.value) == (
+                f"(|X|_F + |N|_F)^k = {big:.3e}^k passes the float range before k = 3")
+
+    def test_infinite_scale_raises(self):
+        # both norms finite, their sum past the float range
+        nsk = canonical_skew_matrix([1e308])
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(OverflowError) as raised:
+            invariant_table(np.diag([1e308, 0.0]), nsk)
+        assert str(raised.value).startswith("(|X|_F + |N|_F)^k = inf^k passes the float range")
+
     def test_odd_coefficient_error(self):
         # a symmetric part in N breaks the odd structural zeros from k = 2 on
         rng = np.random.default_rng(0)
