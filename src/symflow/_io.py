@@ -22,8 +22,9 @@ import numpy as np
 CSV_CHUNK_ROWS = 64
 
 #: Bytes of one formatted cell: six words hold the longest "%.16e" text,
-#: "-1.0000000000000000e+308", and a seventh, left NUL, the CSV separator.
-_CELL = 28
+#: "-1.2345678901234567e-308".  A text with a two-digit exponent leaves the
+#: last byte NUL, for the CSV separator.
+_CELL = 24
 
 
 def _words(text: bytes) -> np.ndarray:
@@ -31,17 +32,22 @@ def _words(text: bytes) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint32).copy()
 
 
-# A cell's text is six words: NUL, sign or NUL, leading digit and "."; four
-# words of four digits; "e", exponent sign and two exponent digits.  A
-# three-digit exponent moves the text one byte left, over the leading NUL,
-# and takes the last byte.  NUL bytes are padding and never reach the file.
+def _digit_texts(width: int) -> np.ndarray:
+    """The zero-padded ASCII digits of 0 .. 10^width - 1, one row each."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    return np.stack(np.meshgrid(*[digits] * width, indexing="ij"), axis=-1).reshape(-1, width)
+
+
+# A cell's text is six words: "-" or NUL, the first digit, "." and the
+# second digit; three words of four digits; three digits and "e"; the
+# exponent's sign and digits, two and a NUL or three.  NUL bytes are padding
+# and never reach the file.
 #: _DIGITS[g]: the four digits of 0 <= g < 10000.
-_DIGITS = _words(np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                       indexing="ij"), axis=-1).tobytes())
-#: _HEAD[d + 10 * negative]: NUL, "-" or NUL, the digit d and ".".
-_HEAD = _words(b"".join(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)))
-#: The words that end a CSV cell: "," and NULs, "\n" and NULs.
-_SEPARATORS = _words(b",\0\0\0\n\0\0\0")
+_DIGITS = _words(_digit_texts(4).tobytes())
+#: _HEAD[g + 100 * negative]: "-" or NUL, the first digit of 0 <= g < 100, "." and its second digit.
+_HEAD = _words(b"".join(b"%s%d.%d" % (sign, g // 10, g % 10) for sign in (b"\0", b"-") for g in range(100)))
+#: _TAIL[g]: the three digits of 0 <= g < 1000 and "e".
+_TAIL = _words(np.column_stack([_digit_texts(3), np.full(1000, ord("e"), np.uint8)]).tobytes())
 
 #: 10^k for k = 0..22, every one an exact double, and its two 26-bit halves
 #: (Veltkamp's split) for Dekker's product.
@@ -58,8 +64,8 @@ _UNCERTAIN = 2.0 ** -44
 
 @functools.cache
 def _exponent_words() -> np.ndarray:
-    """[e + 324]: the first word of the exponent text, "e-32" .. "e+16", built on first use."""
-    return _words(b"".join((b"e%+03d" % e)[:4] for e in range(-324, 17)))
+    """[e + 324]: the exponent's sign and digits, "-324" .. "+16" padded with NUL, built on first use."""
+    return _words(b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(-324, 17)))
 
 
 @functools.cache
@@ -126,15 +132,15 @@ def _small_digits(a: np.ndarray, e: np.ndarray):
 def _round_small(values, bits, candidates, digits, e):
     """Round the ``candidates`` with 0 < |v| < 10^-6 into ``digits`` and ``e`` where that is certain.
 
-    Returns the candidates left to Python's ``%`` and the rows converted
-    with a three-digit exponent.  A fraction within _UNCERTAIN of 0, 1/2
-    or 1 is left, which includes every exact tie.  Rounding up may carry to
-    10^17: the double nearest 1e-14 is "1.0000000000000000e-14".
+    Returns the candidates left to Python's ``%``.  A fraction within
+    _UNCERTAIN of 0, 1/2 or 1 is left, which includes every exact tie.
+    Rounding up may carry to 10^17: the double nearest 1e-14 is
+    "1.0000000000000000e-14".
     """
     is_small = bits.take(candidates) <= _EXACT_BITS[0]  # the double 1e-6 lies below 10^-6
     small = candidates[is_small]
     if not small.size:
-        return candidates, small
+        return candidates
     a = np.abs(values.take(small))
     power = np.maximum(np.floor(np.log10(a)), -324).astype(np.int64)
     scaled, fraction = _small_digits(a, power)
@@ -149,7 +155,7 @@ def _round_small(values, bits, candidates, digits, e):
     small, power = small[sure], power[sure] + carry
     digits[small], e[small] = np.where(carry, 10 ** 16, scaled), power
     is_small[is_small] = sure
-    return candidates[~is_small], small[power <= -100]
+    return candidates[~is_small]
 
 
 def _percent_cells(values: np.ndarray) -> np.ndarray:
@@ -192,38 +198,42 @@ def _e16_cells(values: np.ndarray) -> np.ndarray:
     # more than half a unit of the 17th digit below it
     digits += (fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))
     python = np.flatnonzero(~exact & (bits != 0))
-    three = python[:0]
     if python.size:
-        python, three = _round_small(values, bits, python, digits, e)
+        python = _round_small(values, bits, python, digits, e)
 
-    lead = digits // 10 ** 16
-    high = (digits - lead * 10 ** 16) // 10 ** 8
-    low = digits - lead * 10 ** 16 - high * 10 ** 8
-    words = np.zeros((len(values), _CELL // 4), dtype=np.uint32)
-    words[:, 0] = _HEAD.take(lead + 10 * np.signbit(values))
-    for column, group in ((1, high), (3, low)):
-        top = group // 10 ** 4
-        words[:, column] = _DIGITS.take(top)
-        words[:, column + 1] = _DIGITS.take(group - top * 10 ** 4)
+    words = np.empty((len(values), _CELL // 4), dtype=np.uint32)
+    head = digits // 10 ** 15
+    words[:, 0] = _HEAD.take(head + 100 * np.signbit(values))
+    rest = digits - head * 10 ** 15
+    for column, unit in ((1, 10 ** 11), (2, 10 ** 7), (3, 10 ** 3)):
+        group = rest // unit
+        words[:, column] = _DIGITS.take(group)
+        rest -= group * unit
+    words[:, 4] = _TAIL.take(rest)
     words[:, 5] = _exponent_words().take(e + 324)
-    if three.size:
-        text = words.view(np.uint8)
-        text[three, :23] = text[three, 1:24]
-        text[three, 23] = ord("0") + -e[three] % 10
     if python.size:
-        words[python, :6] = _percent_cells(values[python])
+        words[python] = _percent_cells(values[python])
     return words.view(np.uint8)
 
 
 def _write_cells(fh, values: np.ndarray, slot=None) -> None:
-    """Write the rows of ``values`` as "%.16e" CSV lines; output column j repeats column ``slot[j]``."""
-    cells = _e16_cells(values).view(np.uint32).reshape(values.shape + (_CELL // 4,))
+    """Write the rows of ``values`` as "%.16e" CSV lines; output column j repeats column ``slot[j]``.
+
+    Each cell's last byte takes its separator, so a cell of a numpy-converted
+    text with a two-digit exponent keeps one NUL at most, a positive sign's
+    slot, and one ``bytes.replace`` removes the padding.  A chunk with a
+    text that fills its cell (a three-digit exponent, or Python's
+    "-1.0000000000000000e+300") takes the general path: a separator byte
+    after every cell.
+    """
+    cells = _e16_cells(values).reshape(values.shape + (_CELL,))
     if slot is not None:
         cells = cells.take(slot, axis=1)
-    cells[:, :, -1] = _SEPARATORS[0]
-    cells[:, -1, -1] = _SEPARATORS[1]
-    text = cells.view(np.uint8)
-    fh.write(text[text != 0])
+    if cells[:, :, -1].any():
+        cells = np.concatenate([cells, np.zeros(cells.shape[:-1] + (1,), np.uint8)], axis=-1)
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    fh.write(cells.tobytes().replace(b"\0", b""))
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -24,15 +24,23 @@ is beyond the table.  The gradients continue the same walk to n-2.  One
 bincount sums the pair traces into coefficients, one mask checks the odd
 structural zeros, and one stacked symmetrize per stack writes its gradients
 into the (members, n, n) array.
+
+Each power stack is written in place into a window that already holds
+the stack before it, so the pair GEMM reads the stacks of P^{m-1} and P^m
+as one array.  The values of a (B, n, n) stack of states, the monitor points of a run, take
+one walk: each power stack holds every state's coefficients, and each
+state keeps the GEMM shapes of a walk of its own, so its values keep their
+bits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .matrix_core import frob_norm, max_abs, symmetrize
+from .matrix_core import symmetrize
 from .poisson import frozen_tensor, lie_poisson_tensor
 
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
@@ -41,30 +49,41 @@ ODD_COEFF_TOL = 1e-12
 
 
 def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int):
-    """Yield the (k+1, n, n) coefficient stack of (X + t N)^k for k = 1..k_max.
+    """Yield the (k+1, ...) coefficient stack of (X + t N)^k for k = 1..k_max.
 
-    Row j of the stack is the coefficient of t^j.  Each stack is built from
-    the previous one, so a consumer walking k upwards keeps at most two.
+    ``x`` is one (n, n) state or a (B, n, n) stack of states; row j of the
+    stack, of x's shape, is the coefficient of t^j.  Each stack is the tail
+    of a (2k+1)-row window whose first k rows hold the stack of P^{k-1}, the
+    identity for k = 1: the window is the stack's ``base``, and one GEMM
+    pairs its rows.  Each stack is written in place, its X products straight
+    into its rows, then its N products added on, the last onto a zero row.
+    A yielded stack stays valid as the walk goes on.
     """
-    acc = np.stack([x, n_skew])
+    window = np.empty((3,) + x.shape)
+    window[0], window[1], window[2] = np.eye(x.shape[-1]), x, n_skew
     for k in range(1, k_max + 1):
         if k > 1:
-            new = np.zeros((k + 1,) + x.shape)
-            new[:-1] += acc @ x
-            new[1:] += acc @ n_skew
-            acc = new
-        yield acc
+            prev = window[k - 1:]
+            window = np.empty((2 * k + 1,) + x.shape)
+            window[:k] = prev
+            del prev  # the previous window is freed once its consumer lets go of it
+            new = window[k:]
+            np.matmul(window[:k], x, out=new[:k])
+            new[k] = 0.0
+            new[1:] += window[:k] @ n_skew
+        yield window[k:]
 
 
 @functools.cache
-def _pair_slots(half: int) -> np.ndarray:
+def _pair_slots(half: int, states: int = 1) -> np.ndarray:
     """Where each pair trace of the stacks m = 1..half goes, in GEMM order.
 
     Stack m contributes a (2m+1, m+1) Gram matrix.  Its row a < m pairs
     coefficient a of P^{m-1} with coefficient b of P^m and adds to
     coefficient (k, j) = (2m-1, a+b) of trace(P^k); its row m + a pairs P^m
     with itself and adds to (2m, a+b).  The slot of (k, j) is k * width + j,
-    width = 2 * half + 1.
+    width = 2 * half + 1.  Each further state's slots follow, offset by
+    width^2, so one bincount sums a stack of states.
     """
     width = 2 * half + 1
     slots = []
@@ -72,7 +91,7 @@ def _pair_slots(half: int) -> np.ndarray:
         rows = np.arange(2 * m + 1) + (2 * m - 1) * width
         rows[m:] += width - m
         slots.append(np.add.outer(rows, np.arange(m + 1)).ravel())
-    slots = np.concatenate(slots)
+    slots = (np.concatenate(slots) + width * width * np.arange(states)[:, None]).ravel()
     slots.flags.writeable = False  # shared by every call
     return slots
 
@@ -96,71 +115,103 @@ def admissible_indices(n: int) -> list[tuple[int, int]]:
 def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.ndarray | None) -> np.ndarray:
     """Walk the stacks of P = X + tN up to P^depth, depth >= n // 2 >= 1.
 
-    Returns the (n-1, n) array whose row k - 1 holds the coefficients of
-    t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond t^k).
-    If ``gradients`` is a (members, n, n) array, it receives the member
-    gradients in table order, the (m+1, j) ones from stack m < n - 1.
+    ``x`` is one (n, n) state or a (B, n, n) stack.  Returns the (n-1, n)
+    array, (B, n-1, n) for a stack, whose row k - 1 holds the coefficients
+    of t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond
+    t^k).  If ``gradients`` is a (members,) + x.shape array, it receives the
+    member gradients in table order, the (m+1, j) ones from stack m < n - 1.
+    Every state takes the GEMMs of a walk of its own, so a stack's rows
+    equal the single walks bit for bit.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
+    count = x.size // (n * n)
     half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
     if gradients is not None:
         gradients[0] = np.eye(n)
     filled = 1
     grams = []
-    prev = np.eye(n)[None]  # stack of P^{m-1}; the zeroth power is the identity
     for m, power in enumerate(_power_stacks(x, n_skew, depth), start=1):
         if m <= half:
-            # trace(A_a B_b) for the pairs (P^{m-1}, P^m) and (P^m, P^m) in one GEMM
-            pairs = np.concatenate([prev, power]).reshape(2 * m + 1, n * n)
+            # trace(A_a B_b) for the pairs (P^{m-1}, P^m) and (P^m, P^m), one GEMM per state
+            pairs = power.base  # the window [P^{m-1}; P^m] of _power_stacks
             if 2 * m == n:
                 # k = 2m = n is beyond the table: zeros cannot overflow, and
                 # the GEMM keeps its shape, so the kept traces keep their bits
+                pairs = pairs.copy()
                 pairs[m:] = 0.0
-            grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
+            pairs = pairs.reshape(2 * m + 1, count, n * n).transpose(1, 0, 2)
+            right = power.reshape(m + 1, count, n, n).transpose(1, 0, 3, 2).reshape(count, m + 1, n * n)
+            grams.append((pairs @ right.transpose(0, 2, 1)).reshape(count, -1))
         if gradients is not None and m < n - 1:
             gradients[filled:filled + m // 2 + 1] = symmetrize(power[0::2])
             filled += m // 2 + 1
-        prev = power
     # coefficient j of trace(P^k) sums the pair traces with a + b = j
     width = 2 * half + 1
-    sums = np.bincount(_pair_slots(half), np.concatenate(grams), minlength=width * width)
-    return sums.reshape(width, width)[1:n, :n] / np.arange(1, n)[:, None]
+    sums = np.bincount(_pair_slots(half, count), np.concatenate(grams, axis=1).ravel(),
+                       minlength=count * width * width)
+    traces = sums.reshape(count, width, width)[:, 1:n, :n] / np.arange(1, n)[:, None]
+    return traces.reshape(x.shape[:-2] + traces.shape[1:])
+
+
+def _norm_bounds(a: np.ndarray) -> list[float]:
+    """max|a| * |a / max|a||_F of each matrix of a (B, n, n) stack, 0.0 for a zero matrix.
+
+    The scaled squares cannot overflow.  Each norm is one dot of the raveled
+    matrix with itself, as ``numpy.linalg.norm`` takes it, so it keeps that
+    function's bits; the products are Python floats, which pass the float
+    range to inf without a floating-point error.
+    """
+    s = np.max(np.abs(a), axis=(1, 2))
+    y = (a / np.where(s > 0, s, 1.0)[:, None, None]).reshape(len(a), 1, -1)
+    return [top * norm for top, norm in zip(s.tolist(), np.sqrt(y @ y.transpose(0, 2, 1)).ravel().tolist())]
 
 
 def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
-    """The member values and, if asked, the (members, n, n) gradients, else None, in table order."""
-    n = x.shape[0]
-    gradients = np.empty((invariant_count(n), n, n)) if with_gradients else None
+    """The member values and, if asked, the gradients, else None, in table order.
+
+    ``x`` is one state, with (members,) values and (members, n, n)
+    gradients, or a (B, n, n) stack, with (B, members) values and
+    (members, B, n, n) gradients.  A stack raises the range error of its
+    first state out of range, else the odd-coefficient error of its first
+    state that fails that check.
+    """
+    n = x.shape[-1]
+    gradients = np.empty((invariant_count(n),) + x.shape) if with_gradients else None
     if n < 2:
-        return np.empty(0), gradients
+        return np.empty(x.shape[:-2] + (0,)), gradients
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
-    # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite;
-    # each norm is taken of a / max|a|, whose squares cannot overflow
-    base = sum(s * frob_norm(a / s) for a in (x, n_skew) if (s := max_abs(a)) > 0)
-    try:
-        scale = np.array([max(1.0, base**k) for k in range(1, n)])
-        if not np.isfinite(scale[-1]):  # base itself is inf
-            raise OverflowError
-    except OverflowError as exc:
-        raise OverflowError(
-            f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}"
-        ) from exc
+    # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
+    scale = []
+    *bounds, bound = _norm_bounds(np.concatenate([x.reshape(-1, n, n), n_skew[None]]))
+    for base in [b + bound for b in bounds]:
+        try:
+            row = [max(1.0, base**k) for k in range(1, n)]
+        except OverflowError:
+            row = [math.inf]
+        if not math.isfinite(row[-1]):  # base**k overflowed, or base itself is inf
+            raise OverflowError(f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}")
+        scale.append(row)
     depth = max(n - 2, n // 2) if with_gradients else n // 2
-    traces = _trace_walk(x, n_skew, depth, gradients)
+    traces = _trace_walk(x, n_skew, depth, gradients).reshape(-1, n - 1, n)
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
-    odd = member[:, 1::2] & (np.abs(traces[:, 1::2]) > ODD_COEFF_TOL * scale[:, None])
+    odd = member[:, 1::2] & (np.abs(traces[:, :, 1::2]) > ODD_COEFF_TOL * np.array(scale)[:, :, None])
     if odd.any():
-        row, col = divmod(int(odd.argmax()), odd.shape[1])
+        state, row, col = np.unravel_index(int(odd.argmax()), odd.shape)
         raise ArithmeticError(
             f"odd-power trace coefficient (k={row + 1}, j={2 * col + 1}) is "
-            f"{float(traces[row, 2 * col + 1]):.3e}, expected a structural zero"
+            f"{float(traces[state, row, 2 * col + 1]):.3e}, expected a structural zero"
         )
-    return traces[:, 0::2][member[:, 0::2]], gradients
+    values = traces[:, :, 0::2][:, member[:, 0::2]]
+    return values.reshape(x.shape[:-2] + values.shape[1:]), gradients
 
 
 def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
-    """The (members,) values of the admissible members at the state x, in table order."""
+    """The (members,) values of the admissible members at the state x, in table order.
+
+    A (B, n, n) stack of states gives the (B, members) values, each row bit
+    for bit the values of its state alone.
+    """
     return _harvest(x, n_skew, with_gradients=False)[0]
 
 

@@ -266,18 +266,18 @@ def frozen_casimir_gradients(form: SkewCanonicalForm) -> np.ndarray:
 
 
 def _reduced_state(form: SkewCanonicalForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Image-block state with the kernel coupling eliminated.
+    """Image-block state with the kernel coupling eliminated, of one state or each of a stack.
 
     Returns (z, a, b_inv) where z is the Schur complement of the kernel
     block, S - A B^{-1} A^T, the object whose trace powers are annihilated
     by the Lie-Poisson tensor.  For d = 0 this is just x itself.
     """
     m = 2 * form.p
-    s = x[:m, :m]
+    s = x[..., :m, :m]
     if form.d == 0:
-        return s, x[:m, m:], None
-    a = x[:m, m:]
-    b = x[m:, m:]
+        return s, x[..., :m, m:], None
+    a = x[..., :m, m:]
+    b = x[..., m:, m:]
     try:
         b_inv = np.linalg.inv(b)
     except np.linalg.LinAlgError as exc:
@@ -285,7 +285,7 @@ def _reduced_state(form: SkewCanonicalForm, x: np.ndarray) -> tuple[np.ndarray, 
             "kernel block of the state is singular; the trace-power Casimirs "
             "are only defined where it is invertible"
         ) from exc
-    return s - a @ b_inv @ a.T, a, b_inv
+    return s - a @ b_inv @ a.swapaxes(-1, -2), a, b_inv
 
 
 def lie_poisson_casimirs(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
@@ -294,9 +294,11 @@ def lie_poisson_casimirs(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
     The first p values are trace((z core^{-1})^{2k}) / 2k for k = 1..p,
     where z is the Schur complement of the kernel block of the state (for
     invertible N this is plain trace((x n^{-1})^{2k}) / 2k).  The remaining
-    d(d+1)/2 values are the linear kernel-block functions trace(x e).
+    d(d+1)/2 values are the linear kernel-block functions trace(x e).  A
+    (B, n, n) stack of states gives (B, count) values, each row bit for bit
+    the values of its state alone.
     """
-    vals = []
+    vals = np.empty(x.shape[:-2] + (form.p,))
     if form.p > 0:
         core_inv = form.pseudo_inverse[:2 * form.p, :2 * form.p]
         z, _, _ = _reduced_state(form, x)
@@ -304,14 +306,14 @@ def lie_poisson_casimirs(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
         w2 = w @ w
         power = w2
         for k in range(1, form.p + 1):
-            vals.append(float(np.trace(power)) / (2 * k))
+            vals[..., k - 1] = np.trace(power, axis1=-2, axis2=-1) / (2 * k)
             if k < form.p:
                 power = power @ w2
     rows, cols = _kernel_units(form)
-    linear = x[rows, cols]  # a copy: the diagonal units keep their entry, not a sum
+    linear = x[..., rows, cols]  # a copy: the diagonal units keep their entry, not a sum
     pair = rows != cols
-    linear[pair] += x[cols[pair], rows[pair]]
-    return np.concatenate([vals, linear])
+    linear[..., pair] += x[..., cols[pair], rows[pair]]
+    return np.concatenate([vals, linear], axis=-1)
 
 
 def lie_poisson_casimir_gradients(form: SkewCanonicalForm, x: np.ndarray) -> np.ndarray:
@@ -366,12 +368,13 @@ def sym_basis(n: int) -> np.ndarray:
     return basis
 
 
-def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, frozen: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Matrices (Lie-Poisson, frozen) of both Poisson tensors in the orthonormal Sym(n) basis.
 
     Each is an antisymmetric m x m matrix, m = n(n+1)/2, whose numerical
     rank is the symplectic leaf dimension through its structure.  Both come
-    from one :func:`sym_basis` and one product ``basis @ n_skew``.
+    from one :func:`sym_basis` and one product ``basis @ n_skew``.  The
+    frozen one does not depend on x; ``frozen=False`` leaves it out, as None.
     """
     basis = sym_basis(x.shape[0])
     m = len(basis)
@@ -381,6 +384,8 @@ def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.
     # flattened left_i = E_i L against the flattened transposes of right_j = E_j N.
     right = (basis @ n_skew).transpose(0, 2, 1).reshape(m, -1).T
     g_lp = (basis @ x).reshape(m, -1) @ right
+    if not frozen:
+        return g_lp - g_lp.T, None
     g_frozen = basis.reshape(m, -1) @ right
     return g_lp - g_lp.T, g_frozen - g_frozen.T
 
@@ -407,19 +412,22 @@ def rank_certified(vectors, tol: float) -> int:
     return r
 
 
-def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray) -> tuple[int, int]:
+def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray, frozen_dim: int | None = None) -> tuple[int, int]:
     """Symplectic leaf dimensions (Lie-Poisson, frozen) at a state x.
 
     Both are numerical ranks of the tensor matrices, counted from their
     singular values at ``form.rank_tol`` by :func:`rank_certified`; the
     caller is expected to pass a generic x (resample if a rank instability
-    is flagged).
+    is flagged).  The frozen dimension does not depend on x: a caller that
+    ranks several states of one form passes the one it got back as
+    ``frozen_dim``, and the frozen matrix is neither built nor ranked again.
     """
-    b_mat, c_mat = tensor_as_matrix(x, form.skew)
+    b_mat, c_mat = tensor_as_matrix(x, form.skew, frozen=frozen_dim is None)
     # Both matrices are antisymmetric: their rows are the negated columns.
     dim_lp = rank_certified(b_mat, form.rank_tol)
-    dim_frozen = rank_certified(c_mat, form.rank_tol)
-    return dim_lp, dim_frozen
+    if frozen_dim is None:
+        frozen_dim = rank_certified(c_mat, form.rank_tol)
+    return dim_lp, frozen_dim
 
 
 def poisson_jacobi_defect(

@@ -342,14 +342,21 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
 
 
 def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
-    """Leaf dimensions against :func:`expected_leaf_dimensions`; an unstable rank counts n(n+1)/2."""
+    """Leaf dimensions against :func:`expected_leaf_dimensions`; an unstable rank counts n(n+1)/2.
+
+    The frozen dimension does not depend on the draw: it is ranked until one
+    draw's ranks are both stable, and taken from that draw on.
+    """
     expected = expected_leaf_dimensions(form)
+    frozen_dim = None
 
     def residual(draw):
+        nonlocal frozen_dim
         try:
-            dims = leaf_dimensions(form, draw.x)
+            dims = leaf_dimensions(form, draw.x, frozen_dim)
         except RankInstabilityError as exc:
             return float(form.n * (form.n + 1) // 2), {"unstable": str(exc)}
+        frozen_dim = dims[1]
         gap = max(abs(dims[0] - expected[0]), abs(dims[1] - expected[1]))
         return float(gap), {"dims": list(dims), "expected": list(expected)}
 

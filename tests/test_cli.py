@@ -174,6 +174,18 @@ class TestNumericalAbort:
         assert err.startswith("numerical abort: ") and "float range" in err
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
+    def test_singular_kernel_block_exit_2(self, tmp_path, capsys):
+        # the monitor record at t = 0 fails; the records are evaluated after
+        # the steps, and still nothing but runconfig.json is written
+        x0 = [[1.0, 0.2, 0.1, 0.3], [0.2, 2.0, 0.4, 0.1], [0.1, 0.4, 1.0, 1.0], [0.3, 0.1, 1.0, 1.0]]
+        config = dict(BASE, N={"canonical": {"v": [1.0], "d": 2}}, X0={"explicit": x0})
+        code, out = run(tmp_path, "simulate", config)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: kernel block of the state is singular; the trace-power Casimirs "
+            "are only defined where it is invertible\n")
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
     def test_entry_past_the_squares_range_exit_3(self, tmp_path, capsys):
         # |X|_F as a plain sum of squares overflows to inf here, and inf^k
         # would pass the range check and write inf into invariants.csv
@@ -838,13 +850,18 @@ class TestE16Kernel:
     def test_matches_python_percent(self, name):
         values = KERNEL_CLASSES[name](np.random.default_rng(13), 100_000)
         cells = _e16_cells(values)
-        assert cells.shape == (len(values), 28) and not cells[:, 24:].any()
-        cells[:, 24] = ord(",")  # the word the CSV writer puts its separator in
-        got = cells[cells != 0].tobytes().decode("ascii")
+        assert cells.shape == (len(values), 24)
+        # the general path of the CSV writer: a separator byte after every cell
+        text = np.column_stack([cells, np.full(len(values), ord(","), np.uint8)])
+        got = text[text != 0].tobytes().decode("ascii")
         want = "%.16e," * len(values) % tuple(values.tolist())
         if got != want:
             i, g, w = next((i, g, w) for i, (g, w) in enumerate(zip(got.split(","), want.split(","))) if g != w)
             pytest.fail(f"{values[i]!r}: kernel {g!r}, Python {w!r}")
+        # the fast path puts the separator in the last byte, which every
+        # two-digit exponent leaves free
+        two_digit = np.array([len(w.partition("e")[2]) == 3 for w in want.split(",")[:-1]])
+        assert not cells[two_digit, -1].any()
 
     @pytest.mark.parametrize("name", list(KERNEL_CLASSES))
     def test_only_non_finite_and_huge_values_take_percent(self, name, monkeypatch):
@@ -884,6 +901,60 @@ class TestE16Kernel:
             below = max(v for v in ulps(float(f"1e{k}"), np.array([-1, 0])) if Fraction(v) < Fraction(10) ** k)
             assert not ("%.16e" % below).startswith("1.0000000000000000e")
             assert _e16_cells(np.array([below])).tobytes().replace(b"\0", b"").decode() == "%.16e" % below
+
+
+def mixed_blocks(columns):
+    """Rows of ordinary cells in CSV_CHUNK_ROWS-row blocks, then one block for each kind of cell
+    that takes the writer's general path or the Python path: three-digit exponents of both signs,
+    NaN, the infinities, -0.0 and magnitudes from 1e17 on; the last block holds them all."""
+    rng = np.random.default_rng(9)
+    kinds = [3e-150, -2e-200, 1.5e-300, np.nan, np.inf, -np.inf, -0.0, 1e17, -2.5e300, 1e300, -1e17]
+    rows = rng.standard_normal((CSV_CHUNK_ROWS * (len(kinds) + 2) - 5, columns))
+    for i, value in enumerate(kinds, start=1):
+        rows[CSV_CHUNK_ROWS * i + 7 * i % CSV_CHUNK_ROWS, i % columns] = value
+    rows[-len(kinds):, 0] = kinds
+    return rows
+
+
+def symmetric_table(values, n):
+    """[t | X] rows from consecutive runs of ``values``: the first of each run is t, the rest fill the
+    state's upper triangle, mirrored in bits."""
+    rows, cols = np.triu_indices(n)
+    upper = len(rows)
+    values = values[:len(values) // (upper + 1) * (upper + 1)].reshape(-1, upper + 1)
+    states = np.empty((len(values), n, n))
+    states[:, rows, cols] = states[:, cols, rows] = values[:, 1:]
+    return np.hstack([values[:, :1], states.reshape(len(values), -1)])
+
+
+class TestCsvPaths:
+    """Both CSV writers against Python's "%.16e", on the fast path and the general one."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CLASSES))
+    def test_table_every_kernel_class(self, tmp_path, name):
+        rows = KERNEL_CLASSES[name](np.random.default_rng(17), 6_000).reshape(-1, 6)
+        header = [f"c{i}" for i in range(6)]
+        _write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()
+
+    @pytest.mark.parametrize("name", list(KERNEL_CLASSES))
+    def test_trajectory_every_kernel_class(self, tmp_path, name):
+        table = symmetric_table(KERNEL_CLASSES[name](np.random.default_rng(18), 7_000), 3)
+        times, states = states_from(table)
+        _write_trajectory_csv(tmp_path / "trajectory.csv", times, states)
+        header = ["t"] + [f"X_{i}_{j}" for i in range(3) for j in range(3)]
+        assert (tmp_path / "trajectory.csv").read_bytes() == per_value_csv(header, table).encode()
+
+    def test_mixed_blocks(self, tmp_path):
+        rows = mixed_blocks(5)
+        header = [f"c{i}" for i in range(5)]
+        _write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()
+        table = symmetric_table(mixed_blocks(7).ravel(), 3)
+        times, states = states_from(table)
+        _write_trajectory_csv(tmp_path / "trajectory.csv", times, states)
+        header = ["t"] + [f"X_{i}_{j}" for i in range(3) for j in range(3)]
+        assert (tmp_path / "trajectory.csv").read_bytes() == per_value_csv(header, table).encode()
 
 
 def dumped_trajectory(path, times, states):

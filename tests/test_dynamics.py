@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,9 +13,12 @@ from symflow.poisson import (
     lie_poisson_casimirs,
     lie_poisson_tensor,
 )
+from symflow import dynamics
 from symflow.dynamics import (
     FlowDivergenceError,
     IntegratorConfig,
+    _record_group,
+    _records,
     integrate,
     lax_residual,
     vector_field,
@@ -319,6 +323,26 @@ class TestIntegrate:
         assert np.array_equal(traj.states, traj.states.swapaxes(1, 2))
         assert max_abs(traj.states[-1] - projected_integrate(x0, nsk, 0.01, config.n_steps)) <= 1e-13
 
+    def test_stage_sum_is_the_chained_adds(self):
+        # the stepper sums ((k1 + 2 k2) + 2 k3) + k4 with one reduction over
+        # the outer axis of the stage buffer, started at -0.0: it must add row
+        # after row, so signed zeros and NaN payloads come out as from the
+        # chained adds (numpy's add.reduce alone starts at +0.0 and turns an
+        # entry that is -0.0 in every stage into +0.0); at n = 1 the only
+        # structure matrix is zero, and so is every stage
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 8, 33):
+            stages = rng.standard_normal((5, n, n))
+            stages[1:, 0, 0] = -0.0
+            stages[2:4, -1, -1] = [0.0, -0.0]
+            stages[1, 0, -1], stages[3, -1, 0] = np.nan, -np.nan
+            stages[4, n // 2, n // 2], stages[2, n // 2, n // 2] = 1e300, -1e300
+            k1, k2, k3, k4 = stages[1:]
+            expected = ((k1 + k2) + k3) + k4
+            np.add.reduce(stages[1:], 0, None, stages[0], False, -0.0)
+            assert stages[0].tobytes() == expected.tobytes()
+            assert np.signbit(stages[0, 0, 0])
+
     def test_divergence_aborts_with_time(self):
         # the reported time is the reference loop's first non-finite step,
         # wherever that step falls in its monitor segment
@@ -350,6 +374,35 @@ class TestIntegrate:
                          IntegratorConfig(step=0.01, t_end=0.05, monitor_stride=2))
         bits = traj.states.view(np.int64)
         assert np.array_equal(bits, bits.transpose(0, 2, 1))
+
+    def test_monitor_error_before_divergence_comes_first(self):
+        # the records are evaluated after the steps, in groups, but an error
+        # at a monitor point before the divergence is still the one raised
+        x0 = np.diag([1e200, 1.0, 2.0, 3.0])
+        form = canonical_form(canonical_skew_matrix([1.0, 2.0]))
+        with pytest.raises(OverflowError, match="passes the float range before k = 3"):
+            integrate(x0, form, IntegratorConfig(step=0.01, t_end=0.5))
+        # N with a symmetric part breaks the odd structural zeros: the first record fails
+        rng = np.random.default_rng(0)
+        skewed = dataclasses.replace(form, skew=form.skew + 0.1 * random_sym(4, rng))
+        with pytest.raises(ArithmeticError, match="odd-power trace coefficient"):
+            integrate(10.0 * random_sym(4, rng), skewed, IntegratorConfig(step=0.5, t_end=50.0))
+
+    @pytest.mark.parametrize("limit", [0, 3 * 8 * 16, 1 << 20])
+    def test_grouping_keeps_every_bit(self, monkeypatch, limit):
+        # groups of 1, 3 and every monitor point record what the default groups record
+        rng = np.random.default_rng(14)
+        x0, form = random_sym(4, rng), canonical_form(random_skew(4, rng))
+        config = IntegratorConfig(step=0.01, t_end=0.3, monitor_stride=2)
+        expected = integrate(x0, form, config)
+        monkeypatch.setattr(dynamics, "MONITOR_GROUP_BYTES", limit)
+        sizes, record_group = [], dynamics._record_group
+        monkeypatch.setattr(dynamics, "_record_group", lambda f, s: sizes.append(len(s)) or record_group(f, s))
+        got = integrate(x0, form, config)
+        for name in ("monitor_times", "invariant_values", "casimir_values", "spectra"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        group = max(1, limit // x0.nbytes)  # 1, 3 and every one of the 16 monitor points
+        assert sizes == [group] * (16 // group) + [16 % group] * (16 % group > 0)
 
     def test_spectrum_columns_sorted(self):
         rng = np.random.default_rng(13)
@@ -387,3 +440,85 @@ class TestIntegrateBlocks:
                          IntegratorConfig(step=0.01, t_end=0.3))
         for state in traj.states:
             assert np.array_equal(state[2:, 2:], b)
+
+
+def record_forms():
+    """(n, d, form) for n in 1..33 at the sizes of the stacked-record tests, every nullity 0..2 that fits."""
+    for n in (1, 2, 3, 8, 9, 10, 12, 16, 17, 32, 33):
+        for d in (0, 1, 2):
+            if d <= n and (n - d) % 2 == 0:
+                rng = np.random.default_rng(n + 100 * d)
+                q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                core = q @ canonical_skew_matrix(rng.uniform(0.5, 1.5, (n - d) // 2), d) @ q.T
+                yield n, d, canonical_form((core - core.T) / 2)
+
+
+def loop_casimirs(form, x):
+    """Lie-Poisson Casimir values of one canonical-basis state, one trace power at a time, the reference form."""
+    m = 2 * form.p
+    vals = []
+    if form.p > 0:
+        z = x[:m, :m]
+        if form.d > 0:
+            a, b = x[:m, m:], x[m:, m:]
+            z = z - a @ np.linalg.inv(b) @ a.T
+        w = z @ form.pseudo_inverse[:m, :m]
+        w2 = w @ w
+        power = w2
+        for k in range(1, form.p + 1):
+            vals.append(float(np.trace(power)) / (2 * k))
+            power = power @ w2
+    rows, cols = np.triu_indices(form.d)
+    kernel = [x[m + i, m + j] + x[m + j, m + i] if i != j else x[m + i, m + i] for i, j in zip(rows, cols)]
+    return np.array(vals + kernel)
+
+
+class TestStackedRecords:
+    """A stack of monitored states records each state's values bit for bit."""
+
+    @pytest.mark.parametrize("n, d, form", list(record_forms()))
+    def test_stack_equals_each_state(self, n, d, form):
+        rng = np.random.default_rng(7 * n + d)
+        states = np.stack([random_sym(n, rng) for _ in range(21)])
+        states[1] = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) + form.basis.T @ np.eye(n) @ form.basis
+        states[1] = np.where(states[1] == 0.0, states[1].T, states[1])  # signed zeros, symmetric in bits
+        states[2] = 0.0 if d == 0 else states[2]  # X = 0: the kernel block of a d > 0 form is singular
+        states[3] = -states[2]
+        for count in (1, 2, 5, 21):
+            stack = states[:count]
+            records = _records(form, stack)
+            singles = [_records(form, state[None]) for state in stack]
+            for got, alone in zip(records, zip(*singles)):
+                assert got.tobytes() == np.concatenate(alone).tobytes()
+            # each single record is the per-state public call
+            for values, state in zip(records[0], stack):
+                assert values.tobytes() == invariant_table(state, form.skew).tobytes()
+            for values, state in zip(records[1], stack):
+                assert values.tobytes() == lie_poisson_casimirs(form, form.to_canonical(state)).tobytes()
+                assert values.tobytes() == loop_casimirs(form, form.to_canonical(state)).tobytes()
+            assert records[2].tobytes() == np.stack([np.linalg.eigvalsh(state) for state in stack]).tobytes()
+
+    def test_group_fails_as_a_loop_would(self):
+        # state 1 has a singular kernel block, state 3 passes the float range of the
+        # invariants: the stack meets state 3 first, a loop over the states state 1
+        form = canonical_form(canonical_skew_matrix([1.0], 2))
+        states = np.stack([random_sym(4, np.random.default_rng(i)) for i in range(4)])
+        states[1, 2:, 2:] = 1.0
+        states[3] = np.diag([1e200, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="kernel block of the state is singular"):
+            _record_group(form, states)
+
+    def test_group_warns_as_a_loop_would(self):
+        # state 0's Casimir passes the float range and warns; state 2's invariant
+        # bound is inf and raises: the loop warns once, then raises
+        form = canonical_form(N2)
+        states = np.stack([[[1e160, 1e159], [1e159, 1.0]], np.eye(2), np.full((2, 2), 1.7e308)])
+        caught = []
+        for evaluate in (lambda: _record_group(form, states),
+                         lambda: [_records(form, state[None]) for state in states]):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(OverflowError, match="inf\\^k passes the float range"):
+                    evaluate()
+            caught.append([(w.category, str(w.message)) for w in seen])
+        assert caught[0] == caught[1] == [(RuntimeWarning, "overflow encountered in matmul")]

@@ -152,6 +152,60 @@ class TestPowerStacks:
             assert max_abs(np.polynomial.polynomial.polyval(t, stack) - direct) <= 1e-12
 
 
+def zero_filled_stacks(x, nsk, k_max):
+    """The stacks of (X + tN)^k built as _power_stacks once built them: each a fresh zeroed
+    array, the X products added onto rows 0..k-1 and the N products onto rows 1..k."""
+    acc = np.stack([x, nsk])
+    for k in range(1, k_max + 1):
+        if k > 1:
+            new = np.zeros((k + 1,) + x.shape)
+            new[:-1] += acc @ x
+            new[1:] += acc @ nsk
+            acc = new
+        yield acc
+
+
+class TestPowerStacksInPlace:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+    def test_bits_equal_zero_filled_stacks(self, n):
+        # the in-place rows skip the zeros the old build added first, which
+        # would turn a -0.0 product into +0.0; the products are sums that start
+        # from +0.0, so none is -0.0, and the bits agree, signed-zero inputs
+        # too; the list keeps every stack, which stays valid as the walk goes on
+        rng = np.random.default_rng(n)
+        signed = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        for x in (random_sym(n, rng), np.minimum(signed, signed.T), np.eye(n)):
+            for nsk in (random_skew(n, rng), np.zeros((n, n)), -np.zeros((n, n))):
+                got = [stack.tobytes() for stack in list(_power_stacks(x, nsk, n))]
+                assert got == [stack.tobytes() for stack in zero_filled_stacks(x, nsk, n)]
+
+    def test_stack_of_states_row_by_row(self):
+        # a (B, n, n) stack yields (k+1, B, n, n) stacks whose column b is state b's own
+        rng = np.random.default_rng(4)
+        x, nsk = np.stack([random_sym(5, rng) for _ in range(3)]), random_skew(5, rng)
+        alone = [list(_power_stacks(state, nsk, 4)) for state in x]
+        for k, stack in enumerate(_power_stacks(x, nsk, 4), start=1):
+            assert stack.shape == (k + 1, 3, 5, 5)
+            for b in range(3):
+                assert stack[:, b].tobytes() == alone[b][k - 1].tobytes()
+
+    def test_stacked_harvest_raises_the_first_failing_state(self):
+        nsk = canonical_skew_matrix([1.0, 2.0])
+        x = np.stack([random_sym(4, np.random.default_rng(i)) for i in range(3)])
+        x[1] = np.diag([1e200, 1.0, 2.0, 3.0])
+        x[2] = np.diag([1e250, 1.0, 2.0, 3.0])
+        with pytest.raises(OverflowError, match=r"1\.000e\+200\^k passes the float range"):
+            invariant_table(x, nsk)
+        rng = np.random.default_rng(0)
+        skewed = random_skew(6, rng) + 0.1 * random_sym(6, rng)
+        x = np.stack([np.zeros((6, 6)), random_sym(6, rng), random_sym(6, rng)])
+        with pytest.raises(ArithmeticError) as raised:
+            invariant_table(x, skewed)
+        with pytest.raises(ArithmeticError) as alone:
+            invariant_table(x[1], skewed)
+        assert str(raised.value) == str(alone.value)
+
+
 class TestCounts:
     def test_small_values(self):
         assert invariant_count(4) == 4
