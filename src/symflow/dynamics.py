@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import commutator, max_abs
+from .matrix_core import commutator
 from .invariants import admissible_indices, invariant_table
 from .poisson import SkewCanonicalForm, lie_poisson_casimirs
 
@@ -65,15 +65,19 @@ def vector_field(x: np.ndarray, n_skew: np.ndarray, out: np.ndarray | None = Non
     return np.add(m, m.T.copy(), out=out)
 
 
-def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam: float) -> float:
+def lax_residual(x: np.ndarray, n_skew: np.ndarray, lam) -> float | list[float]:
     """Defect of the parametric commutator representation of the flow.
 
     Compares [x^2, n] with [x + lam n, n x + x n + lam n^2]; the two agree
-    identically in lam because the first-order coefficient cancels.
+    identically in lam because the first-order coefficient cancels.  A
+    scalar lam gives its max-abs defect, a sequence the list of each one's,
+    bit for bit the scalar calls', with the lam-free products taken once.
     """
+    lam = np.asarray(lam, dtype=float)[..., None, None]
     lax_matrix = x + lam * n_skew
     companion = n_skew @ x + x @ n_skew + lam * (n_skew @ n_skew)
-    return max_abs(vector_field(x, n_skew) - commutator(lax_matrix, companion))
+    defect = np.abs(vector_field(x, n_skew) - commutator(lax_matrix, companion))
+    return np.max(defect, axis=(-2, -1)).tolist()
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@
 For k = 1..n-1 the scalar trace((X + t N)^k) / k is conserved for every
 value of the parameter t, so each coefficient of t^j is conserved.  Odd-j
 coefficients vanish identically (transposing a product flips the sign of
-every N factor), leaving the family indexed by (k, 2r) with 0 <= 2r < k.
-The top coefficient is the constant trace(N^k)/k and is not counted.
+every N factor), leaving the family indexed by (k, 2r) with 0 <= 2r < k;
+the members of one k are family k.  The top coefficient is the constant
+trace(N^k)/k and is not counted.
 
-Values, gradients and the recursion residuals all come from one
-coefficient stack: for each k the (k+1, n, n) array of the coefficients of
-P^k, P = X + t N, built from the stack for k-1 by multiplying with X and
-with N.  The gradient of the (k, 2r) member is the coefficient of t^{2r} in
-P^{k-1}, which is symmetric for even powers.  The table stores the
-1/k-normalized coefficients; the bare multi-index sum differs by the
-factor k.
+Values and gradients come from one walk of coefficient stacks: for each k
+the (k+1, n, n) array of the coefficients of P^k, P = X + t N, built from
+the stack for k-1 by multiplying with X and with N.  The gradient of the
+(k, 2r) member is the coefficient of t^{2r} in P^{k-1}, which is symmetric
+for even powers.  The table stores the 1/k-normalized coefficients; the
+bare multi-index sum differs by the factor k.  The recursion residuals
+read the gradients of that walk, taken one power further to the (n, 2r)
+family, so each state's powers are walked once.
 
 Values come from half powers: coefficient j of trace(P^k) is the sum over
 a + b = j of trace(A_a B_b), with A the stack of P^floor(k/2) and B that of
@@ -20,10 +22,11 @@ P^ceil(k/2).  When stack m arrives, one GEMM of the flattened stacks of
 P^{m-1} and P^m against the flattened transposed stack of P^m gives every
 pair trace for k = 2m-1 and k = 2m, so the values walk only to
 m = ceil((n-1)/2); for even n the last GEMM pairs zeros for k = n, which
-is beyond the table.  The gradients continue the same walk to n-2.  One
-bincount sums the pair traces into coefficients, one mask checks the odd
-structural zeros, and one stacked symmetrize per stack writes its gradients
-into the (members, n, n) array.
+is beyond the table.  The gradients continue the same walk to n-2, or to
+n-1 for the family beyond the table.  One bincount sums the pair traces
+into coefficients, one mask checks the odd structural zeros, and one
+stacked symmetrize per stack writes its gradients into the (rows, n, n)
+array.
 
 Each power stack is written in place into a window that already holds
 the stack before it, so the pair GEMM reads the stacks of P^{m-1} and P^m
@@ -118,16 +121,15 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.nda
     ``x`` is one (n, n) state or a (B, n, n) stack.  Returns the (n-1, n)
     array, (B, n-1, n) for a stack, whose row k - 1 holds the coefficients
     of t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond
-    t^k).  If ``gradients`` is a (members,) + x.shape array, it receives the
-    member gradients in table order, the (m+1, j) ones from stack m < n - 1.
+    t^k).  If ``gradients`` is an (invariant_count(K + 1),) + x.shape array
+    whose first row holds the identity, it receives the gradients of the
+    families k = 2..K in table order, the (m+1, j) ones from stack m < K.
     Every state takes the GEMMs of a walk of its own, so a stack's rows
     equal the single walks bit for bit.
     """
     n = x.shape[-1]
     count = x.size // (n * n)
     half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
-    if gradients is not None:
-        gradients[0] = np.eye(n)
     filled = 1
     grams = []
     for m, power in enumerate(_power_stacks(x, n_skew, depth), start=1):
@@ -142,7 +144,7 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.nda
             pairs = pairs.reshape(2 * m + 1, count, n * n).transpose(1, 0, 2)
             right = power.reshape(m + 1, count, n, n).transpose(1, 0, 3, 2).reshape(count, m + 1, n * n)
             grams.append((pairs @ right.transpose(0, 2, 1)).reshape(count, -1))
-        if gradients is not None and m < n - 1:
+        if gradients is not None and filled < len(gradients):
             gradients[filled:filled + m // 2 + 1] = symmetrize(power[0::2])
             filled += m // 2 + 1
     # coefficient j of trace(P^k) sums the pair traces with a + b = j
@@ -166,17 +168,20 @@ def _norm_bounds(a: np.ndarray) -> list[float]:
     return [top * norm for top, norm in zip(s.tolist(), np.sqrt(y @ y.transpose(0, 2, 1)).ravel().tolist())]
 
 
-def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
-    """The member values and, if asked, the gradients, else None, in table order.
+def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
+    """The member values and the gradients of the families k = 1..families, else None, in table order.
 
-    ``x`` is one state, with (members,) values and (members, n, n)
-    gradients, or a (B, n, n) stack, with (B, members) values and
-    (members, B, n, n) gradients.  A stack raises the range error of its
-    first state out of range, else the odd-coefficient error of its first
-    state that fails that check.
+    ``x`` is one state, with (members,) values and (rows, n, n) gradients,
+    or a (B, n, n) stack, with (B, members) values and (rows, B, n, n)
+    gradients; rows = invariant_count(families + 1), 0 for no family.  A
+    stack raises the range error of its first state out of range, else the
+    odd-coefficient error of its first state that fails that check.
     """
     n = x.shape[-1]
-    gradients = np.empty((invariant_count(n),) + x.shape) if with_gradients else None
+    gradients = None
+    if families is not None:
+        gradients = np.empty((invariant_count(families + 1),) + x.shape)
+        gradients[:1] = np.eye(n)  # the (1, 0) gradient, if any family is asked for
     if n < 2:
         return np.empty(x.shape[:-2] + (0,)), gradients
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
@@ -191,7 +196,7 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, with_gradients: bool):
         if not math.isfinite(row[-1]):  # base**k overflowed, or base itself is inf
             raise OverflowError(f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}")
         scale.append(row)
-    depth = max(n - 2, n // 2) if with_gradients else n // 2
+    depth = n // 2 if families is None else max(families - 1, n // 2)
     traces = _trace_walk(x, n_skew, depth, gradients).reshape(-1, n - 1, n)
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
@@ -212,59 +217,37 @@ def invariant_table(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
     A (B, n, n) stack of states gives the (B, members) values, each row bit
     for bit the values of its state alone.
     """
-    return _harvest(x, n_skew, with_gradients=False)[0]
+    return _harvest(x, n_skew, None)[0]
 
 
-def gradient_table(x: np.ndarray, n_skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (members,) values and (members, n, n) gradients of the members at x, in table order."""
-    return _harvest(x, n_skew, with_gradients=True)
+def gradient_table(x: np.ndarray, n_skew: np.ndarray, beyond: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (members,) values and (members, n, n) gradients of the members at x, in table order.
 
-
-#: Bytes of gradients one stacked recursion batch collects before it is
-#: applied; a batch ends at a power boundary once it passes this size.
-RECURSION_BATCH_BYTES = 1 << 19
-
-
-def _recursion_batch(x, n_skew, lows, highs) -> list[float]:
-    """Max-abs of LP(sym(low)) - frozen(sym(high)) for each stacked pair, in order.
-
-    Empties both lists, so the collected gradients are freed once stacked.
+    With ``beyond`` the gradients go on past the members with the (n, 2r)
+    family, the even coefficients of (X + t N)^{n-1} symmetrized:
+    invariant_count(n + 1) rows, the table :func:`recursion_residuals` reads.
     """
-    g_low = symmetrize(np.concatenate(lows))
-    lows.clear()
-    g_high = symmetrize(np.concatenate(highs))
-    highs.clear()
-    diff = lie_poisson_tensor(x, g_low, n_skew)
-    del g_low
-    diff -= frozen_tensor(g_high, n_skew)
-    return np.max(np.abs(diff, out=diff), axis=(1, 2)).tolist()
+    return _harvest(x, n_skew, x.shape[-1] - 1 + beyond)
 
 
-def recursion_residuals(x: np.ndarray, n_skew: np.ndarray) -> dict:
+def recursion_residuals(x: np.ndarray, n_skew: np.ndarray, gradients: np.ndarray) -> dict:
     """Residuals of the two-structure recursion, keyed by (k, r) in ascending order.
 
     For every 1 <= r <= k <= n-1 with k - r even, applies the Lie-Poisson
     tensor to the gradient of the (k, k-r) member and the frozen tensor to
     the gradient of the (k+1, k-r) member; the difference vanishes
-    identically.  The (k+1)-member gradients come from (X + t N)^k, one
-    power beyond the table.  The pairs' gradients are stacked and each
-    tensor is applied once per batch of :data:`RECURSION_BATCH_BYTES`, with
-    the arithmetic of one pair at a time.
+    identically.  ``gradients`` is the state's :func:`gradient_table` with
+    ``beyond``, whose (n, 2r) family serves k = n-1, so the recursion walks
+    no powers of its own.  For each k both tensors are applied once, to the
+    family-k rows and as many family-(k+1) rows, with the arithmetic of one
+    pair at a time.
     """
-    n = x.shape[0]
-    keys, residuals, lows, highs = [], [], [], []
-    size = 0
-    prev = np.eye(n)[None]  # stack of (X + tN)^{k-1}; the zeroth power is the identity
-    for k, power in enumerate(_power_stacks(x, n_skew, n - 1), start=1):
-        r = np.arange(2 - k % 2, k + 1, 2)
-        keys += [(k, int(v)) for v in r]
-        lows.append(prev[k - r])
-        highs.append(power[k - r])
-        size += 2 * lows[-1].nbytes
-        if size > RECURSION_BATCH_BYTES:
-            residuals += _recursion_batch(x, n_skew, lows, highs)
-            size = 0
-        prev = power
-    if lows:
-        residuals += _recursion_batch(x, n_skew, lows, highs)
-    return dict(zip(keys, residuals))
+    residuals = {}
+    for k in range(1, x.shape[-1]):
+        low, high = invariant_count(k), invariant_count(k + 1)  # family k is rows low..high-1
+        diff = lie_poisson_tensor(x, gradients[low:high], n_skew)
+        diff -= frozen_tensor(gradients[high:2 * high - low], n_skew)
+        # row i is coefficient j = 2i, so r = k - 2i descends along the rows
+        worst = np.max(np.abs(diff, out=diff), axis=(1, 2)).tolist()[::-1]
+        residuals.update(zip([(k, r) for r in range(2 - k % 2, k + 1, 2)], worst))
+    return residuals

@@ -100,15 +100,20 @@ class Certificate:
 
 
 class _Draw:
-    """One sampled state ``x``; its member gradients ``g`` are computed on first read."""
+    """One sampled state ``x``; its gradient ``table`` is computed on first read."""
 
     def __init__(self, x: np.ndarray, n_skew: np.ndarray):
         self.x, self._n_skew = x, n_skew
 
     @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The member gradients in :func:`admissible_indices` order, then the (n, 2r) family."""
+        return gradient_table(self.x, self._n_skew, beyond=True)[1]
+
+    @property
     def g(self) -> np.ndarray:
         """The member gradients, stacked (members, n, n) in :func:`admissible_indices` order."""
-        return gradient_table(self.x, self._n_skew)[1]
+        return self.table[:invariant_count(len(self.x))]
 
 
 def _draws(form: SkewCanonicalForm, seed: int):
@@ -368,7 +373,7 @@ def _recursion_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: floa
 
     def residual(draw):
         sample_worst, worst_pair = 0.0, None
-        for pair, res in recursion_residuals(draw.x, form.skew).items():
+        for pair, res in recursion_residuals(draw.x, form.skew, draw.table).items():
             if res > sample_worst:
                 sample_worst, worst_pair = res, pair
         return sample_worst, {"max_residual": sample_worst, "worst_pair": worst_pair}
@@ -380,7 +385,7 @@ def _lax_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
     """Worst parametric commutator defect over the grid :data:`LAX_LAMBDAS`."""
 
     def residual(draw):
-        res = max(lax_residual(draw.x, form.skew, lam) for lam in LAX_LAMBDAS)
+        res = max(lax_residual(draw.x, form.skew, LAX_LAMBDAS))
         return res, {"max_residual": res}
 
     return _sampled_steps("lax", form, samples, seed, tol, residual)

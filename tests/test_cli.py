@@ -216,13 +216,15 @@ class TestSuiteOrder:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"random_sym": 0, "gradient_table": 0}
-        for name in calls:
-            def counted(*args, name=name, original=getattr(symflow.verify, name)):
+        # the draws, their gradient tables and every walk of the powers
+        calls = {"random_sym": 0, "gradient_table": 0, "_power_stacks": 0}
+        for module, name in [(symflow.verify, "random_sym"), (symflow.verify, "gradient_table"),
+                             (symflow.invariants, "_power_stacks")]:
+            def counted(*args, name=name, original=getattr(module, name), **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(symflow.verify, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     @staticmethod
@@ -246,14 +248,20 @@ class TestSuiteOrder:
             assert sum(d["resamples"] for d in details) > 0
 
     def test_one_gradient_table_per_draw(self, tmp_path, calls):
+        # recursion reads the draw's table too: nothing else walks the powers
         certs = self.certificates(tmp_path, SUITE_ORDER_KINDS["equal-8"], list(ALL_SUITES), "all")
         resamples = sum(d["resamples"] for d in json.loads(certs["independence"])["details"])
         assert resamples > 0
-        assert calls == {"random_sym": 2 + resamples, "gradient_table": 2 + resamples}
+        draws = 2 + resamples
+        assert calls == {"random_sym": draws, "gradient_table": draws, "_power_stacks": draws}
+
+    def test_recursion_alone_walks_once_per_draw(self, tmp_path, calls):
+        self.certificates(tmp_path, SUITE_ORDER_KINDS["nullity2-10"], ["recursion"], "recursion")
+        assert calls == {"random_sym": 2, "gradient_table": 2, "_power_stacks": 2}
 
     def test_no_gradient_table_without_member_suites(self, tmp_path, calls):
         self.certificates(tmp_path, SUITE_ORDER_KINDS["equal-8"], ["casimir", "lax"], "pair")
-        assert calls == {"random_sym": 2, "gradient_table": 0}
+        assert calls == {"random_sym": 2, "gradient_table": 0, "_power_stacks": 0}
 
     @pytest.mark.parametrize("suites,written", [
         (["involution", "casimir", "independence"],

@@ -120,6 +120,23 @@ class TestLaxResidual:
         x = random_sym(3, rng)
         assert lax_residual(x, np.zeros((3, 3)), 1.0) == 0.0
 
+    def test_lambda_sequence_bit_equal_to_scalar_calls(self):
+        # the lam-free products are taken once; each lam keeps the arithmetic of
+        # the commutator form written out for it alone
+        rng = np.random.default_rng(6)
+        lams = (-1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+        for n in (1, 2, 5, 8, 16):
+            x, nsk = random_sym(n, rng), random_skew(n, rng)
+            got = lax_residual(x, nsk, lams)
+            assert type(got) is list and all(type(v) is float for v in got)
+            scalar = [lax_residual(x, nsk, lam) for lam in lams]
+            assert all(type(v) is float for v in scalar)
+            assert np.array(got).tobytes() == np.array(scalar).tobytes()
+            for lam, value in zip(lams, got):
+                lax_matrix, companion = x + lam * nsk, nsk @ x + x @ nsk + lam * (nsk @ nsk)
+                direct = max_abs(vector_field(x, nsk) - (lax_matrix @ companion - companion @ lax_matrix))
+                assert np.float64(value).tobytes() == np.float64(direct).tobytes()
+
 
 def geodesic_departure(x, n_skew):
     """|N·[X^2, N] - [xi^T, xi]|_F / max(1, |[xi^T, xi]|_F) with xi = NX, the group momentum."""

@@ -410,6 +410,23 @@ class TestArrayHarvest:
         walked.clear()
         gradient_table(x, nsk)
         assert walked == list(range(1, max(n - 2, half) + 1))
+        walked.clear()
+        gradient_table(x, nsk, beyond=True)
+        assert walked == list(range(1, max(n - 1, half) + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32])
+    def test_family_beyond_the_table(self, n):
+        # the members keep their bits, and the rows past them are the
+        # symmetrized even coefficients of (X + tN)^{n-1}
+        rng = np.random.default_rng(n)
+        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        values, members = gradient_table(x, nsk)
+        got_values, table = gradient_table(x, nsk, beyond=True)
+        assert table.shape == (invariant_count(n + 1), n, n)
+        assert got_values.tobytes() == values.tobytes()
+        assert table[:len(members)].tobytes() == members.tobytes()
+        *_, power = _power_stacks(x, nsk, n - 1)
+        assert table[len(members):].tobytes() == symmetrize(power[0::2]).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 10, 12, 20, 28, 32, 33])
     def test_traces_beyond_the_table_left_out_bit_for_bit(self, n):
@@ -466,9 +483,29 @@ class TestArrayHarvest:
         rng = np.random.default_rng(1)
         x, nsk = random_sym(5, rng), random_skew(5, rng)
         x[0, 0] = np.nan
-        got, expected = _harvest(x, nsk, False)[0], loop_harvest(x, nsk, False)[1]
+        got, expected = _harvest(x, nsk, None)[0], loop_harvest(x, nsk, False)[1]
         assert np.isnan(got).any()
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+def table_residuals(x, nsk):
+    """The recursion residuals at x from its gradient table with the (n, 2r) family."""
+    return recursion_residuals(x, nsk, gradient_table(x, nsk, beyond=True)[1])
+
+
+def frequency_structure(kind, d, n, rng):
+    """A skew N of size n and nullity d, rotated densely, with equal, mixed or integer frequencies."""
+    p = (n - d) // 2
+    freqs = {"equal": np.full(p, 1.3), "mixed": rng.choice([0.8, 1.3], p), "integer": np.arange(1.0, p + 1)}[kind]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ canonical_skew_matrix(freqs, d) @ q.T
+    return (a - a.T) / 2
+
+
+# distinct frequencies are test_bit_equal_to_pair_loop's
+RECURSION_CASES = [(n, d, kind) for n in range(1, 18) for d in range(3) if d <= n and (n - d) % 2 == 0
+                   for kind in ("equal", "mixed", "integer")]
+RECURSION_CASES += [(n, n % 2, "random") for n in range(1, 18)]
 
 
 class TestRecursion:
@@ -476,20 +513,20 @@ class TestRecursion:
         # k = 1, r = 1 compares the flow generated through both structures
         rng = np.random.default_rng(17)
         x, nsk = random_sym(4, rng), random_skew(4, rng)
-        assert recursion_residuals(x, nsk)[(1, 1)] <= 1e-15
+        assert table_residuals(x, nsk)[(1, 1)] <= 1e-15
 
     def test_nontrivial_example(self):
         # (k, r) = (3, 1): gradients of the (3, 2) and (4, 2) members
         rng = np.random.default_rng(18)
         for n in (4, 5, 6):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            assert recursion_residuals(x, nsk)[(3, 1)] <= 1e-14
+            assert table_residuals(x, nsk)[(3, 1)] <= 1e-14
 
     def test_hamiltonian_chain(self):
         # r = k: the plain trace-power Hamiltonians chain through both tensors
         rng = np.random.default_rng(19)
         x, nsk = random_sym(6, rng), random_skew(6, rng)
-        residuals = recursion_residuals(x, nsk)
+        residuals = table_residuals(x, nsk)
         for k in range(1, 6):
             assert residuals[(k, k)] <= 1e-13
 
@@ -503,21 +540,21 @@ class TestRecursion:
     def test_all_admissible_indices_small(self):
         rng = np.random.default_rng(21)
         x, nsk = random_sym(5, rng), random_skew(5, rng)
-        assert max(recursion_residuals(x, nsk).values()) <= 1e-13
+        assert max(table_residuals(x, nsk).values()) <= 1e-13
 
     def test_keys_match_c04_pairs(self):
         # ascending order too: the certificate's worst_pair breaks ties by it
         rng = np.random.default_rng(22)
         for n in range(2, 9):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            assert list(recursion_residuals(x, nsk)) == c04_pairs(n)
+            assert list(table_residuals(x, nsk)) == c04_pairs(n)
 
 
 class TestStackedRecursion:
-    """The stacked residuals are bit-equal to the per-pair loop, in its key order."""
+    """The residuals from the gradient table are bit-equal to the per-pair loop, in its key order."""
 
     def check(self, x, nsk):
-        got, expected = recursion_residuals(x, nsk), loop_recursion_residuals(x, nsk)
+        got, expected = table_residuals(x, nsk), loop_recursion_residuals(x, nsk)
         assert list(got) == list(expected)
         assert [np.float64(v).tobytes() for v in got.values()] == \
             [np.float64(v).tobytes() for v in expected.values()]
@@ -530,34 +567,31 @@ class TestStackedRecursion:
             if (n - d) % 2 == 0:
                 self.check(random_sym(n, rng), structure(f"nullity{d}", n, rng))
 
-    @pytest.mark.parametrize("limit", [0, 6000, 20000])
-    def test_split_batches_bit_equal(self, monkeypatch, limit):
-        batches = []
-        batch = invariants._recursion_batch
-        monkeypatch.setattr(invariants, "RECURSION_BATCH_BYTES", limit)
-        # record the powers per batch: a[2] is the list of low-side pieces, one per power
-        monkeypatch.setattr(invariants, "_recursion_batch",
-                            lambda *a: batches.append(len(a[2])) or batch(*a))
-        rng = np.random.default_rng(43)
-        for n, d in [(9, 1), (12, 0), (14, 2)]:
-            batches.clear()
-            self.check(random_sym(n, rng), structure(f"nullity{d}", n, rng))
-            assert sum(batches) == n - 1 and len(batches) > 1  # powers per batch
-            if limit == 0:
-                assert batches == [1] * (n - 1)  # every power on its own
+    @pytest.mark.parametrize("n, d, kind", RECURSION_CASES)
+    def test_bit_equal_over_frequency_patterns(self, n, d, kind):
+        rng = np.random.default_rng(1000 * n + 10 * d + len(kind))
+        nsk = random_skew(n, rng) if kind == "random" else frequency_structure(kind, d, n, rng)
+        self.check(random_sym(n, rng), nsk)
 
-    def test_default_limit_splits_at_n24(self, monkeypatch):
-        # 2 * 8 * 24^2 bytes per pair: the default limit is passed at k = 15 and k = 21
-        batches = []
-        batch = invariants._recursion_batch
-        monkeypatch.setattr(invariants, "_recursion_batch",
-                            lambda *a: batches.append(len(a[2])) or batch(*a))
-        rng = np.random.default_rng(44)
-        self.check(random_sym(24, rng), structure("nullity0", 24, rng))
-        assert batches == [15, 6, 2]  # powers per batch
+    def test_one_by_one_has_no_pairs(self):
+        # the table with the family beyond it holds the (1, 0) gradient only
+        x, nsk = np.ones((1, 1)), np.zeros((1, 1))
+        assert gradient_table(x, nsk)[1].shape == (0, 1, 1)
+        table = gradient_table(x, nsk, beyond=True)[1]
+        assert np.array_equal(table, np.ones((1, 1, 1)))
+        assert recursion_residuals(x, nsk, table) == {} == loop_recursion_residuals(x, nsk)
+
+    def test_two_by_two_single_pair(self):
+        # (1, 1) pairs the identity with the (2, 0) gradient X: X N - N X both ways, exactly
+        rng = np.random.default_rng(45)
+        x, nsk = random_sym(2, rng), canonical_skew_matrix([1.5])
+        table = gradient_table(x, nsk, beyond=True)[1]
+        assert np.array_equal(table, np.stack([np.eye(2), x]))
+        assert recursion_residuals(x, nsk, table) == {(1, 1): 0.0}
 
     def test_nan_state_propagates(self):
-        x = np.full((4, 4), np.nan)
+        # the public entries reject a NaN state, so the table is a finite state's
         nsk = canonical_skew_matrix([1.0, 2.0])
-        got = invariants._recursion_batch(x, nsk, [np.eye(4)[None]], [np.eye(4)[None]])
-        assert np.isnan(got[0])
+        table = gradient_table(random_sym(4, np.random.default_rng(46)), nsk, beyond=True)[1]
+        got = recursion_residuals(np.full((4, 4), np.nan), nsk, table)
+        assert list(got) == c04_pairs(4) and np.isnan(list(got.values())).all()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symflow import verify
+from symflow import invariants, verify
 from symflow.invariants import admissible_indices, gradient_table, invariant_count
 from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
@@ -166,7 +166,7 @@ class TestSharedDraws:
     def calls(self, monkeypatch):
         calls = []
         table = verify.gradient_table
-        monkeypatch.setattr(verify, "gradient_table", lambda *a: calls.append(1) or table(*a))
+        monkeypatch.setattr(verify, "gradient_table", lambda *a, **kw: calls.append(1) or table(*a, **kw))
         return calls
 
     @staticmethod
@@ -190,6 +190,15 @@ class TestSharedDraws:
         calls.clear()
         assert self.shared(form, 2, 4) == expected
         assert len(calls) == draws
+
+    def test_recursion_reads_the_draws_table(self, calls, monkeypatch):
+        # the draw's one table is the only walk of the powers; nullity 2 gives
+        # independence no verdict, so it takes no resample
+        walks, walk = [], invariants._power_stacks
+        monkeypatch.setattr(invariants, "_power_stacks", lambda *a: walks.append(1) or walk(*a))
+        form = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2, 1.45], 2))
+        self.outcomes(form, 3, 6, STREAM_SUITES)
+        assert len(calls) == len(walks) == 3
 
     @pytest.mark.parametrize("freqs,d", [([0.6, 0.9, 1.2, 1.45], 0), ([0.6, 0.9, 1.2, 1.45], 1),
                                          ([0.6, 0.9, 1.2, 1.45], 2), ([1.3] * 4, 0), ([1.0, 1.0, 2.0], 1)])
@@ -245,11 +254,11 @@ class TestSharedDraws:
         expected = run_suite(form, "involution", 2, 4).to_dict()
         table, calls = verify.gradient_table, []
 
-        def third_fails(*args):
+        def third_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 raise ArithmeticError("draw 2")
-            return table(*args)
+            return table(*args, **kwargs)
 
         monkeypatch.setattr(verify, "gradient_table", third_fails)
         outcomes = self.outcomes(form, 2, 4)
