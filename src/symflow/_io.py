@@ -221,16 +221,23 @@ def _write_cells(fh, values: np.ndarray, slot=None) -> None:
 
     Each cell's last byte takes its separator, so a cell of a numpy-converted
     text with a two-digit exponent keeps one NUL at most, a positive sign's
-    slot, and one ``bytes.replace`` removes the padding.  A chunk with a
-    text that fills its cell (a three-digit exponent, or Python's
-    "-1.0000000000000000e+300") takes the general path: a separator byte
-    after every cell.
+    slot, and one ``bytes.replace`` removes the padding.  A positive text
+    that fills its cell (a three-digit exponent) moves into its sign's slot.
+    A chunk with a text that still fills its cell (a negative one, or
+    Python's "-1.0000000000000000e+300") takes the general path: a separator
+    byte after every cell.
     """
     cells = _e16_cells(values).reshape(values.shape + (_CELL,))
     if slot is not None:
         cells = cells.take(slot, axis=1)
     if cells[:, :, -1].any():
-        cells = np.concatenate([cells, np.zeros(cells.shape[:-1] + (1,), np.uint8)], axis=-1)
+        full = cells[:, :, -1] != 0
+        if cells[:, :, 0][full].any():
+            cells = np.concatenate([cells, np.zeros(cells.shape[:-1] + (1,), np.uint8)], axis=-1)
+        else:
+            up = np.flatnonzero(full)
+            flat = cells.reshape(-1, _CELL)  # a view: the cells are a fresh contiguous array
+            flat[up, :-1] = flat[up, 1:]  # the last byte takes the separator below
     cells[:, :, -1] = ord(",")
     cells[:, -1, -1] = ord("\n")
     fh.write(cells.tobytes().replace(b"\0", b""))

@@ -13,7 +13,10 @@ field allocates: its two products and one transposed copy.  Steps run in
 segments that end at the monitor points, with one finiteness check each.
 The monitor points are recorded after their steps, in stacked groups of
 up to :data:`MONITOR_GROUP_BYTES` of states, with the errors and warnings
-of one record after another.
+of one record after another.  That budget bounds only the pending copy of
+the group's states: one range check, one Casimir pass and one eigensolve
+take each group, and the power walk of the invariants takes it in
+sub-stacks of :data:`~symflow.invariants.WALK_STACK_BYTES`.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .poisson import SkewCanonicalForm, lie_poisson_casimirs
 #: absolute differences.
 DRIFT_FLOOR = 1e-12
 
-#: Bytes of monitored states evaluated as one stack: 16 states at n = 8 and
-#: one at n = 32, where a larger stack is slower per state.
-MONITOR_GROUP_BYTES = 1 << 13
+#: Bytes of the pending copy of monitored states, recorded as one stack:
+#: 128 states at n = 8 and 8 at n = 32.
+MONITOR_GROUP_BYTES = 1 << 16
 
 
 class FlowDivergenceError(RuntimeError):

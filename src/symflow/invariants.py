@@ -30,10 +30,13 @@ array.
 
 Each power stack is written in place into a window that already holds
 the stack before it, so the pair GEMM reads the stacks of P^{m-1} and P^m
-as one array.  The values of a (B, n, n) stack of states, the monitor points of a run, take
-one walk: each power stack holds every state's coefficients, and each
-state keeps the GEMM shapes of a walk of its own, so its values keep their
-bits.
+as one array.  A (B, n, n) stack of states, the monitor points of a run,
+takes one range check and one odd-coefficient check, and one walk per
+sub-stack of at most :data:`WALK_STACK_BYTES` of states: each power stack
+holds the sub-stack's coefficients, and each state keeps the GEMM shapes
+of a walk of its own, so its values keep their bits.  The bound is where
+stacking pays: at n = 32 a stacked walk's GEMMs are slower per state than
+one state's.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ from .poisson import frozen_tensor, lie_poisson_tensor
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
 #: coefficients, which are structural zeros; violation signals a bug.
 ODD_COEFF_TOL = 1e-12
+
+#: Bytes of the states one power walk takes as a stack: 16 states at n = 8
+#: and one at n = 32, where a larger stack is slower per state.
+WALK_STACK_BYTES = 1 << 13
 
 
 def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int):
@@ -197,7 +204,13 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
             raise OverflowError(f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}")
         scale.append(row)
     depth = n // 2 if families is None else max(families - 1, n // 2)
-    traces = _trace_walk(x, n_skew, depth, gradients).reshape(-1, n - 1, n)
+    if x.ndim == 2:
+        traces = _trace_walk(x, n_skew, depth, gradients)[None]
+    else:  # one walk per sub-stack of at most WALK_STACK_BYTES of states
+        step = max(1, WALK_STACK_BYTES // (x.itemsize * n * n))
+        traces = np.concatenate([
+            _trace_walk(x[i:i + step], n_skew, depth, None if gradients is None else gradients[:, i:i + step])
+            for i in range(0, len(x), step)])
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
     odd = member[:, 1::2] & (np.abs(traces[:, :, 1::2]) > ODD_COEFF_TOL * np.array(scale)[:, :, None])

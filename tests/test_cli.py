@@ -964,6 +964,29 @@ class TestCsvPaths:
         header = ["t"] + [f"X_{i}_{j}" for i in range(3) for j in range(3)]
         assert (tmp_path / "trajectory.csv").read_bytes() == per_value_csv(header, table).encode()
 
+    def test_full_cells_on_some_rows(self, tmp_path):
+        # texts that fill their cell: positive three-digit exponents move into their sign's
+        # slot and keep the fast path; a chunk with a negative one, or Python's -1e300, takes
+        # the general path, with such rows inside a chunk, across a chunk boundary, on a
+        # chunk's first and last rows and over a whole chunk; the last chunk has positive ones only
+        c = CSV_CHUNK_ROWS
+        rows = np.random.default_rng(21).standard_normal((4 * c + 9, 7))
+        rows[0, 2], rows[1, 3], rows[2, 1] = 3e-150, -2e-200, 5e-324
+        rows[5:9, 1] = -1e-120
+        rows[7, 4] = 4e-250
+        rows[c - 2:c + 3, 0] = -7e-101
+        rows[c + 10] = 1e-300
+        rows[2 * c:3 * c, 5] = -5e-324
+        rows[3 * c + 3, 2], rows[3 * c + 4, 2], rows[-1, -1] = -1e300, 1e300, 1.5e-300
+        header = [f"c{i}" for i in range(7)]
+        _write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == per_value_csv(header, rows).encode()
+        table = symmetric_table(rows.ravel(), 3)
+        times, states = states_from(table)
+        _write_trajectory_csv(tmp_path / "trajectory.csv", times, states)
+        header = ["t"] + [f"X_{i}_{j}" for i in range(3) for j in range(3)]
+        assert (tmp_path / "trajectory.csv").read_bytes() == per_value_csv(header, table).encode()
+
 
 def dumped_trajectory(path, times, states):
     """trajectory.json as json.dump writes it from nested lists of every state."""

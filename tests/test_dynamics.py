@@ -405,21 +405,34 @@ class TestIntegrate:
         with pytest.raises(ArithmeticError, match="odd-power trace coefficient"):
             integrate(10.0 * random_sym(4, rng), skewed, IntegratorConfig(step=0.5, t_end=50.0))
 
-    @pytest.mark.parametrize("limit", [0, 3 * 8 * 16, 1 << 20])
-    def test_grouping_keeps_every_bit(self, monkeypatch, limit):
-        # groups of 1, 3 and every monitor point record what the default groups record
+    @pytest.mark.parametrize("n, stride, limit", [
+        pytest.param(4, 2, 0, id="0"),
+        pytest.param(4, 2, 3 * 8 * 16, id="384"),
+        pytest.param(4, 2, 1 << 20, id="1048576"),
+        pytest.param(32, 1, 0, id="n32-0"),
+    ])
+    def test_grouping_keeps_every_bit(self, monkeypatch, n, stride, limit):
+        # groups of 1, 3 and every monitor point record what the default groups
+        # record; at n = 32 the default groups of 8 take the 21 monitor points in three
         rng = np.random.default_rng(14)
-        x0, form = random_sym(4, rng), canonical_form(random_skew(4, rng))
-        config = IntegratorConfig(step=0.01, t_end=0.3, monitor_stride=2)
-        expected = integrate(x0, form, config)
-        monkeypatch.setattr(dynamics, "MONITOR_GROUP_BYTES", limit)
+        x0, form = random_sym(n, rng), canonical_form(random_skew(n, rng))
+        config = IntegratorConfig(step=0.01, t_end=0.3 if n == 4 else 0.2, monitor_stride=stride)
         sizes, record_group = [], dynamics._record_group
         monkeypatch.setattr(dynamics, "_record_group", lambda f, s: sizes.append(len(s)) or record_group(f, s))
+        expected = integrate(x0, form, config)
+        points = len(expected.monitor_times)  # 16 at n = 4, 21 at n = 32
+
+        def groups(limit):
+            group = min(max(1, limit // x0.nbytes), points)
+            return [group] * (points // group) + [points % group] * (points % group > 0)
+
+        assert sizes == groups(dynamics.MONITOR_GROUP_BYTES)
+        sizes.clear()
+        monkeypatch.setattr(dynamics, "MONITOR_GROUP_BYTES", limit)
         got = integrate(x0, form, config)
         for name in ("monitor_times", "invariant_values", "casimir_values", "spectra"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
-        group = max(1, limit // x0.nbytes)  # 1, 3 and every one of the 16 monitor points
-        assert sizes == [group] * (16 // group) + [16 % group] * (16 % group > 0)
+        assert sizes == groups(limit)
 
     def test_spectrum_columns_sorted(self):
         rng = np.random.default_rng(13)
@@ -539,3 +552,37 @@ class TestStackedRecords:
                     evaluate()
             caught.append([(w.category, str(w.message)) for w in seen])
         assert caught[0] == caught[1] == [(RuntimeWarning, "overflow encountered in matmul")]
+
+    @staticmethod
+    def outcome(evaluate):
+        """The error type and message, and the warnings before it, of a call that fails."""
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises((ArithmeticError, ValueError)) as raised:
+                evaluate()
+        return type(raised.value), str(raised.value), [(w.category, str(w.message)) for w in seen]
+
+    def test_group_of_eight_at_n32_fails_as_a_loop_would(self):
+        # one default group at n = 32, in eight walks of one state: state 1's Casimirs pass
+        # the float range and warn, state 3's kernel block is singular, state 5 passes the
+        # range of the invariants; a loop warns at state 1 and raises at state 3
+        form = canonical_form(canonical_skew_matrix(np.linspace(1.5, 0.001, 15), 2))
+        assert max(1, dynamics.MONITOR_GROUP_BYTES // (32 * 32 * 8)) == 8
+        rng = np.random.default_rng(16)
+        states = np.stack([random_sym(32, rng) for _ in range(8)])
+        states[1] *= 1e9
+        singular = form.to_canonical(states[3])
+        singular[30:, 30:] = 0.0
+        states[3] = form.basis.T @ singular @ form.basis
+        states[5, 0, 0] = 1e200
+        expected = self.outcome(lambda: [_records(form, state[None]) for state in states])
+        assert expected[0] is ValueError and "kernel block" in expected[1]
+        assert expected[2][0] == (RuntimeWarning, "overflow encountered in matmul")
+        assert self.outcome(lambda: _record_group(form, states)) == expected
+        # a symmetric part in N breaks the odd structural zeros of every state but X = 0
+        form = canonical_form(canonical_skew_matrix(np.linspace(1.5, 0.5, 16)))
+        skewed = dataclasses.replace(form, skew=form.skew + 0.1 * random_sym(32, rng))
+        states[:4], states[5] = 0.0, random_sym(32, rng)
+        expected = self.outcome(lambda: [_records(skewed, state[None]) for state in states])
+        assert expected[:2] == self.outcome(lambda: invariant_table(states[4], skewed.skew))[:2]
+        assert self.outcome(lambda: _record_group(skewed, states)) == expected

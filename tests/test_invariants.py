@@ -206,6 +206,67 @@ class TestPowerStacksInPlace:
         assert str(raised.value) == str(alone.value)
 
 
+class TestWalkSubStacks:
+    """A stack walks in sub-stacks of at most WALK_STACK_BYTES, each state's values kept bit for bit."""
+
+    @staticmethod
+    def walked_sizes(monkeypatch):
+        sizes, walk = [], invariants._trace_walk
+        monkeypatch.setattr(invariants, "_trace_walk", lambda x, *args: sizes.append(len(x)) or walk(x, *args))
+        return sizes
+
+    @pytest.mark.parametrize("n, count, walks", [(8, 40, [16, 16, 8]), (32, 5, [1] * 5), (33, 3, [1] * 3)])
+    def test_stack_equals_each_state(self, monkeypatch, n, count, walks):
+        rng = np.random.default_rng(n)
+        x, nsk = np.stack([random_sym(n, rng) for _ in range(count)]), structure(f"nullity{n % 2}", n, rng)
+        x[1] = 0.0
+        sizes = self.walked_sizes(monkeypatch)
+        values = invariant_table(x, nsk)
+        assert sizes == walks
+        assert values.shape == (count, invariant_count(n))
+        for row, state in zip(values, x):
+            assert row.tobytes() == invariant_table(state, nsk).tobytes()
+
+    @staticmethod
+    def loop_error(states, nsk, kind):
+        """The error a loop of per-state calls raises first."""
+        for state in states:
+            try:
+                invariant_table(state, nsk)
+            except kind as exc:
+                return str(exc)
+        raise AssertionError("no state fails")
+
+    def test_range_error_from_a_later_sub_stack(self, monkeypatch):
+        # states 21 and 37 pass the float range, in the second and third walks of 16
+        nsk = canonical_skew_matrix([1.0, 2.0, 3.0, 4.0])
+        rng = np.random.default_rng(3)
+        x = np.stack([random_sym(8, rng) for _ in range(40)])
+        x[21], x[37] = np.diag([3e200] + [1.0] * 7), np.diag([1e250] + [1.0] * 7)
+        sizes = self.walked_sizes(monkeypatch)
+        with pytest.raises(OverflowError) as raised:
+            invariant_table(x, nsk)
+        assert sizes == []  # decided before any walk
+        assert str(raised.value) == self.loop_error(x, nsk, OverflowError)
+        assert "3.000e+200" in str(raised.value)
+
+    def test_odd_error_from_a_later_sub_stack(self):
+        # a symmetric part in N breaks the odd structural zeros of every state but X = 0:
+        # states 0..20 pass, state 21 opens the second walk's failures
+        rng = np.random.default_rng(4)
+        skewed = random_skew(8, rng) + 0.1 * random_sym(8, rng)
+        x = np.stack([random_sym(8, rng) for _ in range(40)])
+        x[:21] = 0.0
+        with pytest.raises(ArithmeticError) as raised:
+            invariant_table(x, skewed)
+        with pytest.raises(ArithmeticError) as alone:
+            invariant_table(x[21], skewed)
+        assert str(raised.value) == str(alone.value) == self.loop_error(x, skewed, ArithmeticError)
+        with pytest.raises(ArithmeticError) as other:
+            invariant_table(x[22], skewed)
+        assert str(other.value) != str(alone.value)  # the message tells the states apart
+
+
 class TestCounts:
     def test_small_values(self):
         assert invariant_count(4) == 4
