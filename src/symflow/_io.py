@@ -358,7 +358,7 @@ def _echo_config(cfg) -> None:
     """Write runconfig.json, the resolved run config ``cfg``, into its output directory."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "runconfig.json", {
-        "n": cfg.n,
+        "n": len(cfg.n_skew),
         "N": cfg.n_skew,
         "X0": cfg.x0,
         "integrator": dataclasses.asdict(cfg.integrator),

@@ -8,8 +8,10 @@ deterministic: given the same config and seeds, re-runs are byte-identical.
 The writers live in :mod:`symflow._io`; this module parses, resolves the
 config and dispatches.
 
-Exit codes: 0 success, 1 certificate failure, 2 config error (sizes past
-the memory included), 3 numerical abort.
+Exit codes: 0 success, 1 certificate failure, 2 config error (a config
+that cannot be read or parsed, nesting past the parser's depth included; an
+output path that cannot be created or written; sizes past the memory), 3
+numerical abort.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass
 class RunConfig:
-    n: int
     n_skew: np.ndarray
     x0: np.ndarray
     integrator: IntegratorConfig
@@ -65,11 +66,11 @@ class RunConfig:
         return canonical_form(self.n_skew, self.tolerances["rank"])
 
 
-def _object(value, name: str, fields=None) -> dict:
-    """A JSON object, with no keys outside ``fields`` when that is given."""
+def _object(value, name: str, fields) -> dict:
+    """A JSON object with no keys outside ``fields``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    unknown = [] if fields is None else [key for key in value if key not in fields]
+    unknown = [key for key in value if key not in fields]
     if unknown:
         raise ConfigError(f"unknown {name} fields {unknown}; valid: {list(fields)}")
     return value
@@ -128,7 +129,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
         raise ConfigError("N must be an object with exactly one of: canonical, explicit, random")
     kind, payload = next(iter(spec.items()))
     if kind == "canonical":
-        payload = _object(payload, "canonical N")
+        payload = _object(payload, "canonical N", ("v", "d"))
         freqs = payload.get("v") or []
         d = _integer(payload.get("d", 0), "canonical N field d", 0)
         if not freqs and d == 0:
@@ -145,7 +146,7 @@ def _build_n(spec, n_hint, seed) -> np.ndarray:
     if kind == "random":
         if n_hint is None:
             raise ConfigError("random N needs the config field n")
-        payload = _object(payload, "random N")
+        payload = _object(payload, "random N", ("seed",))
         rng = np.random.default_rng(_integer(payload.get("seed", seed), "random N field seed", 0))
         return random_skew(n_hint, rng)
     raise ConfigError(f"unknown N kind {kind!r}")
@@ -166,7 +167,7 @@ def _build_x0(spec, n, seed) -> np.ndarray:
             raise ConfigError(f"X0 size {x0.shape[0]} does not match n = {n}")
         return x0
     if kind == "random":
-        payload = _object(payload, "random X0")
+        payload = _object(payload, "random X0", ("seed",))
         rng = np.random.default_rng(_integer(payload.get("seed", seed), "random X0 field seed", 0))
         return random_sym(n, rng)
     raise ConfigError(f"unknown X0 kind {kind!r}")
@@ -180,11 +181,14 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply: {exc}") from exc
 
 
 def resolve_config(raw: dict, args) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _object(raw, "config", ("n", "N", "X0", "integrator", "suites", "samples", "seed", "tolerances", "output"))
     seed = _integer(args.seed if args.seed is not None else raw.get("seed", 0), "seed", 0)
     n_hint = None if raw.get("n") is None else _integer(raw["n"], "n", 1)
 
@@ -226,7 +230,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
     if args.rank_tol is not None:
         tolerances["rank"] = _tolerance(args.rank_tol, "--rank-tol")
 
-    output = _object(raw.get("output", {}), "output")
+    output = _object(raw.get("output", {}), "output", ("dir", "formats"))
     out_dir = _convert(Path, args.out if args.out is not None else output.get("dir", "out"), "output dir")
     formats = output.get("formats", ["csv"])
     if args.format is not None:
@@ -240,14 +244,13 @@ def resolve_config(raw: dict, args) -> RunConfig:
     samples = _integer(raw.get("samples", 20), "samples", 1)
 
     return RunConfig(
-        n=n, n_skew=n_skew, x0=x0, integrator=integrator, suites=list(suites),
+        n_skew=n_skew, x0=x0, integrator=integrator, suites=list(suites),
         samples=samples, seed=seed, tolerances=tolerances, out_dir=out_dir,
         formats=list(formats),
     )
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    _echo_config(cfg)
     traj = integrate(cfg.x0, cfg.form, cfg.integrator)
     mon_header, mon_rows = _monitor_table(traj)
     if "csv" in cfg.formats:
@@ -260,7 +263,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _echo_config(cfg)
     failed = False
     outcomes = certificates(cfg.form, cfg.suites, cfg.samples, cfg.seed, cfg.tolerances)
     for name, cert in zip(cfg.suites, outcomes):
@@ -279,17 +281,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_invariants(cfg: RunConfig) -> int:
-    _echo_config(cfg)
-    keys = admissible_indices(cfg.n)
+    n = len(cfg.x0)
+    keys = admissible_indices(n)
     values, gradients = gradient_table(cfg.x0, cfg.n_skew)
     if "csv" in cfg.formats:
         rows = [[k, two_r, value] for (k, two_r), value in zip(keys, values)]
         _write_csv(cfg.out_dir / "invariants.csv", ["k", "two_r", "value"], rows)
     labels = [_inv_label(key) for key in keys]
     payload = {
-        "n": cfg.n,
+        "n": n,
         "count": len(keys),
-        "count_expected": invariant_count(cfg.n),
+        "count_expected": invariant_count(n),
         "values": dict(zip(labels, values)),
         "gradients": dict(zip(labels, gradients)),
     }
@@ -298,7 +300,6 @@ def cmd_invariants(cfg: RunConfig) -> int:
 
 
 def cmd_casimirs(cfg: RunConfig) -> int:
-    _echo_config(cfg)
     form = cfg.form
     values = lie_poisson_casimirs(form, form.to_canonical(cfg.x0))
     payload = {
@@ -315,7 +316,6 @@ def cmd_casimirs(cfg: RunConfig) -> int:
 
 
 def cmd_leaf_dims(cfg: RunConfig) -> int:
-    _echo_config(cfg)
     form = cfg.form
     dim_lp, dim_frozen = leaf_dimensions(form, cfg.x0)
     expected_lp, expected_frozen = expected_leaf_dimensions(form)
@@ -370,11 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](resolve_config(load_config(args.config), args))
-    except (ConfigError, ValueError, MemoryError) as exc:
+        cfg = resolve_config(load_config(args.config), args)
+        _echo_config(cfg)
+        return COMMANDS[args.command](cfg)
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
         # rejections of the resolved inputs (singular kernel block, inconsistent
-        # sizes) and sizes past the memory (n, a horizon, a sample count) count
-        # as configuration errors
+        # sizes), sizes past the memory (n, a horizon, a sample count) and an
+        # output path that cannot be created or written count as configuration errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RankInstabilityError as exc:

@@ -189,8 +189,8 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
     if families is not None:
         gradients = np.empty((invariant_count(families + 1),) + x.shape)
         gradients[:1] = np.eye(n)  # the (1, 0) gradient, if any family is asked for
-    if n < 2:
-        return np.empty(x.shape[:-2] + (0,)), gradients
+    if n < 2 or not x.size:
+        return np.empty(x.shape[:-2] + (invariant_count(n),)), gradients
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
     # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
     scale = []

@@ -132,15 +132,8 @@ def _feed(suites: dict, draws) -> dict:
     draw is held.  Returns name -> certificate, or the exception the suite
     raised, for the caller to raise where the suite would run alone.
     """
-    outcomes, active = {}, []
-    for name, steps in suites.items():
-        try:
-            next(steps)
-            active.append((name, steps))
-        except Exception as exc:
-            outcomes[name] = exc
-    while active:
-        draw = next(draws)
+    outcomes, active, draw = {}, list(suites.items()), None
+    while active:  # the first send(None) starts each suite
         waiting = []
         for name, steps in active:
             try:
@@ -151,6 +144,7 @@ def _feed(suites: dict, draws) -> dict:
             except Exception as exc:
                 outcomes[name] = exc
         active = waiting
+        draw = next(draws) if active else None
     return outcomes
 
 

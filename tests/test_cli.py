@@ -685,6 +685,65 @@ class TestConfigHandling:
         assert np.asarray(payload["X0"]).shape == (4, 4)
 
 
+class TestOneWayIn:
+    """Every config object is checked against its keys; main echoes the config once, then dispatches."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"sample": 5}, "unknown config fields ['sample']"),
+        ({"N": {"canonical": {"v": [1.0, 2.0], "nullity": 1}}},
+         "unknown canonical N fields ['nullity']; valid: ['v', 'd']"),
+        ({"N": {"random": {"sed": 1}}}, "unknown random N fields ['sed']; valid: ['seed']"),
+        ({"X0": {"random": {"sed": 1}}}, "unknown random X0 fields ['sed']; valid: ['seed']"),
+        ({"output": {"format": ["json"]}}, "unknown output fields ['format']; valid: ['dir', 'formats']"),
+    ], ids=["top-level", "canonical-N", "random-N", "random-X0", "output"])
+    def test_misspelled_key_exit_2(self, tmp_path, capsys, fields, message):
+        code, out = run(tmp_path, "simulate", dict(BASE, **fields))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(symflow.cli.COMMANDS))
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, command, below):
+        (tmp_path / "afile").write_text("")
+        code, _ = run(tmp_path, command, BASE, out="afile/sub" if below else "afile")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert (tmp_path / "afile").read_text() == ""
+
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What main calls, in order: "echo" for each _echo_config, the command's name for each dispatch."""
+        events, echo = [], symflow.cli._echo_config
+        monkeypatch.setattr(symflow.cli, "_echo_config", lambda cfg: events.append("echo") or echo(cfg))
+        for name, command in symflow.cli.COMMANDS.items():
+            monkeypatch.setitem(symflow.cli.COMMANDS, name,
+                                lambda cfg, name=name, command=command: events.append(name) or command(cfg))
+        return events
+
+    @pytest.mark.parametrize("command", list(symflow.cli.COMMANDS))
+    def test_echoed_once_then_dispatched(self, tmp_path, events, command):
+        code, out = run(tmp_path, command, BASE)
+        assert code == 0
+        assert events == ["echo", command]
+        assert (out / "runconfig.json").exists()
+
+    def test_echoed_once_before_a_numerical_abort(self, tmp_path, events):
+        config = dict(BASE, n=2, N={"canonical": {"v": [1.0], "d": 0}}, X0={"explicit": [[10.0, 0.3], [0.3, -4.0]]},
+                      integrator={"step": 0.5, "t_end": 50.0})
+        code, out = run(tmp_path, "simulate", config)
+        assert code == 3
+        assert events == ["echo", "simulate"]
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
+
 def per_value_csv(header, rows) -> str:
     """The per-value formatter the CSV writer replaced, the reference form."""
     lines = [",".join(header)] + [",".join(f"{float(v):.16e}" for v in row) for row in rows]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symflow.matrix_core import frob_norm, max_abs, random_skew, random_sym, symmetrize
-from symflow.invariants import invariant_table
+from symflow.invariants import invariant_count, invariant_table
 from symflow.poisson import (
     canonical_form,
     canonical_skew_matrix,
@@ -505,6 +505,13 @@ def loop_casimirs(form, x):
 
 class TestStackedRecords:
     """A stack of monitored states records each state's values bit for bit."""
+
+    @pytest.mark.parametrize("n, d, form", list(record_forms()))
+    def test_empty_stack(self, n, d, form):
+        values, casimirs, spectra = _records(form, np.empty((0, n, n)))
+        assert values.shape == (0, invariant_count(n))
+        assert casimirs.shape == (0, form.casimir_counts()[0])
+        assert spectra.shape == (0, n)
 
     @pytest.mark.parametrize("n, d, form", list(record_forms()))
     def test_stack_equals_each_state(self, n, d, form):

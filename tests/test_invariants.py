@@ -303,6 +303,12 @@ class TestCounts:
 
 
 class TestInvariantTable:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 33])
+    def test_empty_stack(self, n):
+        nsk = random_skew(n, np.random.default_rng(n))
+        values = invariant_table(np.empty((0, n, n)), nsk)
+        assert values.shape == (0, invariant_count(n)) and values.dtype == np.float64
+
     def test_n4_keys(self):
         # one float64 value per member, in the order (1, 0), (2, 0), (3, 0), (3, 2)
         rng = np.random.default_rng(4)

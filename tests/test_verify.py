@@ -265,6 +265,22 @@ class TestSharedDraws:
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
 
+    def test_suite_done_at_its_start_takes_no_draw(self):
+        form = canonical_form(canonical_skew_matrix([0.6, 0.9]))
+        taken = []
+
+        def draws():
+            while True:
+                taken.append(1)
+                yield None
+
+        steps = verify._sampled_steps("involution", form, 0, 3, 1e-10, lambda draw: (0.0, {}))
+        outcomes = verify._feed({"involution": steps}, draws())
+        cert = outcomes["involution"]
+        assert isinstance(cert, verify.Certificate)
+        assert (cert.sample_count, cert.max_residual, cert.passed, cert.details) == (0, 0.0, True, [])
+        assert taken == []
+
     def test_no_samples(self, monkeypatch):
         # checked once, before any suite runs, sectional2x2 included
         form = canonical_form(canonical_skew_matrix([0.6, 0.9]))
