@@ -24,13 +24,21 @@ pair trace for k = 2m-1 and k = 2m, so the values walk only to
 m = ceil((n-1)/2); for even n the last GEMM pairs zeros for k = n, which
 is beyond the table.  The gradients continue the same walk to n-2, or to
 n-1 for the family beyond the table.  One bincount sums the pair traces
-into coefficients, one mask checks the odd structural zeros, and one
-stacked symmetrize per stack writes its gradients into the (rows, n, n)
-array.
+into coefficients, one mask checks the odd structural zeros, and each
+stack's gradients are symmetrized straight into their rows of the
+(rows, n, n) array.
 
-Each power stack is written in place into a window that already holds
-the stack before it, so the pair GEMM reads the stacks of P^{m-1} and P^m
-as one array.  A (B, n, n) stack of states, the monitor points of a run,
+Each walk allocates one buffer and runs inside it: two windows of
+2 depth + 1 rows, and a side buffer.  Window m, in half m % 2, holds
+[P^{m-1}; P^m], so the pair GEMM reads both stacks as one array; its first
+m rows are copied from window m-1 in the other half.  The side buffer
+takes each stack's N products and then the transposed stack of the pair
+GEMM, and the zeroed [P^{m-1}; 0] window of even n goes in the other
+half, free until the next stack.  A window is valid until the
+next-but-one stack is written over it.  One allocation per walk keeps the
+n = 32 monitor records from faulting fresh pages in at every stack.
+
+A (B, n, n) stack of states, the monitor points of a run,
 takes one range check and one odd-coefficient check, and one walk per
 sub-stack of at most :data:`WALK_STACK_BYTES` of states: each power stack
 holds the sub-stack's coefficients, and each state keeps the GEMM shapes
@@ -46,7 +54,6 @@ import math
 
 import numpy as np
 
-from .matrix_core import symmetrize
 from .poisson import frozen_tensor, lie_poisson_tensor
 
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
@@ -58,30 +65,35 @@ ODD_COEFF_TOL = 1e-12
 WALK_STACK_BYTES = 1 << 13
 
 
-def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int):
-    """Yield the (k+1, ...) coefficient stack of (X + t N)^k for k = 1..k_max.
+def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int, buffer: np.ndarray):
+    """Yield the (2k+1, ...) window [P^{k-1}; P^k] of P = X + t N for k = 1..k_max.
 
     ``x`` is one (n, n) state or a (B, n, n) stack of states; row j of the
-    stack, of x's shape, is the coefficient of t^j.  Each stack is the tail
-    of a (2k+1)-row window whose first k rows hold the stack of P^{k-1}, the
-    identity for k = 1: the window is the stack's ``base``, and one GEMM
-    pairs its rows.  Each stack is written in place, its X products straight
-    into its rows, then its N products added on, the last onto a zero row.
-    A yielded stack stays valid as the walk goes on.
+    stack of P^k, of x's shape, is the coefficient of t^j, and P^0 is the
+    identity.  ``buffer`` holds 2 (2 k_max + 1) + k_max matrices of x's
+    shape or more: two halves of 2 k_max + 1 rows, then a side buffer.
+    Window k is written in place at the start of half k % 2: its first k
+    rows copied from window k-1, its X products straight into its rows,
+    then its N products, formed in the side buffer, added on, the last onto
+    a zero row.  A yielded window is valid until the next-but-one stack is
+    written over it; the side buffer is free while the consumer holds a
+    window.
     """
-    window = np.empty((3,) + x.shape)
-    window[0], window[1], window[2] = np.eye(x.shape[-1]), x, n_skew
+    span = 2 * k_max + 1
+    side = buffer[2 * span:]
     for k in range(1, k_max + 1):
-        if k > 1:
-            prev = window[k - 1:]
-            window = np.empty((2 * k + 1,) + x.shape)
-            window[:k] = prev
-            del prev  # the previous window is freed once its consumer lets go of it
-            new = window[k:]
-            np.matmul(window[:k], x, out=new[:k])
-            new[k] = 0.0
-            new[1:] += window[:k] @ n_skew
-        yield window[k:]
+        start = span * (k % 2)
+        window = buffer[start:start + 2 * k + 1]
+        if k == 1:
+            window[0], window[1], window[2] = np.eye(x.shape[-1]), x, n_skew
+        else:
+            window[:k] = prev[k - 1:]
+            head = window[:k]
+            np.matmul(head, x, out=window[k:2 * k])
+            window[2 * k] = 0.0
+            window[k + 1:] += np.matmul(head, n_skew, out=side[:k])
+        yield window
+        prev = window
 
 
 @functools.cache
@@ -132,27 +144,44 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.nda
     whose first row holds the identity, it receives the gradients of the
     families k = 2..K in table order, the (m+1, j) ones from stack m < K.
     Every state takes the GEMMs of a walk of its own, so a stack's rows
-    equal the single walks bit for bit.
+    equal the single walks bit for bit.  The walk allocates one buffer of
+    2 (2 depth + 1) + max(depth, n // 2 + 1) matrices of x's shape: the two
+    window halves of :func:`_power_stacks`, then the side buffer, which
+    takes the N products and each pair GEMM's transposed stack.  A window
+    is valid until the next-but-one stack, so the other half is free for
+    the zeroed window of even n.
     """
     n = x.shape[-1]
     count = x.size // (n * n)
     half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
+    span = 2 * depth + 1
+    buffer = np.empty((2 * span + max(depth, half + 1),) + x.shape)
+    side = buffer[2 * span:]
+    flat = side.reshape(-1, count, n * n)
     filled = 1
     grams = []
-    for m, power in enumerate(_power_stacks(x, n_skew, depth), start=1):
+    for m, window in enumerate(_power_stacks(x, n_skew, depth, buffer), start=1):
+        power = window[m:]
         if m <= half:
             # trace(A_a B_b) for the pairs (P^{m-1}, P^m) and (P^m, P^m), one GEMM per state
-            pairs = power.base  # the window [P^{m-1}; P^m] of _power_stacks
+            pairs = window
             if 2 * m == n:
-                # k = 2m = n is beyond the table: zeros cannot overflow, and
-                # the GEMM keeps its shape, so the kept traces keep their bits
-                pairs = pairs.copy()
+                # k = 2m = n is beyond the table: zeros cannot overflow, and the
+                # GEMM keeps its shape, so the kept traces keep their bits; the
+                # window goes in the other half, free until the next stack
+                start = span * (1 - m % 2)
+                pairs = buffer[start:start + 2 * m + 1]
+                pairs[:m] = window[:m]
                 pairs[m:] = 0.0
             pairs = pairs.reshape(2 * m + 1, count, n * n).transpose(1, 0, 2)
-            right = power.reshape(m + 1, count, n, n).transpose(1, 0, 3, 2).reshape(count, m + 1, n * n)
-            grams.append((pairs @ right.transpose(0, 2, 1)).reshape(count, -1))
+            # side row j holds (P^m)_j transposed; each state's GEMM reads its own rows of it
+            side[:m + 1] = power.swapaxes(-1, -2)
+            grams.append((pairs @ flat[:m + 1].transpose(1, 2, 0)).reshape(count, -1))
         if gradients is not None and filled < len(gradients):
-            gradients[filled:filled + m // 2 + 1] = symmetrize(power[0::2])
+            # matrix_core.symmetrize's two operations, written straight into the rows
+            rows, evens = gradients[filled:filled + m // 2 + 1], power[0::2]
+            np.add(evens, evens.swapaxes(-1, -2), out=rows)
+            np.divide(rows, 2.0, out=rows)
             filled += m // 2 + 1
     # coefficient j of trace(P^k) sums the pair traces with a + b = j
     width = 2 * half + 1

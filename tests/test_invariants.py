@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 
 import numpy as np
@@ -39,6 +43,19 @@ def trace_coefficient_oracle(x, nsk, k, j):
     return total
 
 
+def zero_filled_stacks(x, nsk, k_max):
+    """The stacks of (X + tN)^k built as _power_stacks once built them: each a fresh zeroed
+    array, the X products added onto rows 0..k-1 and the N products onto rows 1..k."""
+    acc = np.stack([x, nsk])
+    for k in range(1, k_max + 1):
+        if k > 1:
+            new = np.zeros((k + 1,) + x.shape)
+            new[:-1] += acc @ x
+            new[1:] += acc @ nsk
+            acc = new
+        yield acc
+
+
 def loop_harvest(x, nsk, with_gradients):
     """Reference harvest with one np.trace call per coefficient (k, j).
 
@@ -49,7 +66,7 @@ def loop_harvest(x, nsk, with_gradients):
     keys, values, gradients = [], [], []
     scale_base = frob_norm(x) + frob_norm(nsk)
     prev = None
-    for k, power in enumerate(_power_stacks(x, nsk, n - 1), start=1):
+    for k, power in enumerate(zero_filled_stacks(x, nsk, n - 1), start=1):
         for j in range(0, k):
             tr = float(np.trace(power[j])) / k
             if j % 2 == 1:
@@ -79,7 +96,7 @@ def loop_recursion_residuals(x, nsk):
     n = x.shape[0]
     out = {}
     prev = None  # stack of (X + tN)^{k-1}
-    for k, power in enumerate(_power_stacks(x, nsk, n - 1), start=1):
+    for k, power in enumerate(zero_filled_stacks(x, nsk, n - 1), start=1):
         for r in range(2 - k % 2, k + 1, 2):
             g_low = np.eye(n) if k == 1 else symmetrize(prev[k - r])
             g_high = symmetrize(power[k - r])
@@ -114,21 +131,21 @@ class TestPowerStacks:
     def test_power_one(self):
         rng = np.random.default_rng(0)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        (stack,) = _power_stacks(x, nsk, 1)
+        (stack,) = zero_filled_stacks(x, nsk, 1)
         assert np.array_equal(stack, np.stack([x, nsk]))
 
     def test_power_two_expansion(self):
         rng = np.random.default_rng(1)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        _, stack = _power_stacks(x, nsk, 2)
+        _, stack = zero_filled_stacks(x, nsk, 2)
         assert np.array_equal(stack[0], x @ x)
         assert np.array_equal(stack[1], x @ nsk + nsk @ x)
         assert np.array_equal(stack[2], nsk @ nsk)
 
     def test_stack_count_and_shapes(self):
         x, nsk = np.eye(4), canonical_skew_matrix([1.0, 2.0])
-        assert list(_power_stacks(x, nsk, 0)) == []
-        shapes = [stack.shape for stack in _power_stacks(x, nsk, 5)]
+        assert list(zero_filled_stacks(x, nsk, 0)) == []
+        shapes = [stack.shape for stack in zero_filled_stacks(x, nsk, 5)]
         assert shapes == [(k + 1, 4, 4) for k in range(1, 6)]
 
     def test_trace_oracle_every_coefficient(self):
@@ -136,7 +153,7 @@ class TestPowerStacks:
         rng = np.random.default_rng(2)
         for n in range(2, 7):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            for k, stack in enumerate(_power_stacks(x, nsk, n - 1), start=1):
+            for k, stack in enumerate(zero_filled_stacks(x, nsk, n - 1), start=1):
                 for j in range(k + 1):
                     oracle = trace_coefficient_oracle(x, nsk, k, j)
                     assert np.trace(stack[j]) == pytest.approx(oracle, abs=1e-12)
@@ -146,23 +163,16 @@ class TestPowerStacks:
     def test_eval_matches_direct(self):
         rng = np.random.default_rng(3)
         x, nsk = random_sym(3, rng), random_skew(3, rng)
-        *_, stack = _power_stacks(x, nsk, 3)
+        *_, stack = zero_filled_stacks(x, nsk, 3)
         for t in (-1.0, 0.3, 2.0):
             direct = np.linalg.matrix_power(x + t * nsk, 3)
             assert max_abs(np.polynomial.polynomial.polyval(t, stack) - direct) <= 1e-12
 
 
-def zero_filled_stacks(x, nsk, k_max):
-    """The stacks of (X + tN)^k built as _power_stacks once built them: each a fresh zeroed
-    array, the X products added onto rows 0..k-1 and the N products onto rows 1..k."""
-    acc = np.stack([x, nsk])
-    for k in range(1, k_max + 1):
-        if k > 1:
-            new = np.zeros((k + 1,) + x.shape)
-            new[:-1] += acc @ x
-            new[1:] += acc @ nsk
-            acc = new
-        yield acc
+def walk_windows(x, nsk, k_max):
+    """The buffer of a walk to P^k_max, its least size, and _power_stacks over it."""
+    buffer = np.empty((2 * (2 * k_max + 1) + k_max,) + x.shape)
+    return buffer, _power_stacks(x, nsk, k_max, buffer)
 
 
 class TestPowerStacksInPlace:
@@ -171,23 +181,47 @@ class TestPowerStacksInPlace:
         # the in-place rows skip the zeros the old build added first, which
         # would turn a -0.0 product into +0.0; the products are sums that start
         # from +0.0, so none is -0.0, and the bits agree, signed-zero inputs
-        # too; the list keeps every stack, which stays valid as the walk goes on
+        # too; each window is read as it is yielded: [P^{k-1}; P^k]
         rng = np.random.default_rng(n)
         signed = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
         for x in (random_sym(n, rng), np.minimum(signed, signed.T), np.eye(n)):
             for nsk in (random_skew(n, rng), np.zeros((n, n)), -np.zeros((n, n))):
-                got = [stack.tobytes() for stack in list(_power_stacks(x, nsk, n))]
-                assert got == [stack.tobytes() for stack in zero_filled_stacks(x, nsk, n)]
+                before = np.eye(n)[None]
+                _, windows = walk_windows(x, nsk, n)
+                for k, (window, stack) in enumerate(zip(windows, zero_filled_stacks(x, nsk, n), strict=True), start=1):
+                    assert window.shape == (2 * k + 1, n, n)
+                    assert window[:k].tobytes() == before.tobytes()
+                    assert window[k:].tobytes() == stack.tobytes()
+                    before = stack
 
     def test_stack_of_states_row_by_row(self):
-        # a (B, n, n) stack yields (k+1, B, n, n) stacks whose column b is state b's own
+        # a (B, n, n) stack yields (2k+1, B, n, n) windows whose column b is state b's own
         rng = np.random.default_rng(4)
         x, nsk = np.stack([random_sym(5, rng) for _ in range(3)]), random_skew(5, rng)
-        alone = [list(_power_stacks(state, nsk, 4)) for state in x]
-        for k, stack in enumerate(_power_stacks(x, nsk, 4), start=1):
-            assert stack.shape == (k + 1, 3, 5, 5)
+        alone = [list(zero_filled_stacks(state, nsk, 4)) for state in x]
+        _, windows = walk_windows(x, nsk, 4)
+        for k, window in enumerate(windows, start=1):
+            assert window.shape == (2 * k + 1, 3, 5, 5)
             for b in range(3):
-                assert stack[:, b].tobytes() == alone[b][k - 1].tobytes()
+                assert window[k:, b].tobytes() == alone[b][k - 1].tobytes()
+
+    def test_window_lifetime(self):
+        # every window lies in the one buffer; window k stays valid while
+        # window k+1 is out, and window k+2 is written over it
+        rng = np.random.default_rng(5)
+        x, nsk = random_sym(6, rng), random_skew(6, rng)
+        buffer, windows = walk_windows(x, nsk, 5)
+        kept = []
+        for k, window in enumerate(windows, start=1):
+            assert np.shares_memory(window, buffer)
+            if k > 1:
+                last, text = kept[-1]
+                assert not np.shares_memory(window, last)
+                assert last.tobytes() == text
+            if k > 2:
+                assert np.shares_memory(window, kept[-2][0])
+            kept.append((window, window.tobytes()))
+        assert len(kept) == 5
 
     def test_stacked_harvest_raises_the_first_failing_state(self):
         nsk = canonical_skew_matrix([1.0, 2.0])
@@ -265,6 +299,32 @@ class TestWalkSubStacks:
         with pytest.raises(ArithmeticError) as other:
             invariant_table(x[22], skewed)
         assert str(other.value) != str(alone.value)  # the message tells the states apart
+
+
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from symflow.invariants import invariant_table
+    from symflow.matrix_core import random_skew, random_sym
+    rng = np.random.default_rng(32)
+    x, nsk = np.stack([random_sym(32, rng) for _ in range(5)]), random_skew(32, rng)
+    invariant_table(x, nsk)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        invariant_table(x, nsk)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults are counted on Linux")
+def test_monitor_walks_reuse_their_pages():
+    # each walk at n = 32 runs in one buffer of 83 matrices, which the
+    # allocator hands back call after call: a walk that allocates each window,
+    # N product and transposed stack apart faults hundreds of pages per call
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(invariants.__file__)))
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert int(probe.stdout) <= 20
 
 
 class TestCounts:
@@ -413,7 +473,7 @@ def every_pair_trace(x, nsk):
     n = x.shape[0]
     half = n // 2
     grams, prev = [], np.eye(n)[None]
-    for m, power in enumerate(_power_stacks(x, nsk, half), start=1):
+    for m, power in enumerate(zero_filled_stacks(x, nsk, half), start=1):
         pairs = np.concatenate([prev, power]).reshape(2 * m + 1, n * n)
         grams.append((pairs @ power.transpose(0, 2, 1).reshape(m + 1, n * n).T).ravel())
         prev = power
@@ -463,10 +523,10 @@ class TestArrayHarvest:
         # values need powers up to ceil((n-1)/2), gradients up to n-2
         walked = []
 
-        def counted(x, nsk, k_max):
-            for stack in _power_stacks(x, nsk, k_max):
-                walked.append(len(stack) - 1)
-                yield stack
+        def counted(x, nsk, k_max, buffer):
+            for window in _power_stacks(x, nsk, k_max, buffer):
+                walked.append(len(window) // 2)
+                yield window
 
         monkeypatch.setattr(invariants, "_power_stacks", counted)
         rng = np.random.default_rng(n)
@@ -492,8 +552,22 @@ class TestArrayHarvest:
         assert table.shape == (invariant_count(n + 1), n, n)
         assert got_values.tobytes() == values.tobytes()
         assert table[:len(members)].tobytes() == members.tobytes()
-        *_, power = _power_stacks(x, nsk, n - 1)
+        *_, power = zero_filled_stacks(x, nsk, n - 1)
         assert table[len(members):].tobytes() == symmetrize(power[0::2]).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 16, 32, 33])
+    def test_gradient_walk_past_the_zeroed_window(self, n):
+        # at even n the values' last GEMM reads [P^{m-1}; 0], m = n/2, built in
+        # the half of the buffer the next window takes; the gradients go on
+        # past it to (X + tN)^{n-1}, each row bit for bit its zero-filled stack's
+        rng = np.random.default_rng(n)
+        for nsk in (random_skew(n, rng), canonical_skew_matrix(rng.uniform(0.5, 1.5, n // 2), n % 2)):
+            x = random_sym(n, rng)
+            values, table = gradient_table(x, nsk, beyond=True)
+            stacks = zero_filled_stacks(x, nsk, n - 1)
+            expected = np.concatenate([np.eye(n)[None]] + [symmetrize(stack[0::2]) for stack in stacks])
+            assert table.tobytes() == expected.tobytes()
+            assert values.tobytes() == invariant_table(x, nsk).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 10, 12, 20, 28, 32, 33])
     def test_traces_beyond_the_table_left_out_bit_for_bit(self, n):
