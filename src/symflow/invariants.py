@@ -13,8 +13,9 @@ the stack for k-1 by multiplying with X and with N.  The gradient of the
 (k, 2r) member is the coefficient of t^{2r} in P^{k-1}, which is symmetric
 for even powers.  The table stores the 1/k-normalized coefficients; the
 bare multi-index sum differs by the factor k.  The recursion residuals
-read the gradients of that walk, taken one power further to the (n, 2r)
-family, so each state's powers are walked once.
+read the two Poisson-tensor images of the gradients of that walk, taken
+one power further to the (n, 2r) family, so each state's powers are walked
+once and its gradients go through each tensor once.
 
 Values come from half powers: coefficient j of trace(P^k) is the sum over
 a + b = j of trace(A_a B_b), with A the stack of P^floor(k/2) and B that of
@@ -42,9 +43,10 @@ A (B, n, n) stack of states, the monitor points of a run,
 takes one range check and one odd-coefficient check, and one walk per
 sub-stack of at most :data:`WALK_STACK_BYTES` of states: each power stack
 holds the sub-stack's coefficients, and each state keeps the GEMM shapes
-of a walk of its own, so its values keep their bits.  The bound is where
-stacking pays: at n = 32 a stacked walk's GEMMs are slower per state than
-one state's.
+of a walk of its own, so its values keep their bits.  The bound keeps
+peak memory, not speed: a values walk's buffer holds 83 matrices per state
+at n = 32 (664 KB), and a stacked walk there is only a little faster per
+state (5 states in 3.9 ms as 3-state walks against 4.2 ms one at a time).
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ import math
 
 import numpy as np
 
-from .poisson import frozen_tensor, lie_poisson_tensor
-
 #: Absolute ceiling (scaled by input magnitude) on the odd-power trace
 #: coefficients, which are structural zeros; violation signals a bug.
 ODD_COEFF_TOL = 1e-12
 
 #: Bytes of the states one power walk takes as a stack: 16 states at n = 8
-#: and one at n = 32, where a larger stack is slower per state.
+#: and one at n = 32, where a larger stack gains a few percent per state but
+#: multiplies the walk's buffer.
 WALK_STACK_BYTES = 1 << 13
 
 
@@ -272,24 +273,43 @@ def gradient_table(x: np.ndarray, n_skew: np.ndarray, beyond: bool = False) -> t
     return _harvest(x, n_skew, x.shape[-1] - 1 + beyond)
 
 
-def recursion_residuals(x: np.ndarray, n_skew: np.ndarray, gradients: np.ndarray) -> dict:
+@functools.cache
+def _recursion_rows(n: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The (k, r) keys of the recursion at size n in ascending order, and where their rows are.
+
+    Family k is member rows low..high-1.  Its row i pairs with frozen row
+    i + ceil(k/2), the same coefficient of family k+1, listed in
+    ``frozen_rows``; row i is coefficient j = 2(i - low), so r = k - 2(i - low)
+    descends along the family's rows, and ``order`` lists the member rows
+    in key order.
+    """
+    keys, frozen_rows, order = [], [], []
+    for k in range(1, n):
+        low, high = invariant_count(k), invariant_count(k + 1)  # family k is rows low..high-1
+        keys += [(k, r) for r in range(2 - k % 2, k + 1, 2)]
+        frozen_rows += range(high, 2 * high - low)
+        order += range(high - 1, low - 1, -1)
+    frozen_rows, order = np.array(frozen_rows, dtype=np.intp), np.array(order, dtype=np.intp)
+    frozen_rows.flags.writeable = order.flags.writeable = False  # shared by every call
+    return keys, frozen_rows, order
+
+
+def recursion_residuals(lie_poisson: np.ndarray, frozen: np.ndarray) -> dict:
     """Residuals of the two-structure recursion, keyed by (k, r) in ascending order.
 
-    For every 1 <= r <= k <= n-1 with k - r even, applies the Lie-Poisson
-    tensor to the gradient of the (k, k-r) member and the frozen tensor to
-    the gradient of the (k+1, k-r) member; the difference vanishes
-    identically.  ``gradients`` is the state's :func:`gradient_table` with
-    ``beyond``, whose (n, 2r) family serves k = n-1, so the recursion walks
-    no powers of its own.  For each k both tensors are applied once, to the
-    family-k rows and as many family-(k+1) rows, with the arithmetic of one
-    pair at a time.
+    For every 1 <= r <= k <= n-1 with k - r even, the Lie-Poisson image of
+    the gradient of the (k, k-r) member less the frozen image of the
+    gradient of the (k+1, k-r) member; the difference vanishes identically.
+    The arguments are the images of a state's :func:`gradient_table` with
+    ``beyond``, ``table``: ``lie_poisson`` is
+    ``lie_poisson_tensor(x, table[:members], n_skew)`` and ``frozen`` is
+    ``frozen_tensor(table, n_skew)``, whose (n, 2r) family serves k = n-1,
+    so the recursion walks no powers and applies no tensor of its own.  One
+    gather of the frozen rows, one subtraction into it and one reduction
+    give every residual, bit for bit the arithmetic of one pair at a time.
     """
-    residuals = {}
-    for k in range(1, x.shape[-1]):
-        low, high = invariant_count(k), invariant_count(k + 1)  # family k is rows low..high-1
-        diff = lie_poisson_tensor(x, gradients[low:high], n_skew)
-        diff -= frozen_tensor(gradients[high:2 * high - low], n_skew)
-        # row i is coefficient j = 2i, so r = k - 2i descends along the rows
-        worst = np.max(np.abs(diff, out=diff), axis=(1, 2)).tolist()[::-1]
-        residuals.update(zip([(k, r) for r in range(2 - k % 2, k + 1, 2)], worst))
-    return residuals
+    keys, frozen_rows, order = _recursion_rows(lie_poisson.shape[-1])
+    diff = frozen[frozen_rows]  # a copy, so the images are never written into
+    np.subtract(lie_poisson, diff, out=diff)
+    worst = np.max(np.abs(diff, out=diff), axis=(1, 2))
+    return dict(zip(keys, worst[order].tolist()))

@@ -185,8 +185,8 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     freqs = np.sum((u @ n_skew) * w, axis=1)
     order = np.argsort(-freqs, kind="stable")
     freqs, image = freqs[order], np.vstack([u[order], w[order]])
-    # the kernel rows are the null eigenvectors of the projector onto the image
-    kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T
+    # the kernel rows are the null eigenvectors of the projector onto the image, none at full rank
+    kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T if 2 * p < n else np.empty((0, n))
 
     pseudo, inv_v = np.zeros((n, n)), np.diag(1.0 / freqs)
     pseudo[:p, p:2 * p] = -inv_v

@@ -8,6 +8,12 @@ ranks, and reports the worst case against a fixed tolerance.  Certificates
 carry enough detail (seeds, per-sample worst offenders) to be reproduced
 exactly.
 
+Each draw computes, on first read, the arrays its certificates share: the
+gradient table of the members with the (n, 2r) family beyond them, and the
+two Poisson-tensor images of it that ``involution`` and ``recursion`` both
+read, the Lie-Poisson images of the members and the frozen images of the
+whole table.  Only the current draw is held, so they live for one draw.
+
 Rank-based verdicts are only issued where a closed-form expected value
 exists: the Casimir and leaf-dimension counts have one for every frequency
 pattern, independence only for nullity 0 or 1.  Larger nullities are
@@ -50,19 +56,22 @@ DEFAULT_TOLERANCES = {
     "casimir": 1e-11,
 }
 
-#: The suites on the one stream of draws, in their default order, each with
-#: the sample count and tolerance key that ``symflow verify`` gives it.
+#: The suites on the one stream of draws, each with the sample count and
+#: tolerance key that ``symflow verify`` gives it, in the order they read
+#: each draw: leaf_dims, which needs only the state and makes the largest
+#: arrays of its own, first, before the draw's gradient table and tensor
+#: images exist.
 _STREAM_SUITES = {
+    "leaf_dims": lambda form, samples, seed, tols: _leaf_dimension_steps(form, min(samples, 5), seed),
     "involution": lambda form, samples, seed, tols: _involution_steps(form, samples, seed, tols["identity"]),
     "independence": lambda form, samples, seed, tols: _independence_steps(form, samples, seed),
     "casimir": lambda form, samples, seed, tols: _casimir_steps(form, samples, seed, tols["casimir"]),
-    "leaf_dims": lambda form, samples, seed, tols: _leaf_dimension_steps(form, min(samples, 5), seed),
     "recursion": lambda form, samples, seed, tols: _recursion_steps(form, samples, seed, tols["recursion"]),
     "lax": lambda form, samples, seed, tols: _lax_steps(form, samples, seed, tols["lax"]),
 }
 
 #: Every suite of ``symflow verify``, in its default order.
-ALL_SUITES = (*_STREAM_SUITES, "sectional2x2")
+ALL_SUITES = ("involution", "independence", "casimir", "leaf_dims", "recursion", "lax", "sectional2x2")
 
 #: Further draws the independence certificate takes for a sample whose rank
 #: misses the expected one before it reports that rank.
@@ -100,7 +109,12 @@ class Certificate:
 
 
 class _Draw:
-    """One sampled state ``x``; its gradient ``table`` is computed on first read."""
+    """One sampled state ``x``; its gradient ``table`` and tensor ``images`` are computed on first read.
+
+    A draw no suite reads for them, such as an independence resample for
+    ``images``, never computes them.  Both are attributes of the draw, so
+    they go with it when the stream moves on to the next draw.
+    """
 
     def __init__(self, x: np.ndarray, n_skew: np.ndarray):
         self.x, self._n_skew = x, n_skew
@@ -114,6 +128,14 @@ class _Draw:
     def g(self) -> np.ndarray:
         """The member gradients, stacked (members, n, n) in :func:`admissible_indices` order."""
         return self.table[:invariant_count(len(self.x))]
+
+    @functools.cached_property
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Lie-Poisson images of the members ``g`` and the frozen images of the whole ``table``.
+
+        ``involution`` and ``recursion`` read them and never write into them.
+        """
+        return lie_poisson_tensor(self.x, self.g, self._n_skew), frozen_tensor(self.table, self._n_skew)
 
 
 def _draws(form: SkewCanonicalForm, seed: int):
@@ -167,20 +189,27 @@ def _sampled_steps(name: str, form: SkewCanonicalForm, samples: int, seed: int, 
     )
 
 
-def _worst_member_bracket(x: np.ndarray, g: np.ndarray, n_skew: np.ndarray) -> tuple[int, float]:
-    """Index and value of the largest |bracket| between the members ``g``.
+def _worst_member_bracket(g: np.ndarray, lie_poisson: np.ndarray, frozen: np.ndarray) -> tuple[int, float]:
+    """Index and value of the largest |bracket| between the members ``g``, from their tensor images.
 
-    Member i runs against members i+1.., the Lie-Poisson bracket before the
-    frozen one, so index k is pair k // 2 of ``triu_indices`` and bracket
-    k % 2; the leading 0.0 means "no pair" (k = -1), as argmax keeps the
-    first largest.
+    ``lie_poisson`` and ``frozen`` start with the images of the members, in
+    their order.  Member i runs against members i+1.., the Lie-Poisson
+    bracket before the frozen one, so index k is pair k // 2 of
+    ``triu_indices`` and bracket k % 2; the leading 0.0 means "no pair"
+    (k = -1), as argmax keeps the first largest.  Each member's traces go
+    straight into its (rest, 2) segment of the one bracket vector.
     """
-    images = (lie_poisson_tensor(x, g, n_skew), frozen_tensor(g, n_skew))
-    per_member = [
-        np.stack([np.einsum("ab,kba->k", g[i], t[i + 1:]) for t in images], axis=1).ravel()
-        for i in range(len(g))
-    ]
-    brackets = np.abs(np.concatenate([[0.0]] + per_member))
+    m = len(g)
+    brackets = np.empty(m * (m - 1) + 1)
+    brackets[0] = 0.0
+    start = 1
+    for i in range(m - 1):
+        rest = m - 1 - i
+        pairs = brackets[start:start + 2 * rest].reshape(rest, 2)
+        for j, images in enumerate((lie_poisson, frozen)):
+            np.einsum("ab,kba->k", g[i], images[i + 1:m], out=pairs[:, j])
+        start += 2 * rest
+    np.abs(brackets, out=brackets)
     k = int(np.argmax(brackets)) - 1
     return k, float(brackets[k + 1])
 
@@ -191,7 +220,7 @@ def _involution_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: flo
     rows, cols = np.triu_indices(len(keys), 1)
 
     def residual(draw):
-        k, worst = _worst_member_bracket(draw.x, draw.g, form.skew)
+        k, worst = _worst_member_bracket(draw.g, *draw.images)
         return worst, {
             "max_abs_bracket": worst,
             "worst_pair": None if k < 0 else (keys[rows[k // 2]], keys[cols[k // 2]]),
@@ -367,7 +396,7 @@ def _recursion_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: floa
 
     def residual(draw):
         sample_worst, worst_pair = 0.0, None
-        for pair, res in recursion_residuals(draw.x, form.skew, draw.table).items():
+        for pair, res in recursion_residuals(*draw.images).items():
             if res > sample_worst:
                 sample_worst, worst_pair = res, pair
         return sample_worst, {"max_residual": sample_worst, "worst_pair": worst_pair}
@@ -449,9 +478,11 @@ def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolera
     sectional2x2 raises to at least 1000 points of its own; ``tolerances``
     maps identity, casimir, recursion and lax to their suites' tolerances.
     Every other suite reads the one stream of draws: they run in one pass
-    when the first of them comes up, each reading draw i as its i-th, so
-    each certificate equals the suite's alone, each draw and its member
-    gradients are computed once and only the current draw is held.
+    when the first of them comes up, each reading draw i as its i-th in the
+    order of :data:`_STREAM_SUITES`, whatever the order of ``names``, so
+    each certificate equals the suite's alone, each draw, its member
+    gradients and their tensor images are computed once and only the
+    current draw is held.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -465,8 +496,8 @@ def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolera
         else:
             if outcomes is None:
                 outcomes = _feed({
-                    suite: _STREAM_SUITES[suite](form, samples, seed, tolerances)
-                    for suite in names if suite != "sectional2x2"
+                    suite: steps(form, samples, seed, tolerances)
+                    for suite, steps in _STREAM_SUITES.items() if suite in names
                 }, _draws(form, seed))
             outcome = outcomes[name]
         yield outcome

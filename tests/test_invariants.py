@@ -629,9 +629,14 @@ class TestArrayHarvest:
         assert np.array_equal(got, expected, equal_nan=True)
 
 
+def table_images(x, nsk, table):
+    """The images recursion_residuals reads: Lie-Poisson of the table's members, frozen of the whole table."""
+    return lie_poisson_tensor(x, table[:invariant_count(len(x))], nsk), frozen_tensor(table, nsk)
+
+
 def table_residuals(x, nsk):
-    """The recursion residuals at x from its gradient table with the (n, 2r) family."""
-    return recursion_residuals(x, nsk, gradient_table(x, nsk, beyond=True)[1])
+    """The recursion residuals at x from the images of its gradient table with the (n, 2r) family."""
+    return recursion_residuals(*table_images(x, nsk, gradient_table(x, nsk, beyond=True)[1]))
 
 
 def frequency_structure(kind, d, n, rng):
@@ -714,13 +719,19 @@ class TestStackedRecursion:
         nsk = random_skew(n, rng) if kind == "random" else frequency_structure(kind, d, n, rng)
         self.check(random_sym(n, rng), nsk)
 
+    @pytest.mark.parametrize("n", [*range(1, 18), 32, 33])
+    def test_images_of_one_table_bit_equal_to_pair_loop(self, n):
+        # every family's residuals from the two images of the whole table
+        rng = np.random.default_rng(500 + n)
+        self.check(random_sym(n, rng), random_skew(n, rng))
+
     def test_one_by_one_has_no_pairs(self):
         # the table with the family beyond it holds the (1, 0) gradient only
         x, nsk = np.ones((1, 1)), np.zeros((1, 1))
         assert gradient_table(x, nsk)[1].shape == (0, 1, 1)
         table = gradient_table(x, nsk, beyond=True)[1]
         assert np.array_equal(table, np.ones((1, 1, 1)))
-        assert recursion_residuals(x, nsk, table) == {} == loop_recursion_residuals(x, nsk)
+        assert recursion_residuals(*table_images(x, nsk, table)) == {} == loop_recursion_residuals(x, nsk)
 
     def test_two_by_two_single_pair(self):
         # (1, 1) pairs the identity with the (2, 0) gradient X: X N - N X both ways, exactly
@@ -728,11 +739,11 @@ class TestStackedRecursion:
         x, nsk = random_sym(2, rng), canonical_skew_matrix([1.5])
         table = gradient_table(x, nsk, beyond=True)[1]
         assert np.array_equal(table, np.stack([np.eye(2), x]))
-        assert recursion_residuals(x, nsk, table) == {(1, 1): 0.0}
+        assert recursion_residuals(*table_images(x, nsk, table)) == {(1, 1): 0.0}
 
     def test_nan_state_propagates(self):
         # the public entries reject a NaN state, so the table is a finite state's
         nsk = canonical_skew_matrix([1.0, 2.0])
         table = gradient_table(random_sym(4, np.random.default_rng(46)), nsk, beyond=True)[1]
-        got = recursion_residuals(np.full((4, 4), np.nan), nsk, table)
+        got = recursion_residuals(*table_images(np.full((4, 4), np.nan), nsk, table))
         assert list(got) == c04_pairs(4) and np.isnan(list(got.values())).all()

@@ -210,6 +210,27 @@ class TestBrackets:
             assert abs(frozen_bracket(grad, g, nsk)) <= 1e-14
 
 
+def kernel_eigensolve_form(n_skew, rank_tol=1e-9):
+    """Basis, frequencies and pseudo-inverse as canonical_form once built them, with the
+    kernel eigensolve run at every n, full rank included."""
+    n = n_skew.shape[0]
+    lam, vecs = np.linalg.eigh(1j * n_skew)
+    p = int(np.count_nonzero(lam > rank_tol * float(np.abs(lam).max())))
+    z = vecs[:, n - p:].T
+    u = z.real / np.linalg.norm(z.real, axis=1, keepdims=True)
+    w = -z.imag
+    w -= np.sum(u * w, axis=1, keepdims=True) * u
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    freqs = np.sum((u @ n_skew) * w, axis=1)
+    order = np.argsort(-freqs, kind="stable")
+    freqs, image = freqs[order], np.vstack([u[order], w[order]])
+    kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T
+    pseudo, inv_v = np.zeros((n, n)), np.diag(1.0 / freqs)
+    pseudo[:p, p:2 * p] = -inv_v
+    pseudo[p:2 * p, :p] = inv_v
+    return np.vstack([image, kernel]), freqs, pseudo
+
+
 class TestCanonicalForm:
     def test_already_canonical_2x2(self):
         form = canonical_form(N2)
@@ -241,6 +262,19 @@ class TestCanonicalForm:
             rotated = q @ nsk @ q.T
             assert max_abs(form.pseudo_inverse @ rotated - proj) <= CANONICAL_TOL
             assert max_abs(rotated @ form.pseudo_inverse - proj) <= CANONICAL_TOL
+
+    @pytest.mark.parametrize("n", range(2, 34))
+    def test_full_rank_skips_the_kernel_eigensolve(self, monkeypatch, n):
+        # d = n % 2: a full-rank N takes one eigensolve, and every array keeps its bits
+        nsk = random_skew(n, np.random.default_rng(300 + n))
+        expected = kernel_eigensolve_form(nsk)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        form = canonical_form(nsk)
+        assert form.d == n % 2 and len(calls) == 1 + form.d
+        got = form.basis, form.frequencies, form.pseudo_inverse
+        assert [a.shape for a in got] == [a.shape for a in expected]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_frequencies_sorted_descending(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ import pytest
 from symflow import invariants, verify
 from symflow.invariants import admissible_indices, gradient_table, invariant_count
 from symflow.matrix_core import max_abs, random_skew, random_sym
-from symflow.poisson import canonical_form, canonical_skew_matrix, frozen_bracket, lie_poisson_bracket
+from symflow.poisson import (
+    canonical_form,
+    canonical_skew_matrix,
+    frozen_bracket,
+    frozen_tensor,
+    lie_poisson_bracket,
+    lie_poisson_tensor,
+)
 from symflow.verify import (
     DEFAULT_TOLERANCES,
     certificates,
@@ -73,6 +82,19 @@ def both_forms(alpha, beta, x):
     return [sectional_comparison_2x2(alpha, beta, x), tuple(part[1] for part in stacked)]
 
 
+def stacked_member_bracket(x, g, n_skew):
+    """The worst member bracket with both images of the members and one np.stack per member,
+    the reference form of the one-vector bracket."""
+    images = (lie_poisson_tensor(x, g, n_skew), frozen_tensor(g, n_skew))
+    per_member = [
+        np.stack([np.einsum("ab,kba->k", g[i], t[i + 1:]) for t in images], axis=1).ravel()
+        for i in range(len(g))
+    ]
+    brackets = np.abs(np.concatenate([[0.0]] + per_member))
+    k = int(np.argmax(brackets)) - 1
+    return k, float(brackets[k + 1])
+
+
 class TestInvolution:
     def test_passes_n4(self):
         rng = np.random.default_rng(0)
@@ -114,6 +136,19 @@ class TestInvolution:
     def test_matches_pair_loop_random_structure(self, n):
         rng = np.random.default_rng(100 + n)
         self.check_against_loop(canonical_form(random_skew(n, rng)), 3, n)
+
+    @pytest.mark.parametrize("n", [*range(1, 18), 24])
+    def test_bracket_vector_matches_stacked_members(self, n):
+        # random, rotated full-rank and zero N; with N = 0 every bracket is 0.0 and k = -1
+        rng = np.random.default_rng(200 + n)
+        for n_skew in (random_skew(n, rng), canonical_form(random_skew(n, rng)).canonical_skew, np.zeros((n, n))):
+            draw = verify._Draw(random_sym(n, rng), n_skew)
+            got = verify._worst_member_bracket(draw.g, *draw.images)
+            expected = stacked_member_bracket(draw.x, draw.g, n_skew)
+            assert got[0] == expected[0]
+            assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+            if not n_skew.any():
+                assert got == (-1, 0.0)
 
     def test_matches_pair_loop_wide_frequencies(self):
         # frequencies 1..4 at n = 8 put the roundoff just above the default
@@ -206,6 +241,56 @@ class TestSharedDraws:
         # 7 samples: leaf_dims stops at 5 draws while the others read on
         form = canonical_form(canonical_skew_matrix(freqs, d))
         assert self.shared(form, 7, 5, STREAM_SUITES) == self.alone(form, 7, 5, STREAM_SUITES)
+
+    @pytest.mark.parametrize("freqs,d", [([1.0, 2.0], 0), ([0.6, 0.9, 1.2, 1.45], 1),
+                                         ([0.6, 0.9, 1.2, 1.45], 2), (np.linspace(0.5, 1.5, 8), 0)])
+    def test_alone_all_and_reversed_write_the_same_certificates(self, freqs, d):
+        # n = 4, 9, 10 and 16: alone, involution or recursion computes each
+        # draw's images itself; together they read the same images
+        form = canonical_form(canonical_skew_matrix(freqs, d))
+        names = verify.ALL_SUITES
+        assert sorted(names) == sorted([*verify._STREAM_SUITES, "sectional2x2"])
+
+        def texts(order):
+            outcomes = dict(zip(order, verify.certificates(form, order, 2, 8, DEFAULT_TOLERANCES)))
+            return {name: json.dumps(cert.to_dict(), sort_keys=True) for name, cert in outcomes.items()}
+
+        alone = {name: texts([name])[name] for name in names}
+        assert texts(names) == alone
+        assert texts(names[::-1]) == alone
+
+    def test_images_read_once_per_sample_not_per_resample(self, monkeypatch):
+        # equal frequencies: independence resamples, and a resample is no sample of involution
+        form = canonical_form(canonical_skew_matrix([1.3] * 3))
+        images = []
+        monkeypatch.setattr(verify, "frozen_tensor", lambda *a: images.append(1) or frozen_tensor(*a))
+        shared = self.shared(form, 2, 4, ("involution", "independence", "recursion"))
+        assert sum(d["resamples"] for d in shared["independence"]["details"]) > 0
+        assert len(images) == 2
+
+    def test_images_released_with_the_draw(self, monkeypatch):
+        # weak references to each draw's images: when draw i is made, _feed
+        # still holds draw i-1, and every earlier draw's images are gone
+        form = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2, 1.45], 1))
+        refs, live, base = [], [], verify._Draw
+
+        class Recorded(base):
+            def __init__(self, *args):
+                live.append({i for i, ref in refs if ref() is not None})
+                super().__init__(*args)
+
+            @functools.cached_property
+            def images(self):
+                images = base.images.func(self)
+                refs.extend((len(live) - 1, weakref.ref(a)) for a in images)
+                return images
+
+        monkeypatch.setattr(verify, "_Draw", Recorded)
+        outcomes = self.outcomes(form, 4, 2, STREAM_SUITES)
+        assert all(isinstance(cert, verify.Certificate) for cert in outcomes.values())
+        assert {i for i, _ in refs} == {0, 1, 2, 3}
+        assert all(alive <= {i - 1} for i, alive in enumerate(live))
+        assert all(ref() is None for _, ref in refs)
 
     def test_same_n_and_seed_other_form(self, calls):
         form_a = canonical_form(canonical_skew_matrix([0.6, 0.9, 1.2]))
