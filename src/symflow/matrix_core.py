@@ -1,14 +1,17 @@
 """Dense real matrix substrate: symmetric/skew constructors, commutators,
-the trace inner product, and a pivoted Gram-Schmidt numerical rank in array
-form, whose one elimination gives the rank at a tolerance and one decade
-above it.  Eigendecompositions are left to ``numpy.linalg.eigh``.
+the trace inner product, and :func:`numerical_rank`, the one rank of a
+gradient set: a pivoted Gram-Schmidt in array form on the set's unit rows,
+whose one elimination gives the rank at a tolerance and one decade above.
+Eigendecompositions are left to ``numpy.linalg.eigh``.
 
-The Gram-Schmidt rank serves the gradient sets (member independence and
-Casimir counts).  Those sets are monomial bases that lose their
-conditioning as n grows, and ranking them by singular values instead moved
-verdicts (two of 120 verify requests went from pass to fail), so they stay
-on it until better-conditioned gradients replace the bases.  Leaf
-dimensions are ranked by singular values in :func:`symflow.poisson.rank_certified`.
+Unit rows make the rank read the span, not the scale: the trace-power
+Casimir gradients grow as powers of N's pseudo-inverse, and on raw rows
+the cut read 7 of 8 Lie-Poisson Casimirs at distinct n = 16 on every draw,
+and 2-3 of 4-6 at N scaled by 1e-3, 10 or 1000.  Over the 240 Casimir
+draws of verify-mixed seeds 1-10 the elimination misses the count in 12
+(all random-12), singular values of the same unit rows in 14, so gradient
+sets are not ranked by singular values; leaf dimensions are, in
+:func:`symflow.poisson.rank_certified`.
 
 All functions are pure and operate on plain ``numpy`` float arrays.
 Inputs are checked once, where they enter: the command line resolves its
@@ -105,15 +108,20 @@ def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     return x / nrm if nrm > 0 else x
 
 
-def numerical_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9) -> int:
-    """Numerical rank of a set of vectors.
+def numerical_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9) -> tuple[int, int]:
+    """Ranks ``(at tol, at 10 * tol)`` of a set of vectors, from one elimination of its unit rows.
 
-    The first axis indexes the vectors and trailing axes are flattened, so
-    a list of matrices and a stacked ``(k, n, n)`` array give the same rank.
-    Modified Gram-Schmidt with column pivoting; counts the pivots before the
-    first pivot norm at most ``tol`` times the first (largest) one.
+    The first axis indexes the vectors and trailing axes are flattened.
+    Each row is divided by the square root of its dot product with itself
+    (the arithmetic of ``np.linalg.norm`` on it); a zero row stays zero.
+    An empty set has ranks (0, 0).
     """
-    return _decade_ranks(vectors, tol)[0]
+    rows = np.asarray(vectors, dtype=float)
+    if not len(rows):
+        return 0, 0
+    rows = rows.reshape(len(rows), -1)
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    return _decade_ranks(rows / np.where(norms > 0, norms, 1.0)[:, None], tol)
 
 
 def _decade_ranks(vectors, tol: float) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .matrix_core import _decade_ranks, max_abs, numerical_rank, random_sym
+from .matrix_core import max_abs, numerical_rank, random_sym
 from .invariants import (
     admissible_indices,
     gradient_table,
@@ -243,19 +243,6 @@ def expected_leaf_dimensions(form: SkewCanonicalForm) -> tuple[int, int]:
     return full - lp_count, full - frozen_count
 
 
-def _member_ranks(g: np.ndarray, rank_tol: float) -> tuple[int, int]:
-    """Decade ranks of the member gradients, each normalized to unit norm.
-
-    Each norm is the square root of its row's dot product with itself, the
-    arithmetic of ``np.linalg.norm`` on that row.
-    """
-    if not len(g):
-        return 0, 0
-    rows = g.reshape(len(g), -1)
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
-    return _decade_ranks(rows / np.where(norms > 0, norms, 1.0)[:, None], rank_tol)
-
-
 def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int):
     """Rank of the normalized member gradients at ``form.rank_tol``, and its stability a decade higher.
 
@@ -269,7 +256,7 @@ def _independence_steps(form: SkewCanonicalForm, samples: int, seed: int):
     for s in range(samples):
         attempt = 0
         while True:
-            rank, rank_loose = _member_ranks((yield).g, form.rank_tol)
+            rank, rank_loose = numerical_rank((yield).g, form.rank_tol)
             stable = rank == rank_loose
             if expected is None or rank == expected or attempt >= MAX_RESAMPLES:
                 break
@@ -335,15 +322,15 @@ def integrability_summary(form: SkewCanonicalForm) -> IntegrabilitySummary:
 def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float):
     """Both Casimir families in the canonical basis, each annihilated by its tensor and of full rank.
 
-    The ranks at ``form.rank_tol`` are p + d(d+1)/2 (Lie-Poisson, per draw) and
-    sum_c m_c^2 + d(d+1)/2 (frozen, state-independent, once): :meth:`SkewCanonicalForm.casimir_counts`.
+    The ranks of :func:`numerical_rank` (unit rows) at ``form.rank_tol`` are p + d(d+1)/2 (Lie-Poisson,
+    per draw) and sum_c m_c^2 + d(d+1)/2 (frozen, once): :meth:`SkewCanonicalForm.casimir_counts`.
     """
     n, p, d = form.n, form.p, form.d
     n_can = form.canonical_skew
     lp_expected_rank, frozen_expected = form.casimir_counts()
     frozen_grads = frozen_casimir_gradients(form)
     frozen_residual = max_abs(frozen_tensor(frozen_grads, n_can))
-    frozen_rank = numerical_rank(frozen_grads, form.rank_tol)
+    frozen_rank = numerical_rank(frozen_grads, form.rank_tol)[0]
     worst = max(frozen_residual, float(abs(frozen_rank - frozen_expected)))
     rank_ok = frozen_rank == frozen_expected
     details = []
@@ -351,7 +338,7 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
         x = (yield).x
         grads = lie_poisson_casimir_gradients(form, x)  # p + d(d+1)/2 >= 1 of them
         residual = max_abs(lie_poisson_tensor(x, grads, n_can))
-        lp_rank = numerical_rank(grads, form.rank_tol)
+        lp_rank = numerical_rank(grads, form.rank_tol)[0]
         rank_ok = rank_ok and lp_rank == lp_expected_rank
         worst = max(worst, residual, float(abs(lp_rank - lp_expected_rank)))
         details.append({"sample": s, "lie_poisson_residual": residual, "lie_poisson_rank": lp_rank})

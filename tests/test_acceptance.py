@@ -14,7 +14,6 @@ import pytest
 from symflow.matrix_core import (
     commutator,
     max_abs,
-    numerical_rank,
     random_skew,
     random_sym,
 )

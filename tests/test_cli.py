@@ -264,8 +264,7 @@ class TestSuiteOrder:
         assert calls == {"random_sym": 2, "gradient_table": 0, "_power_stacks": 0}
 
     @pytest.mark.parametrize("suites,written", [
-        (["involution", "casimir", "independence"],
-         ["certificate_casimir.json", "certificate_involution.json", "runconfig.json"]),
+        (["involution", "casimir", "independence"], ["certificate_involution.json", "runconfig.json"]),
         (["independence", "involution"], ["runconfig.json"]),
         (["recursion", "sectional2x2", "lax", "involution"],
          ["certificate_recursion.json", "certificate_sectional2x2.json", "runconfig.json"]),
@@ -275,7 +274,8 @@ class TestSuiteOrder:
         def broken(*args):
             raise ArithmeticError("broken")
 
-        monkeypatch.setattr(symflow.verify, "_decade_ranks", broken)
+        # casimir and independence both rank through numerical_rank
+        monkeypatch.setattr(symflow.verify, "numerical_rank", broken)
         monkeypatch.setattr(symflow.verify, "lax_residual", broken)
         code, out = run(tmp_path, "verify", dict(BASE, suites=suites))
         assert code == 3
@@ -291,6 +291,16 @@ class TestVerify:
                       "recursion", "lax", "sectional2x2"):
             payload = json.loads((out / f"certificate_{suite}.json").read_text())
             assert payload["verdict"] in ("pass", "not assessed")
+
+    def test_distinct16_casimir_passes(self, tmp_path):
+        # the CI's distinct16.json: the Lie-Poisson rank reads all 8 Casimirs on each draw
+        config = {"n": 16, "N": {"canonical": {"v": [1.6, 1.45, 1.3, 1.15, 1.0, 0.85, 0.7, 0.55], "d": 0}},
+                  "X0": {"random": {"seed": 9}}, "samples": 2, "seed": 9}
+        code, out = run(tmp_path, "verify", config)
+        payload = json.loads((out / "certificate_casimir.json").read_text())
+        assert payload["verdict"] == "pass"
+        assert [item["lie_poisson_rank"] for item in payload["details"][:-1]] == [8, 8]
+        assert code == 0
 
     def test_json_files_in_json_dump_layout(self, tmp_path):
         code, out = run(tmp_path, "verify", dict(BASE, n=5, N={"canonical": {"v": [1.0, 2.0], "d": 1}}))

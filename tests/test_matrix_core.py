@@ -156,13 +156,17 @@ class TestFrobeniusInner:
 class TestNumericalRank:
     def test_dependent_triple(self):
         e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        assert numerical_rank([e1, e2, e1 + e2], 1e-9) == 2
+        assert numerical_rank([e1, e2, e1 + e2], 1e-9)[0] == 2
 
     def test_single_vector(self):
-        assert numerical_rank([np.array([1.0, 0.0])], 1e-9) == 1
+        assert numerical_rank([np.array([1.0, 0.0])], 1e-9)[0] == 1
 
     def test_zero_vector(self):
-        assert numerical_rank([np.zeros(4)], 1e-9) == 0
+        assert numerical_rank([np.zeros(4)], 1e-9)[0] == 0
+
+    def test_empty_set(self):
+        assert numerical_rank([], 1e-9) == (0, 0)
+        assert numerical_rank(np.empty((0, 3, 3)), 1e-9) == (0, 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -174,13 +178,14 @@ class TestNumericalRank:
         basis = rng.standard_normal((8, r))
         mix = rng.standard_normal((r, 10))
         vectors = [basis @ mix[:, j] for j in range(10)]
-        assert numerical_rank(vectors, 1e-9) == r
-        assert numerical_rank(np.stack(vectors), 1e-9) == r
+        assert numerical_rank(vectors, 1e-9)[0] == r
+        assert numerical_rank(np.stack(vectors), 1e-9)[0] == r
+        assert numerical_rank(vectors, 1e-9)[0] == loop_rank(unit_rows(vectors), 1e-9)
 
     def test_matrices_are_flattened(self):
         ms = [np.eye(3), 2.0 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
-        assert numerical_rank(ms, 1e-9) == 2
-        assert numerical_rank(np.stack(ms), 1e-9) == 2
+        assert numerical_rank(ms, 1e-9)[0] == 2
+        assert numerical_rank(np.stack(ms), 1e-9)[0] == 2
 
 
 def loop_rank(vectors, tol):
@@ -206,16 +211,42 @@ def loop_rank(vectors, tol):
     return rank
 
 
+def unit_rows(vectors):
+    """Each vector flattened and divided by its ``np.linalg.norm``; a zero vector stays zero."""
+    rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
+    return [v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v for v in rows]
+
+
 class TestDecadeRanks:
-    """One elimination gives the ranks at tol and 10 tol of the loop form."""
+    """One elimination gives the ranks at tol and 10 tol of the loop form.
+
+    ``_decade_ranks`` ranks the vectors as given, ``numerical_rank`` their
+    unit rows.  Unit rows tie in norm up to the last bit, so which goes
+    first, and with it where a cut falls among noise-sized pivots, depends
+    on the norm arithmetic: their reference is the np.delete elimination,
+    whose ``np.linalg.norm(axis=1)`` is the arithmetic of the one in place.
+    """
 
     TOL = 1e-9
 
     def check(self, vectors):
         expected = (loop_rank(vectors, self.TOL), loop_rank(vectors, 10.0 * self.TOL))
         assert _decade_ranks(vectors, self.TOL) == expected
-        assert numerical_rank(vectors, self.TOL) == expected[0]
+        assert numerical_rank(vectors, self.TOL) == delete_decade_ranks(unit_rows(vectors), self.TOL)
         return expected
+
+    def test_unit_rows_against_the_loop_form(self):
+        # no cut among noise-sized pivots: the loop form's tie breaks give the same ranks
+        rng = np.random.default_rng(4)
+        low = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 12))
+        scaled = low * np.geomspace(1e-6, 1e6, 9)[:, None]
+        e1, e2, e3 = np.eye(3)
+        for vectors, ranks in [(low, (3, 3)), (scaled, (3, 3)), ([e1, 1e-12 * e2, 2.0 * e3, np.zeros(3)], (3, 3))]:
+            unit = unit_rows(vectors)
+            assert numerical_rank(vectors, self.TOL) == (loop_rank(unit, self.TOL), loop_rank(unit, 10.0 * self.TOL))
+            assert numerical_rank(vectors, self.TOL) == ranks
+        # the raw rows read the scale: 1e-12 e2 falls below the cut
+        assert self.check([e1, 1e-12 * e2, 2.0 * e3]) == (2, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noise_swept_through_the_decade(self, seed):

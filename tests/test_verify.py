@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from symflow import invariants, verify
+from symflow import invariants, matrix_core, verify
 from symflow.invariants import admissible_indices, gradient_table, invariant_count
 from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import (
@@ -178,8 +178,8 @@ class TestIndependence:
         rng = np.random.default_rng(n)
         g = verify._Draw(random_sym(n, rng), random_skew(n, rng)).g
         seen = []
-        monkeypatch.setattr(verify, "_decade_ranks", lambda vectors, tol: seen.append(vectors) or (0, 0))
-        verify._member_ranks(g, 1e-9)
+        monkeypatch.setattr(matrix_core, "_decade_ranks", lambda vectors, tol: seen.append(vectors) or (0, 0))
+        verify.numerical_rank(g, 1e-9)
         expected = np.array([v / np.linalg.norm(v) for v in g.reshape(len(g), -1)])
         assert seen[0].tobytes() == expected.tobytes()
 
@@ -326,7 +326,7 @@ class TestSharedDraws:
         def broken(*args):
             raise ArithmeticError("rank")
 
-        monkeypatch.setattr(verify, "_decade_ranks", broken)
+        monkeypatch.setattr(verify, "numerical_rank", broken)
         outcomes = self.outcomes(form, 2, 7)
         assert outcomes["involution"].to_dict() == expected
         assert isinstance(outcomes["independence"], ArithmeticError)
@@ -435,6 +435,39 @@ class TestCasimirCertificate:
             assert cert.details[-1]["frozen_mode"] == "mixed"
             assert cert.details[-1]["frozen_residual"] == 0.0
             assert cert.details[-1]["frozen_rank"] == cert.details[-1]["frozen_expected_rank"] == frozen
+
+
+#: The (v, d) of the Casimir scale grid, each scaled by 1e-3 .. 1e3.
+SCALE_PATTERNS = {
+    "distinct-8": ([1.4, 1.1, 0.8, 0.55], 0),
+    "nullity1-9": ([1.4, 1.1, 0.8, 0.55], 1),
+    "wide-8": ([4.0, 3.0, 2.0, 1.0], 0),
+    "distinct-12": (np.linspace(1.45, 0.55, 6), 0),
+}
+
+
+class TestCasimirRanks:
+    """Both Casimir ranks equal their closed-form counts, whatever the scale of N."""
+
+    @staticmethod
+    def ranks(form, samples, seed):
+        details = run_suite(form, "casimir", samples, seed).details
+        return [item["lie_poisson_rank"] for item in details[:-1]], details[-1]["frozen_rank"]
+
+    @pytest.mark.parametrize("kind", sorted(SCALE_PATTERNS))
+    def test_ranks_independent_of_scale(self, kind):
+        # the trace-power gradients scale as powers of the pseudo-inverse of N; their unit rows do not
+        freqs, d = SCALE_PATTERNS[kind]
+        for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            form = canonical_form(canonical_skew_matrix(scale * np.asarray(freqs), d))
+            lp_count, frozen_count = form.casimir_counts()
+            assert self.ranks(form, 2, 1) == ([lp_count] * 2, frozen_count), scale
+
+    @pytest.mark.parametrize("n,d", [(16, 0), (24, 0), (32, 0), (17, 1)])
+    def test_distinct_ranks_at_larger_n(self, n, d):
+        p = (n - d) // 2
+        form = canonical_form(canonical_skew_matrix(np.linspace(1.45, 0.55, p), d))
+        assert self.ranks(form, 4, 3) == ([p + d * (d + 1) // 2] * 4, form.casimir_counts()[1])
 
 
 class TestStackedCasimirResiduals:
