@@ -124,53 +124,52 @@ def _explicit_matrix(rows, name: str) -> np.ndarray:
     return np.asarray([[_convert(real, v, f"{name} entry") for v in row] for row in rows], dtype=float)
 
 
-def _build_n(spec, n_hint, seed) -> np.ndarray:
+def _read_matrix(spec, name: str, n, seed, explicit, random, **kinds) -> np.ndarray:
+    """The matrix ``name`` of a one-key ``{kind: payload}`` spec, else a ConfigError.
+
+    ``explicit(array)`` validates the explicit rows, ``random(n, rng)`` draws from the seed, and ``kinds``
+    maps any other kind to its payload's reader; a rejection reads ``<kind> <name> rejected:``.
+    """
+    readers = {**kinds, "explicit": lambda rows: explicit(_explicit_matrix(rows, f"explicit {name}"))}
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("N must be an object with exactly one of: canonical, explicit, random")
+        raise ConfigError(f"{name} must be an object with exactly one of: {', '.join([*readers, 'random'])}")
     kind, payload = next(iter(spec.items()))
-    if kind == "canonical":
-        payload = _object(payload, "canonical N", ("v", "d"))
-        freqs = payload.get("v") or []
-        d = _integer(payload.get("d", 0), "canonical N field d", 0)
-        if not freqs and d == 0:
-            raise ConfigError("canonical N needs a frequency list v")
+    if kind in readers:
         try:
-            return canonical_skew_matrix([_convert(real, v, "canonical N field v") for v in freqs], d)
+            return readers[kind](payload)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"canonical N rejected: {exc}") from exc
-    if kind == "explicit":
-        try:
-            return skew_matrix(_explicit_matrix(payload, "explicit N"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"explicit N rejected: {exc}") from exc
+            raise ConfigError(f"{kind} {name} rejected: {exc}") from exc
     if kind == "random":
-        if n_hint is None:
-            raise ConfigError("random N needs the config field n")
-        payload = _object(payload, "random N", ("seed",))
-        rng = np.random.default_rng(_integer(payload.get("seed", seed), "random N field seed", 0))
-        return random_skew(n_hint, rng)
-    raise ConfigError(f"unknown N kind {kind!r}")
+        if n is None:
+            raise ConfigError(f"random {name} needs the config field n")
+        payload = _object(payload, f"random {name}", ("seed",))
+        rng = np.random.default_rng(_integer(payload.get("seed", seed), f"random {name} field seed", 0))
+        return random(n, rng)
+    raise ConfigError(f"unknown {name} kind {kind!r}")
+
+
+def _canonical_n(payload) -> np.ndarray:
+    payload = _object(payload, "canonical N", ("v", "d"))
+    freqs = payload.get("v") or []
+    d = _integer(payload.get("d", 0), "canonical N field d", 0)
+    if not freqs and d == 0:
+        raise ConfigError("canonical N needs a frequency list v")
+    return canonical_skew_matrix([_convert(real, v, "canonical N field v") for v in freqs], d)
+
+
+def _build_n(spec, n_hint, seed) -> np.ndarray:
+    if spec is None:
+        raise ConfigError("config is missing N")
+    return _read_matrix(spec, "N", n_hint, seed, skew_matrix, random_skew, canonical=_canonical_n)
 
 
 def _build_x0(spec, n, seed) -> np.ndarray:
     if spec is None:
         spec = {"random": {"seed": seed}}
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("X0 must be an object with exactly one of: explicit, random")
-    kind, payload = next(iter(spec.items()))
-    if kind == "explicit":
-        try:
-            x0 = sym_matrix(_explicit_matrix(payload, "explicit X0"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"explicit X0 rejected: {exc}") from exc
-        if x0.shape[0] != n:
-            raise ConfigError(f"X0 size {x0.shape[0]} does not match n = {n}")
-        return x0
-    if kind == "random":
-        payload = _object(payload, "random X0", ("seed",))
-        rng = np.random.default_rng(_integer(payload.get("seed", seed), "random X0 field seed", 0))
-        return random_sym(n, rng)
-    raise ConfigError(f"unknown X0 kind {kind!r}")
+    x0 = _read_matrix(spec, "X0", n, seed, sym_matrix, random_sym)
+    if x0.shape[0] != n:
+        raise ConfigError(f"X0 size {x0.shape[0]} does not match n = {n}")
+    return x0
 
 
 def load_config(path) -> dict:
@@ -192,10 +191,7 @@ def resolve_config(raw: dict, args) -> RunConfig:
     seed = _integer(args.seed if args.seed is not None else raw.get("seed", 0), "seed", 0)
     n_hint = None if raw.get("n") is None else _integer(raw["n"], "n", 1)
 
-    n_spec = raw.get("N")
-    if n_spec is None:
-        raise ConfigError("config is missing N")
-    n_skew = _build_n(n_spec, n_hint, seed)
+    n_skew = _build_n(raw.get("N"), n_hint, seed)
     n = n_skew.shape[0]
     if n_hint is not None and n_hint != n:
         raise ConfigError(f"config n = {raw['n']} but N has size {n}")
@@ -301,7 +297,10 @@ def cmd_invariants(cfg: RunConfig) -> int:
 
 def cmd_casimirs(cfg: RunConfig) -> int:
     form = cfg.form
-    values = lie_poisson_casimirs(form, form.to_canonical(cfg.x0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range aborts, unwarned
+        values = lie_poisson_casimirs(form, form.to_canonical(cfg.x0))
+    if not np.isfinite(values).all():
+        raise OverflowError(f"Casimir C_{int(np.isfinite(values).argmin()) + 1} passes the float range at X0")
     payload = {
         "n": form.n, "p": form.p, "d": form.d,
         "frequency_mode": form.mode(),

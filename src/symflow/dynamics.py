@@ -253,15 +253,14 @@ def _records(form: SkewCanonicalForm, states: np.ndarray) -> tuple:
 def _record_group(form: SkewCanonicalForm, states: np.ndarray) -> tuple:
     """:func:`_records` of a stack, failing and warning as a loop over its states would.
 
-    A stack of two or more is evaluated at once, with every floating-point
-    event that numpy's error state does not ignore raised.  If anything
-    fails, the states are evaluated again one at a time, in order, so the
-    first error and the warnings before it are those of the loop.
+    The stack, a lone state too, is evaluated at once, with every
+    floating-point event that numpy's error state does not ignore raised.
+    If anything fails, the states are evaluated again one at a time, in
+    order, so the first error and the warnings before it are the loop's.
     """
-    if len(states) > 1:
-        try:
-            with np.errstate(**{kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}):
-                return _records(form, states)
-        except (ArithmeticError, ValueError):  # floating-point, range and kernel-block errors
-            pass  # the loop below meets the same failure, in its own order
+    try:
+        with np.errstate(**{kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}):
+            return _records(form, states)
+    except (ArithmeticError, ValueError):  # floating-point, range and kernel-block errors
+        pass  # the loop below meets the same failure, in its own order
     return tuple(np.concatenate(parts) for parts in zip(*(_records(form, state[None]) for state in states)))

@@ -39,12 +39,12 @@ half, free until the next stack.  A window is valid until the
 next-but-one stack is written over it.  One allocation per walk keeps the
 n = 32 monitor records from faulting fresh pages in at every stack.
 
-A (B, n, n) stack of states, the monitor points of a run,
-takes one range check and one odd-coefficient check, and one walk per
-sub-stack of at most :data:`WALK_STACK_BYTES` of states: each power stack
-holds the sub-stack's coefficients, and each state keeps the GEMM shapes
-of a walk of its own, so its values keep their bits.  The bound keeps
-peak memory, not speed: a values walk's buffer holds 83 matrices per state
+Every state walks in a (B, n, n) stack, a lone state in a stack of one,
+with one range check, one odd-coefficient check and one walk per sub-stack
+of at most :data:`WALK_STACK_BYTES` of states: each power stack holds the
+sub-stack's coefficients, and each state keeps the GEMM shapes of a walk
+of its own, so it keeps its bits in any stack.  The bound keeps peak
+memory, not speed: a values walk's buffer holds 83 matrices per state
 at n = 32 (664 KB), and a stacked walk there is only a little faster per
 state (5 states in 3.9 ms as 3-state walks against 4.2 ms one at a time).
 """
@@ -69,10 +69,10 @@ WALK_STACK_BYTES = 1 << 13
 def _power_stacks(x: np.ndarray, n_skew: np.ndarray, k_max: int, buffer: np.ndarray):
     """Yield the (2k+1, ...) window [P^{k-1}; P^k] of P = X + t N for k = 1..k_max.
 
-    ``x`` is one (n, n) state or a (B, n, n) stack of states; row j of the
-    stack of P^k, of x's shape, is the coefficient of t^j, and P^0 is the
-    identity.  ``buffer`` holds 2 (2 k_max + 1) + k_max matrices of x's
-    shape or more: two halves of 2 k_max + 1 rows, then a side buffer.
+    ``x`` is a (B, n, n) stack of states, or any array of matrices; row j
+    of the stack of P^k, of x's shape, is the coefficient of t^j, and P^0
+    is the identity.  ``buffer`` holds 2 (2 k_max + 1) + k_max matrices of
+    x's shape or more: two halves of 2 k_max + 1 rows, then a side buffer.
     Window k is written in place at the start of half k % 2: its first k
     rows copied from window k-1, its X products straight into its rows,
     then its N products, formed in the side buffer, added on, the last onto
@@ -138,22 +138,21 @@ def admissible_indices(n: int) -> list[tuple[int, int]]:
 def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.ndarray | None) -> np.ndarray:
     """Walk the stacks of P = X + tN up to P^depth, depth >= n // 2 >= 1.
 
-    ``x`` is one (n, n) state or a (B, n, n) stack.  Returns the (n-1, n)
-    array, (B, n-1, n) for a stack, whose row k - 1 holds the coefficients
-    of t^0..t^{n-1} in trace(P^k)/k, odd and top ones included (zero beyond
-    t^k).  If ``gradients`` is an (invariant_count(K + 1),) + x.shape array
-    whose first row holds the identity, it receives the gradients of the
-    families k = 2..K in table order, the (m+1, j) ones from stack m < K.
-    Every state takes the GEMMs of a walk of its own, so a stack's rows
-    equal the single walks bit for bit.  The walk allocates one buffer of
-    2 (2 depth + 1) + max(depth, n // 2 + 1) matrices of x's shape: the two
-    window halves of :func:`_power_stacks`, then the side buffer, which
-    takes the N products and each pair GEMM's transposed stack.  A window
-    is valid until the next-but-one stack, so the other half is free for
-    the zeroed window of even n.
+    ``x`` is a (B, n, n) stack.  Returns the (B, n-1, n) array whose row
+    k - 1 holds the coefficients of t^0..t^{n-1} in trace(P^k)/k, odd
+    and top ones included (zero beyond t^k).  If ``gradients`` is an
+    (invariant_count(K + 1),) + x.shape array whose first row holds the
+    identity, it receives the gradients of the families k = 2..K in
+    table order, the (m+1, j) ones from stack m < K.  Every state takes
+    the GEMMs of a walk of its own, so its rows keep their bits in any
+    stack.  The walk allocates one buffer of 2 (2 depth + 1) +
+    max(depth, n // 2 + 1) matrices of x's shape: the two window halves
+    of :func:`_power_stacks`, then the side buffer, which takes the N
+    products and each pair GEMM's transposed stack.  A window is valid
+    until the next-but-one stack, so the other half is free for the
+    zeroed window of even n.
     """
-    n = x.shape[-1]
-    count = x.size // (n * n)
+    n, count = x.shape[-1], len(x)
     half = n // 2  # ceil((n-1)/2): stack m gives the values of k = 2m-1 and k = 2m
     span = 2 * depth + 1
     buffer = np.empty((2 * span + max(depth, half + 1),) + x.shape)
@@ -188,8 +187,7 @@ def _trace_walk(x: np.ndarray, n_skew: np.ndarray, depth: int, gradients: np.nda
     width = 2 * half + 1
     sums = np.bincount(_pair_slots(half, count), np.concatenate(grams, axis=1).ravel(),
                        minlength=count * width * width)
-    traces = sums.reshape(count, width, width)[:, 1:n, :n] / np.arange(1, n)[:, None]
-    return traces.reshape(x.shape[:-2] + traces.shape[1:])
+    return sums.reshape(count, width, width)[:, 1:n, :n] / np.arange(1, n)[:, None]
 
 
 def _norm_bounds(a: np.ndarray) -> list[float]:
@@ -211,8 +209,9 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
     ``x`` is one state, with (members,) values and (rows, n, n) gradients,
     or a (B, n, n) stack, with (B, members) values and (rows, B, n, n)
     gradients; rows = invariant_count(families + 1), 0 for no family.  A
-    stack raises the range error of its first state out of range, else the
-    odd-coefficient error of its first state that fails that check.
+    lone state walks as a stack of one, into a (rows, 1, n, n) view of its
+    gradients.  A stack raises the range error of its first state out of
+    range, else the odd-coefficient error of its first failing state.
     """
     n = x.shape[-1]
     gradients = None
@@ -221,10 +220,11 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
         gradients[:1] = np.eye(n)  # the (1, 0) gradient, if any family is asked for
     if n < 2 or not x.size:
         return np.empty(x.shape[:-2] + (invariant_count(n),)), gradients
+    states = x.reshape(-1, n, n)  # a lone state walks as a stack of one
     # (|X|_F + |N|_F)^k scales the odd check and bounds every coefficient of
     # (X + tN)^k, so it is decided before the walk whether k = n-1 stays finite
     scale = []
-    *bounds, bound = _norm_bounds(np.concatenate([x.reshape(-1, n, n), n_skew[None]]))
+    *bounds, bound = _norm_bounds(np.concatenate([states, n_skew[None]]))
     for base in [b + bound for b in bounds]:
         try:
             row = [max(1.0, base**k) for k in range(1, n)]
@@ -234,13 +234,12 @@ def _harvest(x: np.ndarray, n_skew: np.ndarray, families: int | None):
             raise OverflowError(f"(|X|_F + |N|_F)^k = {base:.3e}^k passes the float range before k = {n - 1}")
         scale.append(row)
     depth = n // 2 if families is None else max(families - 1, n // 2)
-    if x.ndim == 2:
-        traces = _trace_walk(x, n_skew, depth, gradients)[None]
-    else:  # one walk per sub-stack of at most WALK_STACK_BYTES of states
-        step = max(1, WALK_STACK_BYTES // (x.itemsize * n * n))
-        traces = np.concatenate([
-            _trace_walk(x[i:i + step], n_skew, depth, None if gradients is None else gradients[:, i:i + step])
-            for i in range(0, len(x), step)])
+    # one walk per sub-stack of at most WALK_STACK_BYTES of states, into a (rows, B, n, n) gradient view
+    rows = None if gradients is None else gradients.reshape(gradients.shape[:1] + states.shape)
+    step = max(1, WALK_STACK_BYTES // (x.itemsize * n * n))
+    traces = np.concatenate([
+        _trace_walk(states[i:i + step], n_skew, depth, None if rows is None else rows[:, i:i + step])
+        for i in range(0, len(states), step)])
     member = np.tri(n - 1, n, dtype=bool)  # j < k: the top coefficient trace(N^k)/k is constant
     # a mask and argmax, not max(): a NaN coefficient compares false and passes
     odd = member[:, 1::2] & (np.abs(traces[:, :, 1::2]) > ODD_COEFF_TOL * np.array(scale)[:, :, None])

@@ -197,6 +197,17 @@ class TestNumericalAbort:
         assert "(|X|_F + |N|_F)^k = 1.000e+200^k passes the float range before k = 3" in err
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
+    def test_casimir_past_the_float_range_exit_3(self, tmp_path, capsys):
+        # trace((X core^-1)^4) / 4 at X = diag(1e200, 1, 2, 3) passes the float range: one
+        # line, no RuntimeWarning on the way, and no casimirs.json holding an Infinity
+        config = dict(BASE, X0={"explicit": [[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "casimirs", config)
+        assert code == 3
+        assert capsys.readouterr().err == "numerical abort: Casimir C_2 passes the float range at X0\n"
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
 
 SUITE_ORDER_KINDS = {
     "distinct-8": {"v": [0.6, 0.9, 1.2, 1.45], "d": 0},
@@ -710,6 +721,42 @@ class TestOneWayIn:
         code, out = run(tmp_path, "simulate", dict(BASE, **fields))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"N": None}, "config is missing N"),
+        ({"N": [1]}, "N must be an object with exactly one of: canonical, explicit, random"),
+        ({"N": {"diagonal": [1]}}, "unknown N kind 'diagonal'"),
+        ({"N": {"canonical": {}}}, "canonical N needs a frequency list v"),
+        ({"N": {"canonical": {"v": ["a"]}}}, "canonical N field v must be real, got 'a'"),
+        ({"N": {"canonical": {"v": [1.0], "d": -1}}}, "canonical N field d must be >= 0, got -1"),
+        ({"N": {"canonical": {"v": [0.0, 1.0]}}}, "canonical N rejected: frequencies must be positive"),
+        ({"N": {"explicit": [[0, "a"], [1, 0]]}}, "explicit N entry must be real, got 'a'"),
+        ({"N": {"explicit": [[0, 1, 2], [1, 0, 3]]}},
+         "explicit N rejected: expected a square matrix, got shape (2, 3)"),
+        ({"N": {"explicit": 3}}, "explicit N rejected: 'int' object is not iterable"),
+        ({"n": None, "N": {"random": {"seed": 1}}}, "random N needs the config field n"),
+        ({"N": {"random": 5}}, "random N must be a JSON object, got 5"),
+        ({"N": {"random": {"seed": -1}}}, "random N field seed must be >= 0, got -1"),
+        ({"X0": [[1]]}, "X0 must be an object with exactly one of: explicit, random"),
+        ({"X0": {"canonical": {"v": [1.0]}}}, "unknown X0 kind 'canonical'"),
+        ({"X0": {"explicit": [[1, True], [True, 1]]}}, "explicit X0 entry must be real, got True"),
+        ({"X0": {"explicit": [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
+         "explicit X0 rejected: matrix is not symmetric (defect 2.000e+00 > bound 2.000e-08)"),
+        ({"X0": {"explicit": None}}, "explicit X0 rejected: 'NoneType' object is not iterable"),
+        ({"X0": {"explicit": [[1, 0], [0, 1]]}}, "X0 size 2 does not match n = 4"),
+        ({"X0": {"random": []}}, "random X0 must be a JSON object, got []"),
+        ({"X0": {"random": {"seed": True}}}, "random X0 field seed must be integral, got True"),
+    ], ids=["N-missing", "N-one-key", "N-kind", "canonical-N-v-missing", "canonical-N-v-entry",
+            "canonical-N-d", "canonical-N-rejected", "explicit-N-entry", "explicit-N-rejected",
+            "explicit-N-rows", "random-N-size", "random-N-object", "random-N-seed", "X0-one-key", "X0-kind",
+            "explicit-X0-entry", "explicit-X0-rejected", "explicit-X0-rows", "explicit-X0-size",
+            "random-X0-object", "random-X0-seed"])
+    def test_matrix_config_error_exit_2(self, tmp_path, capsys, fields, message):
+        # N and X0 share one reader; each class of error keeps its one line, byte for byte
+        code, out = run(tmp_path, "simulate", dict(BASE, **fields))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(symflow.cli.COMMANDS))

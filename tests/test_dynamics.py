@@ -569,6 +569,43 @@ class TestStackedRecords:
                 evaluate()
         return type(raised.value), str(raised.value), [(w.category, str(w.message)) for w in seen]
 
+    @staticmethod
+    def lone_outcome(evaluate):
+        """The values of a call, or its error type and message, and the warnings on the way."""
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                result = [part.tobytes() for part in evaluate()]
+            except (ArithmeticError, ValueError) as exc:
+                result = (type(exc), str(exc))
+        return result, [(w.category, str(w.message)) for w in seen]
+
+    @pytest.mark.parametrize("case", ["singular-kernel", "casimir-overflow", "invariant-overflow"])
+    def test_lone_point_fails_and_warns_as_its_record(self, case):
+        # a group of one, as in a t_end = 0 run or at n >= 91, is recorded as a stack
+        # under raised floating-point errors, then replayed alone: it raises, warns and
+        # records exactly what its one record does
+        if case == "singular-kernel":
+            form = canonical_form(canonical_skew_matrix([1.0], 2))
+            state = random_sym(4, np.random.default_rng(1))
+            state[2:, 2:] = 1.0
+        else:
+            form = canonical_form(N2)
+            state = np.array([[1e160, 1e159], [1e159, 1.0]] if case == "casimir-overflow" else [[1.7e308] * 2] * 2)
+        expected = self.lone_outcome(lambda: _records(form, state[None]))
+        kind = {"singular-kernel": ValueError, "invariant-overflow": OverflowError}.get(case)
+        if kind is None:  # the Casimir overflow warns and records inf
+            assert expected[1] == [(RuntimeWarning, "overflow encountered in matmul")]
+        else:
+            assert expected[0][0] is kind and not expected[1]
+        assert self.lone_outcome(lambda: _record_group(form, state[None])) == expected
+
+        def record_of_a_run():
+            traj = integrate(state, form, IntegratorConfig(step=0.1, t_end=0.0))
+            return traj.invariant_values, traj.casimir_values, traj.spectra
+
+        assert self.lone_outcome(record_of_a_run) == expected
+
     def test_group_of_eight_at_n32_fails_as_a_loop_would(self):
         # one default group at n = 32, in eight walks of one state: state 1's Casimirs pass
         # the float range and warn, state 3's kernel block is singular, state 5 passes the

@@ -301,6 +301,27 @@ class TestWalkSubStacks:
         assert str(other.value) != str(alone.value)  # the message tells the states apart
 
 
+@pytest.mark.parametrize("kind", ["canonical", "kernel", "random"])
+@pytest.mark.parametrize("n", [*range(1, 20), 24, 31, 32, 33])
+def test_lone_state_walks_as_a_stack_of_one(n, kind):
+    # the values, the member gradients and the table beyond them of an (n, n)
+    # state are those of the same state as a (1, n, n) stack, bit for bit
+    rng = np.random.default_rng(1000 + n)
+    nsk = {"canonical": lambda: canonical_skew_matrix(np.linspace(1.5, 0.5, n // 2), n % 2),
+           "kernel": lambda: structure(f"nullity{2 - n % 2}", n, rng),  # dense, beside a kernel of 1 or 2
+           "random": lambda: random_skew(n, rng)}[kind]()
+    for x in (random_sym(n, rng), np.zeros((n, n))):
+        values = invariant_table(x, nsk)
+        assert values.shape == (invariant_count(n),)
+        assert values.tobytes() == invariant_table(x[None], nsk)[0].tobytes()
+        for beyond in (False, True):
+            got_values, gradients = gradient_table(x, nsk, beyond)
+            stacked_values, stacked = gradient_table(x[None], nsk, beyond)
+            assert gradients.shape == (invariant_count(n + beyond), n, n)
+            assert got_values.tobytes() == values.tobytes() == stacked_values[0].tobytes()
+            assert gradients.tobytes() == stacked[:, 0].tobytes()
+
+
 FAULT_PROBE = textwrap.dedent("""
     import resource
     import numpy as np
@@ -510,9 +531,9 @@ class TestArrayHarvest:
         rng = np.random.default_rng(23)
         for n in range(2, 7):
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            traces = _trace_walk(x, nsk, n // 2, None)
-            gradients = np.empty((invariant_count(n), n, n))
-            assert np.array_equal(traces, _trace_walk(x, nsk, max(n - 2, n // 2), gradients))
+            traces = _trace_walk(x[None], nsk, n // 2, None)[0]
+            gradients = np.empty((invariant_count(n), 1, n, n))
+            assert np.array_equal(traces, _trace_walk(x[None], nsk, max(n - 2, n // 2), gradients)[0])
             for k in range(1, n):
                 for j in range(n):
                     oracle = trace_coefficient_oracle(x, nsk, k, j) / k
@@ -576,7 +597,7 @@ class TestArrayHarvest:
         for seed in range(3):
             rng = np.random.default_rng(100 * n + seed)
             x, nsk = random_sym(n, rng), random_skew(n, rng)
-            traces = _trace_walk(x, nsk, n // 2, None)
+            traces = _trace_walk(x[None], nsk, n // 2, None)[0]
             assert np.array_equal(traces.view(np.int64), every_pair_trace(x, nsk).view(np.int64))
 
     def test_no_overflow_beyond_the_table(self):
