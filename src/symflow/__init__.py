@@ -22,7 +22,6 @@ from .poisson import (
     SkewCanonicalForm,
     canonical_form,
     canonical_skew_matrix,
-    frozen_bracket,
     frozen_casimir_gradients,
     frozen_tensor,
     leaf_dimensions,

@@ -384,8 +384,6 @@ def _monitor_header(labels: tuple, casimirs: int, n: int) -> tuple:
 
 def _monitor_table(traj):
     """monitors.csv's header and rows for a :class:`~symflow.dynamics.Trajectory`."""
-    blocks = np.hstack([traj.invariant_values, traj.casimir_values, traj.spectra])
-    drifts = np.hstack([traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()])
-    rows = np.hstack([traj.monitor_times[:, None], blocks, drifts])
+    rows = np.hstack([traj.monitor_times[:, None], traj.monitors, traj.drift()])
     header = _monitor_header(tuple(traj.invariant_labels), traj.casimir_values.shape[1], traj.spectra.shape[1])
     return header, rows

@@ -120,8 +120,11 @@ def _tolerance(value, name: str) -> float:
 
 
 def _explicit_matrix(rows, name: str) -> np.ndarray:
-    """A list of rows whose every entry is a finite JSON number, as a float array."""
-    return np.asarray([[_convert(real, v, f"{name} entry") for v in row] for row in rows], dtype=float)
+    """A list of equally long rows whose every entry is a finite JSON number, as a float array."""
+    matrix = [[_convert(real, v, f"{name} entry") for v in row] for row in rows]
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError(f"rows have lengths {[len(row) for row in matrix]}")
+    return np.asarray(matrix, dtype=float)
 
 
 def _read_matrix(spec, name: str, n, seed, explicit, random, **kinds) -> np.ndarray:

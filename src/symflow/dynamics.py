@@ -21,6 +21,7 @@ sub-stacks of :data:`~symflow.invariants.WALK_STACK_BYTES`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -120,7 +121,7 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Computed states plus conserved-quantity monitors on a time subgrid."""
+    """Computed states plus conserved-quantity monitors on a time subgrid; :meth:`drift` is their drift."""
 
     times: np.ndarray
     states: np.ndarray  # (len(times), n, n)
@@ -130,20 +131,16 @@ class Trajectory:
     casimir_values: np.ndarray  # (len(monitor_times), n_casimirs)
     spectra: np.ndarray  # (len(monitor_times), n), ascending eigenvalues
 
-    @staticmethod
-    def _drift(values: np.ndarray) -> np.ndarray:
-        ref = values[0]
+    @functools.cached_property
+    def monitors(self) -> np.ndarray:
+        """The block [invariants | Casimirs | spectra], one row per monitor time."""
+        return np.hstack([self.invariant_values, self.casimir_values, self.spectra])
+
+    def drift(self) -> np.ndarray:
+        """Drift of each :attr:`monitors` column from row 0, relative unless that is below DRIFT_FLOOR."""
+        ref = self.monitors[0]
         scale = np.where(np.abs(ref) < DRIFT_FLOOR, 1.0, np.abs(ref))
-        return np.abs(values - ref) / scale
-
-    def invariant_drift(self) -> np.ndarray:
-        return self._drift(self.invariant_values)
-
-    def casimir_drift(self) -> np.ndarray:
-        return self._drift(self.casimir_values)
-
-    def spectrum_drift(self) -> np.ndarray:
-        return self._drift(self.spectra)
+        return np.abs(self.monitors - ref) / scale
 
 
 def integrate(x0: np.ndarray, form: SkewCanonicalForm, config: IntegratorConfig) -> Trajectory:

@@ -2,8 +2,9 @@
 
 Sym(n) is identified with its dual through trace(XY).  The Lie-Poisson
 tensor at X sends a gradient Y to ``X Y N - N Y X``; the frozen
-(constant-coefficient) tensor sends Y to ``Y N - N Y``.  Their sum is again
-Poisson, which is what makes the flow bi-Hamiltonian.
+(constant-coefficient) tensor sends Y to ``Y N - N Y``, the Lie-Poisson one
+at X = I, so its matrix and leaf dimension are read there.  Their sum is
+again Poisson, which is what makes the flow bi-Hamiltonian.
 
 This module also builds the orthogonal canonical form of the structure
 matrix N (2-plane frequencies, kernel, block pseudo-inverse) from one
@@ -13,6 +14,7 @@ symplectic-leaf dimensions from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +46,6 @@ def frozen_tensor(y: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
 def lie_poisson_bracket(grad_f: np.ndarray, grad_g: np.ndarray, x: np.ndarray, n_skew: np.ndarray) -> float:
     """Bracket value from two gradients: trace(grad_f (x grad_g N - N grad_g x))."""
     return frobenius_inner(grad_f, lie_poisson_tensor(x, grad_g, n_skew))
-
-
-def frozen_bracket(grad_f: np.ndarray, grad_g: np.ndarray, n_skew: np.ndarray) -> float:
-    """Frozen-bracket value from two gradients: trace(grad_f (grad_g N - N grad_g))."""
-    return frobenius_inner(grad_f, frozen_tensor(grad_g, n_skew))
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,14 @@ class SkewCanonicalForm:
         kernel = self.d * (self.d + 1) // 2
         sizes = np.bincount(self.clusters)
         return self.p + kernel, int(sizes @ sizes) + kernel
+
+    @functools.cached_property
+    def frozen_leaf_dimension(self) -> int:
+        """Frozen leaf dimension: the rank of :func:`tensor_as_matrix` at X = I, taken once per form.
+
+        A :class:`RankInstabilityError` is raised and not kept, so the next read ranks the matrix again.
+        """
+        return rank_certified(tensor_as_matrix(np.eye(self.n), self.skew), self.rank_tol)
 
 
 def _core_block(frequencies: np.ndarray) -> np.ndarray:
@@ -368,26 +373,21 @@ def sym_basis(n: int) -> np.ndarray:
     return basis
 
 
-def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray, frozen: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Matrices (Lie-Poisson, frozen) of both Poisson tensors in the orthonormal Sym(n) basis.
+def tensor_as_matrix(x: np.ndarray, n_skew: np.ndarray) -> np.ndarray:
+    """Matrix of the Lie-Poisson tensor at x in the orthonormal Sym(n) basis.
 
-    Each is an antisymmetric m x m matrix, m = n(n+1)/2, whose numerical
-    rank is the symplectic leaf dimension through its structure.  Both come
-    from one :func:`sym_basis` and one product ``basis @ n_skew``.  The
-    frozen one does not depend on x; ``frozen=False`` leaves it out, as None.
+    An antisymmetric m x m matrix, m = n(n+1)/2, whose numerical rank is the
+    symplectic leaf dimension through x.  At x = I it is the frozen tensor's
+    matrix, exactly, since ``basis @ I`` is exactly ``basis``.
     """
     basis = sym_basis(x.shape[0])
     m = len(basis)
-    # With L = x (Lie-Poisson) or the identity (frozen), entry (i, j) is
-    # trace(E_i L E_j N) - trace(E_i N E_j L) = g[i, j] - g[j, i] by
-    # cyclicity, where g[i, j] = trace(left_i right_j) is one GEMM of the
-    # flattened left_i = E_i L against the flattened transposes of right_j = E_j N.
+    # entry (i, j) is trace(E_i x E_j N) - trace(E_i N E_j x) = g[i, j] - g[j, i]
+    # by cyclicity, where g[i, j] = trace(left_i right_j) is one GEMM of the
+    # flattened left_i = E_i x against the flattened transposes of right_j = E_j N
     right = (basis @ n_skew).transpose(0, 2, 1).reshape(m, -1).T
-    g_lp = (basis @ x).reshape(m, -1) @ right
-    if not frozen:
-        return g_lp - g_lp.T, None
-    g_frozen = basis.reshape(m, -1) @ right
-    return g_lp - g_lp.T, g_frozen - g_frozen.T
+    g = (basis @ x).reshape(m, -1) @ right
+    return g - g.T
 
 
 def rank_certified(vectors, tol: float) -> int:
@@ -412,22 +412,16 @@ def rank_certified(vectors, tol: float) -> int:
     return r
 
 
-def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray, frozen_dim: int | None = None) -> tuple[int, int]:
+def leaf_dimensions(form: SkewCanonicalForm, x: np.ndarray) -> tuple[int, int]:
     """Symplectic leaf dimensions (Lie-Poisson, frozen) at a state x.
 
-    Both are numerical ranks of the tensor matrices, counted from their
-    singular values at ``form.rank_tol`` by :func:`rank_certified`; the
-    caller is expected to pass a generic x (resample if a rank instability
-    is flagged).  The frozen dimension does not depend on x: a caller that
-    ranks several states of one form passes the one it got back as
-    ``frozen_dim``, and the frozen matrix is neither built nor ranked again.
+    The Lie-Poisson one is the numerical rank of :func:`tensor_as_matrix` at
+    x, counted from its singular values at ``form.rank_tol`` by
+    :func:`rank_certified`; the caller is expected to pass a generic x
+    (resample if a rank instability is flagged).  The frozen one,
+    :attr:`SkewCanonicalForm.frozen_leaf_dimension`, is read after it.
     """
-    b_mat, c_mat = tensor_as_matrix(x, form.skew, frozen=frozen_dim is None)
-    # Both matrices are antisymmetric: their rows are the negated columns.
-    dim_lp = rank_certified(b_mat, form.rank_tol)
-    if frozen_dim is None:
-        frozen_dim = rank_certified(c_mat, form.rank_tol)
-    return dim_lp, frozen_dim
+    return rank_certified(tensor_as_matrix(x, form.skew), form.rank_tol), form.frozen_leaf_dimension
 
 
 def poisson_jacobi_defect(

@@ -359,19 +359,17 @@ def _casimir_steps(form: SkewCanonicalForm, samples: int, seed: int, tol: float)
 def _leaf_dimension_steps(form: SkewCanonicalForm, samples: int, seed: int):
     """Leaf dimensions against :func:`expected_leaf_dimensions`; an unstable rank counts n(n+1)/2.
 
-    The frozen dimension does not depend on the draw: it is ranked until one
-    draw's ranks are both stable, and taken from that draw on.
+    The frozen dimension does not depend on the draw: the form ranks it once,
+    on the first draw whose Lie-Poisson rank is stable, and again after an
+    unstable frozen rank (:attr:`SkewCanonicalForm.frozen_leaf_dimension`).
     """
     expected = expected_leaf_dimensions(form)
-    frozen_dim = None
 
     def residual(draw):
-        nonlocal frozen_dim
         try:
-            dims = leaf_dimensions(form, draw.x, frozen_dim)
+            dims = leaf_dimensions(form, draw.x)
         except RankInstabilityError as exc:
             return float(form.n * (form.n + 1) // 2), {"unstable": str(exc)}
-        frozen_dim = dims[1]
         gap = max(abs(dims[0] - expected[0]), abs(dims[1] - expected[1]))
         return float(gap), {"dims": list(dims), "expected": list(expected)}
 

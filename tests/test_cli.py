@@ -531,6 +531,25 @@ class TestOneByOne:
         assert payload["summary"]["counted"] == payload["summary"]["required"] == 0
 
 
+#: Structures whose frozen or Lie-Poisson leaf rank straddles the decade above the rank cut: the
+#: rank pair leaf-dims reports at X0 seed 3, then each leaf_dims sample at seed 3, an unstable rank
+#: pair as a tuple or a stable sample's dimensions, equal to the expected ones, as a list.
+RANK_INSTABILITY_CASES = [
+    ([1.0, 1.000000003], 0, (8, 6), [(8, 6)] * 5),
+    ([1.0, 1.000000003], 1, (12, 10), [(12, 10)] * 5),
+    ([2.0, 1.0, 4e-9], 0, (18, 16), [(18, 16)] * 5),
+    ([2.0, 1.0, 4e-9], 1, (23, 20), [(23, 20), (22, 20), (22, 20), (22, 20), (23, 20)]),
+    ([1.0, 1.2e-8], 0, (8, 6), [(8, 6), (8, 6), [8, 8], (8, 6), (8, 6)]),
+    ([1.0, 1.2e-8], 1, (12, 10), [(12, 10), (12, 8), (12, 10), (12, 8), (12, 10)]),
+    ([1.0, 3e-9], 0, (8, 6), [(8, 6)] * 5),
+    ([1.0, 3e-9], 1, (12, 8), [(12, 8), (12, 8), (10, 8), (10, 8), (12, 8)]),
+]
+
+
+def unstable_rank(r, r_loose):
+    return f"rank {r} at tol 1.0e-09 but {r_loose} at 1.0e-08"
+
+
 class TestOtherCommands:
     def test_casimirs(self, tmp_path):
         code, out = run(tmp_path, "casimirs", BASE)
@@ -545,12 +564,32 @@ class TestOtherCommands:
         payload = json.loads((out / "leaf_dims.json").read_text())
         assert payload["lie_poisson_dim"] == payload["lie_poisson_expected"] == 8
 
+    @pytest.mark.parametrize("freqs, d, ranks, samples", RANK_INSTABILITY_CASES,
+                             ids=["frozen-0", "frozen-1", "frozen-kernel-0", "frozen-kernel-1",
+                                  "lie-poisson-0", "lie-poisson-1", "both-0", "both-1"])
+    def test_rank_instability(self, tmp_path, capsys, freqs, d, ranks, samples):
+        # leaf-dims exits 1 with one line; the leaf_dims certificate counts each unstable sample n(n+1)/2
+        config = {"N": {"canonical": {"v": freqs, "d": d}}, "X0": {"random": {"seed": 3}},
+                  "samples": 5, "seed": 3, "suites": ["leaf_dims"]}
+        code, out = run(tmp_path, "leaf-dims", config, out="leaves")
+        assert code == 1 and not (out / "leaf_dims.json").exists()
+        assert capsys.readouterr().err == f"verification failure: {unstable_rank(*ranks)}\n"
+        code, out = run(tmp_path, "verify", config, out="verify")
+        assert code == 1 and capsys.readouterr().err == ""
+        n = 2 * len(freqs) + d
+        details = [{"sample": s, "unstable": unstable_rank(*r)} if isinstance(r, tuple)
+                   else {"dims": r, "expected": r, "sample": s} for s, r in enumerate(samples)]
+        assert json.loads((out / "certificate_leaf_dims.json").read_text()) == {
+            "name": "leaf_dims", "n": n, "p": len(freqs), "d": d, "sample_count": 5,
+            "max_residual": n * (n + 1) / 2, "tolerance": 0.0, "passed": False, "verdict": "fail",
+            "seed": 3, "details": details,
+        }
+
 
 #: The public functions that no command reaches, each with the reason it stays.
 UNREACHED_REFERENCES = {
     "matrix_core.frobenius_inner": "the trace pairing of the two bracket references",
     "poisson.lie_poisson_bracket": "pair-by-pair reference for the involution suite",
-    "poisson.frozen_bracket": "pair-by-pair reference for the involution suite",
     "poisson.poisson_jacobi_defect": "compatibility of the two Poisson structures, acceptance C09",
     "verify.flow_generation_defect": "the flow generated through each Poisson structure, acceptance C10",
 }
@@ -735,6 +774,7 @@ class TestOneWayIn:
         ({"N": {"explicit": [[0, 1, 2], [1, 0, 3]]}},
          "explicit N rejected: expected a square matrix, got shape (2, 3)"),
         ({"N": {"explicit": 3}}, "explicit N rejected: 'int' object is not iterable"),
+        ({"N": {"explicit": [[0, 1], [1]]}}, "explicit N rejected: rows have lengths [2, 1]"),
         ({"n": None, "N": {"random": {"seed": 1}}}, "random N needs the config field n"),
         ({"N": {"random": 5}}, "random N must be a JSON object, got 5"),
         ({"N": {"random": {"seed": -1}}}, "random N field seed must be >= 0, got -1"),
@@ -744,14 +784,16 @@ class TestOneWayIn:
         ({"X0": {"explicit": [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
          "explicit X0 rejected: matrix is not symmetric (defect 2.000e+00 > bound 2.000e-08)"),
         ({"X0": {"explicit": None}}, "explicit X0 rejected: 'NoneType' object is not iterable"),
+        ({"X0": {"explicit": [[1, 0, 0, 0], [0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]}},
+         "explicit X0 rejected: rows have lengths [4, 2, 4, 4]"),
         ({"X0": {"explicit": [[1, 0], [0, 1]]}}, "X0 size 2 does not match n = 4"),
         ({"X0": {"random": []}}, "random X0 must be a JSON object, got []"),
         ({"X0": {"random": {"seed": True}}}, "random X0 field seed must be integral, got True"),
     ], ids=["N-missing", "N-one-key", "N-kind", "canonical-N-v-missing", "canonical-N-v-entry",
             "canonical-N-d", "canonical-N-rejected", "explicit-N-entry", "explicit-N-rejected",
-            "explicit-N-rows", "random-N-size", "random-N-object", "random-N-seed", "X0-one-key", "X0-kind",
-            "explicit-X0-entry", "explicit-X0-rejected", "explicit-X0-rows", "explicit-X0-size",
-            "random-X0-object", "random-X0-seed"])
+            "explicit-N-rows", "explicit-N-ragged", "random-N-size", "random-N-object", "random-N-seed",
+            "X0-one-key", "X0-kind", "explicit-X0-entry", "explicit-X0-rejected", "explicit-X0-rows",
+            "explicit-X0-ragged", "explicit-X0-size", "random-X0-object", "random-X0-seed"])
     def test_matrix_config_error_exit_2(self, tmp_path, capsys, fields, message):
         # N and X0 share one reader; each class of error keeps its one line, byte for byte
         code, out = run(tmp_path, "simulate", dict(BASE, **fields))

@@ -286,8 +286,10 @@ class TestIntegrate:
         x0 = random_sym(4, rng)
         nsk = canonical_skew_matrix([1.0, 2.0])
         traj = integrate(x0, canonical_form(nsk), IntegratorConfig(step=1e-3, t_end=1.0, monitor_stride=100))
-        for block in (traj.invariant_drift(), traj.casimir_drift(), traj.spectrum_drift()):
-            assert block.max() <= 1e-9
+        drift = traj.drift()
+        columns = len(traj.invariant_labels) + traj.casimir_values.shape[1] + len(x0)
+        assert drift.shape == (len(traj.monitor_times), columns)
+        assert drift.max() <= 1e-9
 
     def test_trace_powers_conserved(self):
         rng = np.random.default_rng(10)

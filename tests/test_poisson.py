@@ -22,7 +22,6 @@ from symflow.poisson import (
     _validate_form,
     canonical_form,
     canonical_skew_matrix,
-    frozen_bracket,
     frozen_casimir_gradients,
     frozen_tensor,
     leaf_dimensions,
@@ -165,7 +164,7 @@ class TestBrackets:
         x, nsk = random_sym(4, rng), random_skew(4, rng)
         g = random_sym(4, rng)
         assert abs(lie_poisson_bracket(g, g, x, nsk)) < 1e-15
-        assert abs(frozen_bracket(g, g, nsk)) < 1e-15
+        assert abs(lie_poisson_bracket(g, g, np.eye(4), nsk)) < 1e-15  # frozen: Lie-Poisson at I
 
     def test_lie_poisson_two_formula_cross_check(self):
         # independent evaluation: -trace[x (f n g - g n f)]
@@ -182,7 +181,7 @@ class TestBrackets:
             nsk = random_skew(4, rng)
             f, g = random_sym(4, rng), random_sym(4, rng)
             direct = -np.trace(f @ nsk @ g - g @ nsk @ f)
-            assert abs(frozen_bracket(f, g, nsk) - direct) <= 1e-12
+            assert abs(lie_poisson_bracket(f, g, np.eye(4), nsk) - direct) <= 1e-12
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(8)
@@ -190,8 +189,8 @@ class TestBrackets:
         f, g = random_sym(5, rng), random_sym(5, rng)
         assert lie_poisson_bracket(f, g, x, nsk) == pytest.approx(
             -lie_poisson_bracket(g, f, x, nsk), abs=1e-14)
-        assert frozen_bracket(f, g, nsk) == pytest.approx(
-            -frozen_bracket(g, f, nsk), abs=1e-14)
+        assert lie_poisson_bracket(f, g, np.eye(5), nsk) == pytest.approx(
+            -lie_poisson_bracket(g, f, np.eye(5), nsk), abs=1e-14)
 
     def test_casimir_gradient_annihilates_bracket(self):
         rng = np.random.default_rng(9)
@@ -207,7 +206,7 @@ class TestBrackets:
         grad = np.linalg.matrix_power(nsk, 2)
         for _ in range(5):
             g = random_sym(4, rng)
-            assert abs(frozen_bracket(grad, g, nsk)) <= 1e-14
+            assert abs(lie_poisson_bracket(grad, g, np.eye(4), nsk)) <= 1e-14
 
 
 def kernel_eigensolve_form(n_skew, rank_tol=1e-9):
@@ -509,7 +508,7 @@ class TestFrozenCentraliser:
         q = np.linalg.qr(np.random.default_rng(len(freqs) + 10 * d).standard_normal((n, n)))[0]
         n_skew = q @ canonical_skew_matrix(freqs, d) @ q.T
         form = canonical_form(n_skew)
-        frozen = tensor_as_matrix(np.zeros((n, n)), n_skew)[1]
+        frozen = tensor_as_matrix(np.eye(n), n_skew)
         count = len(frozen) - numerical_rank(frozen, 1e-9)[0]
         grads = frozen_casimir_gradients(form)
         assert form.casimir_counts()[1] == len(grads) == count
@@ -626,18 +625,19 @@ class TestTensorMatrix:
     def test_zero_structure(self):
         rng = np.random.default_rng(18)
         x = random_sym(3, rng)
-        assert all(max_abs(m) == 0.0 for m in tensor_as_matrix(x, np.zeros((3, 3))))
+        assert all(max_abs(tensor_as_matrix(lmat, np.zeros((3, 3)))) == 0.0 for lmat in (x, np.eye(3)))
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(19)
         x, nsk = random_sym(4, rng), random_skew(4, rng)
-        for m in tensor_as_matrix(x, nsk):
+        for lmat in (x, np.eye(4)):
+            m = tensor_as_matrix(lmat, nsk)
             assert max_abs(m + m.T) <= 1e-12
 
     def test_generic_rank_n4(self):
         rng = np.random.default_rng(20)
         x = random_sym(4, rng)
-        m = tensor_as_matrix(x, canonical_skew_matrix([1.0, 2.0]))[0]
+        m = tensor_as_matrix(x, canonical_skew_matrix([1.0, 2.0]))
         assert numerical_rank([m[:, j] for j in range(m.shape[1])], 1e-9)[0] == 8
 
     @pytest.mark.parametrize("n", [3, 8, 16])
@@ -647,7 +647,8 @@ class TestTensorMatrix:
         rng = np.random.default_rng(30 + n)
         x, nsk = random_sym(n, rng), random_skew(n, rng)
         basis = sym_basis(n)
-        for got, lmat in zip(tensor_as_matrix(x, nsk), (x, np.eye(n))):
+        for lmat in (x, np.eye(n)):
+            got = tensor_as_matrix(lmat, nsk)
             el, en = basis @ lmat, basis @ nsk
             m = len(basis)
             direct = np.array([[frobenius_inner(el[i], en[j]) - frobenius_inner(en[i], el[j])
@@ -661,7 +662,7 @@ class TestTensorMatrix:
         rng = np.random.default_rng(40 + n)
         x, nsk = random_sym(n, rng), random_skew(n, rng)
         basis = sym_basis(n)
-        lie_poisson, frozen = tensor_as_matrix(x, nsk)
+        lie_poisson, frozen = tensor_as_matrix(x, nsk), tensor_as_matrix(np.eye(n), nsk)
         for got, left in ((frozen, basis), (lie_poisson, basis @ x)):
             g = np.einsum("iab,jba->ij", left, basis @ nsk)
             old = g - g.T
@@ -682,18 +683,21 @@ class TestTensorMatrix:
         gram = np.array([[frobenius_inner(a, b) for b in basis] for a in basis])
         assert max_abs(gram - np.eye(6)) < 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    @pytest.mark.parametrize("n", [*range(1, 20), 24, 31, 32, 33])
     def test_pair_matches_per_structure_gemms(self, n):
-        # one basis product serves both matrices; each equals its own GEMM bit for bit
+        # the frozen matrix is the Lie-Poisson one at I, bit for bit the GEMM of the
+        # basis itself; the Lie-Poisson one at x is its own GEMM of basis @ x
         rng = np.random.default_rng(60 + n)
-        x, nsk = random_sym(n, rng), random_skew(n, rng)
+        x = random_sym(n, rng)
+        d = 2 - n % 2  # a kernel of 1 or 2, so that n - d is even
         basis = sym_basis(n)
         m = len(basis)
-        got = tensor_as_matrix(x, nsk)
-        for matrix, left in zip(got, (basis @ x, basis)):
-            right = (basis @ nsk).transpose(0, 2, 1).reshape(m, -1)
-            g = left.reshape(m, -1) @ right.T
-            assert matrix.tobytes() == (g - g.T).tobytes()
+        for nsk in (random_skew(n, rng), canonical_skew_matrix(rng.uniform(0.5, 1.5, (n - d) // 2), d),
+                    np.zeros((n, n))):
+            right = (basis @ nsk).transpose(0, 2, 1).reshape(m, -1).T
+            for lmat, left in ((np.eye(n), basis), (x, basis @ x)):
+                g = left.reshape(m, -1) @ right
+                assert tensor_as_matrix(lmat, nsk).tobytes() == (g - g.T).tobytes()
 
 
 class TestLeafDimensions:
@@ -713,11 +717,36 @@ class TestLeafDimensions:
         assert leaf_dimensions(form, x) == expected
 
     def test_one_basis_per_call(self, monkeypatch):
+        # one basis per tensor matrix: the Lie-Poisson and the frozen one on the
+        # form's first call, the Lie-Poisson one alone on its next
         calls, basis = [], poisson.sym_basis
         monkeypatch.setattr(poisson, "sym_basis", lambda n: calls.append(n) or basis(n))
         form = canonical_form(canonical_skew_matrix([1.0, 2.0], 1))
-        assert leaf_dimensions(form, random_sym(5, np.random.default_rng(23))) == (12, 12)
-        assert calls == [5]
+        rng = np.random.default_rng(23)
+        assert leaf_dimensions(form, random_sym(5, rng)) == (12, 12)
+        assert calls == [5, 5]
+        assert leaf_dimensions(form, random_sym(5, rng)) == (12, 12)
+        assert calls == [5, 5, 5]
+
+    @pytest.mark.parametrize("freqs, d, frozen_ranks, details", [
+        ([1.0, 2.0], 1, 1, [{"dims": [12, 12], "expected": [12, 12]}] * 5),
+        ([1.0, 1.000000003], 0, 5, [{"unstable": "rank 8 at tol 1.0e-09 but 6 at 1.0e-08"}] * 5),
+    ], ids=["stable", "frozen-unstable"])
+    def test_frozen_leaf_ranked_once_per_form(self, monkeypatch, freqs, d, frozen_ranks, details):
+        # a 5-sample leaf_dims ranks the frozen matrix, the one at I, on its first
+        # draw and keeps it; an unstable frozen rank is not kept, so every draw ranks it again
+        at_identity, tensor = [], poisson.tensor_as_matrix
+        monkeypatch.setattr(poisson, "tensor_as_matrix",
+                            lambda x, nsk: at_identity.append(np.array_equal(x, np.eye(len(x)))) or tensor(x, nsk))
+        form = canonical_form(canonical_skew_matrix(freqs, d))
+        (cert,) = certificates(form, ["leaf_dims"], 5, 3, DEFAULT_TOLERANCES)
+        assert [{k: v for k, v in row.items() if k != "sample"} for row in cert.details] == details
+        assert at_identity == ([False, True] * frozen_ranks + [False] * (5 - frozen_ranks))
+        if frozen_ranks == 5:
+            with pytest.raises(RankInstabilityError):
+                form.frozen_leaf_dimension
+        else:
+            assert "frozen_leaf_dimension" in vars(form)
 
     def test_codimension_matches_casimir_count(self):
         rng = np.random.default_rng(22)
@@ -779,7 +808,7 @@ class TestLeafDimensions:
         rng = np.random.default_rng(50 + n)
         form = canonical_form(self._structure(kind, n, rng))
         x = random_sym(n, rng)
-        for m in tensor_as_matrix(x, form.skew):
+        for m in (tensor_as_matrix(x, form.skew), tensor_as_matrix(np.eye(n), form.skew)):
             r, r_loose = _decade_ranks(m, form.rank_tol)
             assert r == r_loose == rank_certified(m, form.rank_tol)
 

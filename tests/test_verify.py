@@ -13,7 +13,6 @@ from symflow.matrix_core import max_abs, random_skew, random_sym
 from symflow.poisson import (
     canonical_form,
     canonical_skew_matrix,
-    frozen_bracket,
     frozen_tensor,
     lie_poisson_bracket,
     lie_poisson_tensor,
@@ -49,7 +48,7 @@ def loop_involution_details(form, samples, seed):
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
                 lp = abs(lie_poisson_bracket(grads[a], grads[b], x, form.skew))
-                fr = abs(frozen_bracket(grads[a], grads[b], form.skew))
+                fr = abs(lie_poisson_bracket(grads[a], grads[b], np.eye(form.n), form.skew))  # frozen
                 for val, name in ((lp, "lie_poisson"), (fr, "frozen")):
                     if val > worst:
                         worst, pair, bracket = val, (a, b), name
