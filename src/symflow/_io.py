@@ -49,16 +49,12 @@ _HEAD = _words(b"".join(b"%s%d.%d" % (sign, g // 10, g % 10) for sign in (b"\0",
 #: _TAIL[g]: the three digits of 0 <= g < 1000 and "e".
 _TAIL = _words(np.column_stack([_digit_texts(3), np.full(1000, ord("e"), np.uint8)]).tobytes())
 
-#: 10^k for k = 0..22, every one an exact double, and its two 26-bit halves
-#: (Veltkamp's split) for Dekker's product.
-_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-#: The bits of 1e-6 and 1e17, the ends of the magnitudes converted with an exact power of ten.
-_EXACT_BITS = np.array([1e-6, 1e17]).view(np.int64)
+#: The bits of 1e17: from there on, and for NaN and the infinities, Python's ``%`` writes the text.
+_PERCENT_BITS = int(np.float64(1e17).view(np.int64))
 
-#: Below 1e-6, a fraction this close to 0, 1/2 or 1 may round either way: its computed
-#: value is within 5.7e-15 of the exact one (see :func:`_small_digits`).
+#: From 10^23 on the table's powers are rounded: a fraction this close to 0, 1/2 or 1 may
+#: round either way, since its computed value is within 5.7e-15 of the exact one (see
+#: :func:`_scaled_digits`).
 _UNCERTAIN = 2.0 ** -44
 
 
@@ -69,12 +65,13 @@ def _exponent_words() -> np.ndarray:
 
 
 @functools.cache
-def _small_tables():
-    """The powers of ten for magnitudes below 1e-6, built from integers on first use.
+def _power_tables():
+    """The powers of ten 10^0 .. 10^340, built from integers on first use.
 
     For p = 0..340, 10^p = c·2^s with 1 <= c < 2; c is rounded to 106 bits
     and kept as hi + lo (|c - hi - lo| <= 2^-106), hi with its Veltkamp
-    halves.  Returns s, hi, hi's halves and lo, indexed by p.
+    halves.  Up to p = 22, 5^p < 2^53, so hi = c exactly and lo = 0.
+    Returns s, hi, hi's halves and lo, indexed by p.
     """
     shifts, hi, lo = [], [], []
     for p in range(341):
@@ -90,72 +87,29 @@ def _small_tables():
     return np.array(shifts, dtype=np.int32), hi, hi_hi, hi - hi_hi, np.array(lo)
 
 
-def _two_product_digits(a, scale, scale_hi, scale_lo, tail=None):
-    """floor(a·scale + tail) as int64 and the fraction above it, where a·scale >= 2^53.
-
-    Dekker's TwoProduct writes a·scale exactly as hi + lo; numpy has no fused
-    multiply-add, so ``a`` is split with Veltkamp's constant 2^27+1 and
-    ``scale`` comes split as scale_hi + scale_lo.  From 2^53 on, hi is an
-    integer and the floor is hi + floor(lo + tail).
-    """
-    hi = a * scale
-    split = a * 134217729.0
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
-    if tail is not None:
-        lo += tail
-    whole = np.floor(lo)
-    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
-
-
 def _scaled_digits(a: np.ndarray, e: np.ndarray):
-    """floor(a·10^(16-e)) as int64 and the exact fraction above it, for 0 <= 16-e <= 22."""
-    p = 16 - e
-    return _two_product_digits(a, _POW10.take(p), _POW10_HI.take(p), _POW10_LO.take(p))
-
-
-def _small_digits(a: np.ndarray, e: np.ndarray):
-    """floor(a·10^(16-e)) as int64 and the fraction above it, within 5.7e-15, for 22 <= 16-e <= 340.
+    """floor(a·10^(16-e)) as int64 and the fraction above it, for 0 <= 16-e <= 340.
 
     a·10^p is (a·2^s)·(hi + lo) with a·2^s exact (subnormals become
-    normal).  Where the digits fall in [10^16, 10^17), the product with hi
-    is exact (Dekker); the one with lo adds at most 2^-50 of roundoff, the
+    normal).  Dekker's TwoProduct writes the product with hi exactly as a
+    head and a tail; numpy has no fused multiply-add, so a·2^s is split with
+    Veltkamp's constant 2^27+1.  Where the digits fall in [10^16, 10^17) the
+    head is an integer, and the floor is the head plus the floor of the tail
+    and the product with lo.  Up to p = 22, lo = 0 and the fraction is exact.
+    From p = 23 on, the product with lo adds at most 2^-50 of roundoff, the
     table at most 10^17·2^-106 and the sum at most 2^-48: 5.7e-15 together.
     """
-    shifts, hi, hi_hi, hi_lo, lo = _small_tables()
+    shifts, hi, hi_hi, hi_lo, lo = _power_tables()
     p = 16 - e
     x = np.ldexp(a, shifts.take(p))
-    return _two_product_digits(x, hi.take(p), hi_hi.take(p), hi_lo.take(p), x * lo.take(p))
-
-
-def _round_small(values, bits, candidates, digits, e):
-    """Round the ``candidates`` with 0 < |v| < 10^-6 into ``digits`` and ``e`` where that is certain.
-
-    Returns the candidates left to Python's ``%``.  A fraction within
-    _UNCERTAIN of 0, 1/2 or 1 is left, which includes every exact tie.
-    Rounding up may carry to 10^17: the double nearest 1e-14 is
-    "1.0000000000000000e-14".
-    """
-    is_small = bits.take(candidates) <= _EXACT_BITS[0]  # the double 1e-6 lies below 10^-6
-    small = candidates[is_small]
-    if not small.size:
-        return candidates
-    a = np.abs(values.take(small))
-    power = np.maximum(np.floor(np.log10(a)), -324).astype(np.int64)
-    scaled, fraction = _small_digits(a, power)
-    redo = np.flatnonzero((scaled < 10 ** 16) | (scaled >= 10 ** 17))
-    if redo.size:
-        power[redo] = np.clip(power[redo] + np.where(scaled[redo] < 10 ** 16, -1, 1), -324, -6)
-        scaled[redo], fraction[redo] = _small_digits(a[redo], power[redo])
-    half = np.abs(fraction - 0.5)  # below _UNCERTAIN near 1/2, above 1/2 - _UNCERTAIN near 0 and 1
-    sure = (scaled >= 10 ** 16) & (scaled < 10 ** 17) & (half > _UNCERTAIN) & (half < 0.5 - _UNCERTAIN)
-    scaled = scaled[sure] + (fraction[sure] > 0.5)
-    carry = scaled == 10 ** 17
-    small, power = small[sure], power[sure] + carry
-    digits[small], e[small] = np.where(carry, 10 ** 16, scaled), power
-    is_small[is_small] = sure
-    return candidates[~is_small]
+    c, c_hi, c_lo = hi.take(p), hi_hi.take(p), hi_lo.take(p)
+    head = x * c
+    split = x * 134217729.0
+    x_hi = split - (split - x)
+    x_lo = x - x_hi
+    tail = ((x_hi * c_hi - head) + x_hi * c_lo + x_lo * c_hi) + x_lo * c_lo + x * lo.take(p)
+    whole = np.floor(tail)
+    return head.astype(np.int64) + whole.astype(np.int64), tail - whole
 
 
 def _percent_cells(values: np.ndarray) -> np.ndarray:
@@ -168,38 +122,38 @@ def _percent_cells(values: np.ndarray) -> np.ndarray:
 def _e16_cells(values: np.ndarray) -> np.ndarray:
     """``"%.16e" % v`` for every float64 ``v``, as ASCII rows of _CELL bytes padded with NUL bytes.
 
-    Zeros and every finite |v| < 1e17 are converted in numpy: 17
-    significant digits, correctly rounded, half to even.  Magnitudes from
-    1e-6 on take an exact product with a power of ten up to 1e22
-    (:func:`_scaled_digits`); smaller ones, subnormals included, take a
-    certified one (:func:`_round_small`).  Only NaN, the infinities,
-    |v| >= 1e17 and the rare cells whose rounding the certified product
-    cannot decide go through Python's ``%``, in one batch.
+    Zeros and every finite |v| < 1e17, subnormals included, are converted
+    in numpy with one product by a power of ten (:func:`_scaled_digits`):
+    17 significant digits, correctly rounded, half to even.  The product is
+    exact from 1e-6 on and certified below.  Only NaN, the infinities,
+    |v| >= 1e17 and the rare cells below 1e-6 whose rounding the certified
+    product cannot decide go through Python's ``%``, in one batch.
     """
     values = values.ravel()
     # |v| compared as the integers of its bits: the order is the same, and
     # NaN and the infinities lie above every finite value without a float
     # comparison that could signal
     bits = values.view(np.int64) & 0x7FFFFFFFFFFFFFFF
-    exact = (bits >= _EXACT_BITS[0]) & (bits < _EXACT_BITS[1])
-    a = np.where(exact, np.abs(values), 1.0)
+    nonzero = bits != 0
+    converted = nonzero & (bits < _PERCENT_BITS)
+    a = np.where(converted, bits.view(np.float64), 1.0)
     # floor(log10 a) may be one off near a power of ten; the digit count shows it
-    e = np.minimum(np.maximum(np.floor(np.log10(a)), -6), 16).astype(np.int64)
+    e = np.minimum(np.maximum(np.floor(np.log10(a)), -324), 16).astype(np.int64)
     digits, fraction = _scaled_digits(a, e)
     redo = np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))
     if redo.size:
-        e[redo] = np.clip(e[redo] + np.where(digits[redo] < 10 ** 16, -1, 1), -6, 16)
+        e[redo] += np.where(digits[redo] < 10 ** 16, -1, 1)
         digits[redo], fraction[redo] = _scaled_digits(a[redo], e[redo])
-        # still off: the exponent is outside -6..16 (the double 1e-6, below 10^-6)
-        exact[redo] &= (digits[redo] >= 10 ** 16) & (digits[redo] < 10 ** 17)
-    # zeros get the digits of 0 (a = 1 gave them e = 0); the other paths overwrite the rest
-    digits = np.where(exact, digits, 0)
-    # no carry to 10^17: the double below each power of ten in the range is
-    # more than half a unit of the 17th digit below it
-    digits += (fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))
-    python = np.flatnonzero(~exact & (bits != 0))
-    if python.size:
-        python = _round_small(values, bits, python, digits, e)
+    # up to 10^22 (e >= -6) the fraction is exact; beyond, one within _UNCERTAIN of 0, 1/2 or 1
+    # may round either way (half is below _UNCERTAIN near 1/2, above 1/2 - _UNCERTAIN near 0 and 1)
+    half = np.abs(fraction - 0.5)
+    sure = converted & ((e > -7) | ((half > _UNCERTAIN) & (half < 0.5 - _UNCERTAIN)))
+    # zeros get the digits of 0 (a = 1 gave them e = 0); Python's % overwrites the cells left
+    digits = np.where(sure, digits + ((fraction > 0.5) | ((fraction == 0.5) & (digits & 1 == 1))), 0)
+    # a carry to 10^17 comes only below 1e-6: the double nearest 1e-14 is "1.0000000000000000e-14"
+    carry = digits == 10 ** 17
+    digits[carry], e[carry] = 10 ** 16, e[carry] + 1
+    python = np.flatnonzero(nonzero & ~sure)
 
     words = np.empty((len(values), _CELL // 4), dtype=np.uint32)
     head = digits // 10 ** 15
@@ -249,9 +203,9 @@ def _write_csv(path: Path, header, rows) -> None:
     A flat sequence is one column, and an empty one writes the header only.
     Every number is byte for byte Python's ``"%.16e" % v``: 17 significant
     digits, correctly rounded, ties to even.  Zeros and every finite
-    |v| < 1e17 are converted in numpy (:func:`_e16_cells`); only NaN, the
-    infinities, |v| >= 1e17 and cells whose rounding the certified path
-    below 1e-6 cannot decide go through Python's ``%``.
+    |v| < 1e17 take one product by a power of ten (:func:`_e16_cells`);
+    only NaN, the infinities, |v| >= 1e17 and the rare cells below 1e-6
+    whose rounding that product leaves open go through Python's ``%``.
     """
     table = np.asarray(rows, dtype=np.float64)
     table = table[:, None] if table.ndim == 1 else table

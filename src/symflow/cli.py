@@ -119,8 +119,16 @@ def _tolerance(value, name: str) -> float:
     return number
 
 
+#: How a config error names a JSON value that stands where a list was due.
+_JSON_KINDS = {dict: "a JSON object", str: "a JSON string", bool: "a JSON boolean", int: "a JSON number",
+               float: "a JSON number", type(None): "null"}
+
+
 def _explicit_matrix(rows, name: str) -> np.ndarray:
     """A list of equally long rows whose every entry is a finite JSON number, as a float array."""
+    for row in rows if isinstance(rows, list) else [rows]:
+        if not isinstance(row, list):
+            raise TypeError(f"rows must be JSON lists of numbers, got {_JSON_KINDS[type(row)]}")
     matrix = [[_convert(real, v, f"{name} entry") for v in row] for row in rows]
     if len({len(row) for row in matrix}) > 1:
         raise ValueError(f"rows have lengths {[len(row) for row in matrix]}")

@@ -54,11 +54,11 @@ class SkewCanonicalForm:
 
     ``basis @ skew @ basis.T`` equals, to within :data:`CANONICAL_TOL`, the
     block matrix ``[[0, V, 0], [-V, 0, 0], [0, 0, 0]]`` with
-    ``V = diag(frequencies)``.  ``core`` is the invertible 2p x 2p corner of
-    that form and ``pseudo_inverse`` the n x n block inverse vanishing on the
-    kernel, so ``pseudo_inverse @ canonical_skew`` is the projection onto the
-    image coordinates.  ``rank_tol`` is the relative cut the kernel was
-    decided at; the rank decisions made with the form use it too.
+    ``V = diag(frequencies)``.  ``pseudo_inverse`` is the n x n block
+    inverse vanishing on the kernel, so ``pseudo_inverse @ canonical_skew``
+    is the projection onto the image coordinates.  ``rank_tol`` is the
+    relative cut the kernel was decided at; the rank decisions made with the
+    form use it too.
     """
 
     n: int
@@ -67,17 +67,13 @@ class SkewCanonicalForm:
     skew: np.ndarray
     basis: np.ndarray
     frequencies: np.ndarray
-    core: np.ndarray
     pseudo_inverse: np.ndarray
     rank_tol: float
 
     @property
     def canonical_skew(self) -> np.ndarray:
         """The exact block form [[0, V, 0], [-V, 0, 0], [0, 0, 0]]."""
-        n, p = self.n, self.p
-        out = np.zeros((n, n))
-        out[:2 * p, :2 * p] = self.core
-        return out
+        return _block_form(self.frequencies, self.d)
 
     def to_canonical(self, x: np.ndarray) -> np.ndarray:
         """Conjugate a matrix from the original into the canonical basis."""
@@ -125,12 +121,13 @@ class SkewCanonicalForm:
         return rank_certified(tensor_as_matrix(np.eye(self.n), self.skew), self.rank_tol)
 
 
-def _core_block(frequencies: np.ndarray) -> np.ndarray:
-    p = len(frequencies)
-    v = np.diag(frequencies)
-    out = np.zeros((2 * p, 2 * p))
-    out[:p, p:] = v
-    out[p:, :p] = -v
+def _block_form(values: np.ndarray, nullity: int) -> np.ndarray:
+    """[[0, V, 0], [-V, 0, 0], [0, 0, 0]] with V = diag(values) and a kernel of ``nullity``."""
+    p = len(values)
+    v = np.diag(values)
+    out = np.zeros((2 * p + nullity, 2 * p + nullity))
+    out[:p, p:2 * p] = v
+    out[p:2 * p, :p] = -v
     return out
 
 
@@ -143,11 +140,7 @@ def canonical_skew_matrix(frequencies, nullity: int = 0) -> np.ndarray:
         raise ValueError("frequencies must be positive")
     if nullity < 0:
         raise ValueError("nullity must be non-negative")
-    p = len(freqs)
-    n = 2 * p + nullity
-    out = np.zeros((n, n))
-    out[:2 * p, :2 * p] = _core_block(freqs)
-    return out
+    return _block_form(freqs, nullity)
 
 
 def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalForm:
@@ -193,13 +186,9 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     # the kernel rows are the null eigenvectors of the projector onto the image, none at full rank
     kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T if 2 * p < n else np.empty((0, n))
 
-    pseudo, inv_v = np.zeros((n, n)), np.diag(1.0 / freqs)
-    pseudo[:p, p:2 * p] = -inv_v
-    pseudo[p:2 * p, :p] = inv_v
     form = SkewCanonicalForm(
         n=n, p=p, d=n - 2 * p, skew=n_skew, basis=np.vstack([image, kernel]),
-        frequencies=freqs, core=_core_block(freqs), pseudo_inverse=pseudo,
-        rank_tol=rank_tol,
+        frequencies=freqs, pseudo_inverse=_block_form(1.0 / freqs, n - 2 * p).T.copy(), rank_tol=rank_tol,
     )
     _validate_form(form, max(CANONICAL_TOL, rank_tol * v_max))
     return form

@@ -21,8 +21,9 @@ import symflow.verify
 from symflow._io import (
     CSV_CHUNK_ROWS,
     _e16_cells,
-    _small_digits,
     _json_text,
+    _power_tables,
+    _scaled_digits,
     _write_csv,
     _write_trajectory_csv,
     _write_trajectory_json,
@@ -762,6 +763,8 @@ class TestOneWayIn:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    ROWS = "rows must be JSON lists of numbers, got a JSON"
+
     @pytest.mark.parametrize("fields, message", [
         ({"N": None}, "config is missing N"),
         ({"N": [1]}, "N must be an object with exactly one of: canonical, explicit, random"),
@@ -773,7 +776,9 @@ class TestOneWayIn:
         ({"N": {"explicit": [[0, "a"], [1, 0]]}}, "explicit N entry must be real, got 'a'"),
         ({"N": {"explicit": [[0, 1, 2], [1, 0, 3]]}},
          "explicit N rejected: expected a square matrix, got shape (2, 3)"),
-        ({"N": {"explicit": 3}}, "explicit N rejected: 'int' object is not iterable"),
+        ({"N": {"explicit": 3}}, f"explicit N rejected: {ROWS} number"),
+        ({"N": {"explicit": {"a": 1}}}, f"explicit N rejected: {ROWS} object"),
+        ({"N": {"explicit": [[0, 1], 2]}}, f"explicit N rejected: {ROWS} number"),
         ({"N": {"explicit": [[0, 1], [1]]}}, "explicit N rejected: rows have lengths [2, 1]"),
         ({"n": None, "N": {"random": {"seed": 1}}}, "random N needs the config field n"),
         ({"N": {"random": 5}}, "random N must be a JSON object, got 5"),
@@ -783,7 +788,10 @@ class TestOneWayIn:
         ({"X0": {"explicit": [[1, True], [True, 1]]}}, "explicit X0 entry must be real, got True"),
         ({"X0": {"explicit": [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
          "explicit X0 rejected: matrix is not symmetric (defect 2.000e+00 > bound 2.000e-08)"),
-        ({"X0": {"explicit": None}}, "explicit X0 rejected: 'NoneType' object is not iterable"),
+        ({"X0": {"explicit": None}}, "explicit X0 rejected: rows must be JSON lists of numbers, got null"),
+        ({"X0": {"explicit": ["ab", "cd"]}}, f"explicit X0 rejected: {ROWS} string"),
+        ({"X0": {"explicit": "abcd"}}, f"explicit X0 rejected: {ROWS} string"),
+        ({"X0": {"explicit": [[1, 0], True]}}, f"explicit X0 rejected: {ROWS} boolean"),
         ({"X0": {"explicit": [[1, 0, 0, 0], [0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]}},
          "explicit X0 rejected: rows have lengths [4, 2, 4, 4]"),
         ({"X0": {"explicit": [[1, 0], [0, 1]]}}, "X0 size 2 does not match n = 4"),
@@ -791,8 +799,10 @@ class TestOneWayIn:
         ({"X0": {"random": {"seed": True}}}, "random X0 field seed must be integral, got True"),
     ], ids=["N-missing", "N-one-key", "N-kind", "canonical-N-v-missing", "canonical-N-v-entry",
             "canonical-N-d", "canonical-N-rejected", "explicit-N-entry", "explicit-N-rejected",
-            "explicit-N-rows", "explicit-N-ragged", "random-N-size", "random-N-object", "random-N-seed",
+            "explicit-N-rows", "explicit-N-object", "explicit-N-number-row", "explicit-N-ragged",
+            "random-N-size", "random-N-object", "random-N-seed",
             "X0-one-key", "X0-kind", "explicit-X0-entry", "explicit-X0-rejected", "explicit-X0-rows",
+            "explicit-X0-string-rows", "explicit-X0-string", "explicit-X0-boolean-row",
             "explicit-X0-ragged", "explicit-X0-size", "random-X0-object", "random-X0-seed"])
     def test_matrix_config_error_exit_2(self, tmp_path, capsys, fields, message):
         # N and X0 share one reader; each class of error keeps its one line, byte for byte
@@ -941,9 +951,22 @@ KERNEL_CLASSES = {
     "exact-ties": exact_ties,
     "zeros": lambda rng, count: rng.choice([-0.0, 0.0], count),
     "subnormal": lambda rng, count: rng.choice([-1.0, 1.0], count) * rng.integers(1, 2 ** 52, count).view(np.float64),
+    "log-uniform-wide": lambda rng, count: rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-330.0, 17.0, count),
+    "integers": lambda rng, count: rng.choice([-1.0, 1.0], count) * np.where(
+        rng.random(count) < 0.5, rng.integers(0, 100, count), rng.integers(0, 10 ** 17, count)).astype(np.float64),
+    "halves": lambda rng, count: rng.integers(-2 ** 52, 2 ** 52, count) + 0.5,
+    "short-dyadics": lambda rng, count: short_dyadics(rng, count),
     "bit-patterns": lambda rng, count: rng.integers(0, 2 ** 64, count, dtype=np.uint64).view(np.float64),
     "deep": lambda rng, count: deep_values(rng, count),
 }
+
+
+def short_dyadics(rng, count):
+    """m·2^j with m odd below 2^20 and both signs: j = -19..36 puts half of them in [1e-6, 1e17), where
+    their expansions end within 20 digits; j = -1100..-150 puts the rest below 1e-38, subnormals included."""
+    m = rng.integers(0, 2 ** 19, count) * 2 + 1
+    j = np.where(np.arange(count) % 2 == 0, rng.integers(-19, 37, count), rng.integers(-1100, -149, count))
+    return rng.choice([-1.0, 1.0], count) * np.ldexp(m.astype(np.float64), j)
 
 
 def deep_values(rng, count):
@@ -992,13 +1015,16 @@ def boundary_values():
     return np.array([v for v in found if v is not None])
 
 
-def short_decimals():
-    """The 18 doubles m·2^-k below 1e-6 whose expansion m·5^k·10^-k has at most 18 digits, both signs.
+def short_decimals(above=False):
+    """The doubles m·2^-k, m odd below 16 and k <= 25, whose expansion m·5^k·10^-k has at most 18 digits,
+    both signs: the 18 below 1e-6, or with ``above`` the 184 from 1e-6 on, the even integers of the k,
+    two_r and index columns, 1e16 and 2^53.
 
     Their fractions are exactly 0 or 1/2.
     """
-    short = [m * 2.0 ** -k for k in range(20, 26) for m in range(1, 16, 2)
-             if m * 2.0 ** -k < 1e-6 and len(str(m * 5 ** k)) <= 18]
+    short = [m * 2.0 ** -k for k in range(26) for m in range(1, 16, 2)
+             if (m * 2.0 ** -k >= 1e-6) == above and len(str(m * 5 ** k)) <= 18]
+    short += [float(i) for i in range(2, 100, 2)] + [1e16, 2.0 ** 53] if above else []
     return np.array(short + [-v for v in short])
 
 
@@ -1037,32 +1063,52 @@ class TestE16Kernel:
         assert len(sent) == np.count_nonzero(bits >= np.float64(1e17).view(np.int64))  # NaN and inf included
         assert (np.abs(sent[np.isfinite(sent)]) >= 1e17).all()
 
-    @pytest.mark.parametrize("values", [pytest.param(short_decimals(), id="short-decimals"),
-                                        pytest.param(boundary_values(), id="lattice")])
-    def test_uncertain_cells_take_percent(self, monkeypatch, values):
-        # each exact fraction lies within 1e-15 of 0 or 1/2, inside the certified path's error bound
+    @pytest.mark.parametrize("values, uncertain", [pytest.param(short_decimals(), True, id="short-decimals"),
+                                                   pytest.param(boundary_values(), True, id="lattice"),
+                                                   pytest.param(short_decimals(True), False, id="exact-rows")])
+    def test_uncertain_cells_take_percent(self, monkeypatch, values, uncertain):
+        # each exact fraction lies within 1e-15 of 0 or 1/2: inside the certified path's error bound
+        # below 1e-6, where Python's % decides it, and decided exactly from 1e-6 on
         assert len(values) >= 36
         for v in np.abs(values).tolist():
             fraction = Fraction(v) * 10 ** (16 - math.floor(math.log10(v))) % 1
             assert min(abs(fraction - Fraction(1, 2)), fraction, 1 - fraction) < 1e-15
-        assert sorted(percent_inputs(monkeypatch, values).tolist()) == sorted(values.tolist())
+        sent = sorted(values.tolist()) if uncertain else []
+        assert sorted(percent_inputs(monkeypatch, values).tolist()) == sent
         texts = [cell.tobytes().replace(b"\0", b"").decode() for cell in _e16_cells(values)]
         assert texts == ["%.16e" % v for v in values]
 
+    def test_power_table_rows(self):
+        # 10^p = c·2^s with |c - hi - lo| <= 2^-106; up to p = 22 the row is 10^p itself
+        shifts, hi, hi_hi, hi_lo, lo = _power_tables()
+        assert len(shifts) == 341
+        assert np.array_equal(hi_hi + hi_lo, hi)
+        for p, (s, h, l) in enumerate(zip(shifts.tolist(), hi.tolist(), lo.tolist())):
+            assert abs(Fraction(10 ** p, 2 ** s) - Fraction(h) - Fraction(l)) <= Fraction(1, 2 ** 106)
+            if p <= 22:
+                assert Fraction(h) * 2 ** s == 10 ** p and l == 0.0
+
     def test_certified_fraction_within_its_bound(self):
-        # the error bound behind _UNCERTAIN, against exact rationals
+        # the error bound behind _UNCERTAIN, against exact rationals: none up to 10^22 (from 1e-6
+        # on, exact ties included) and 5.7e-15 beyond
         rng = np.random.default_rng(5)
-        a = np.concatenate([10.0 ** rng.uniform(-323.0, -6.0, 1500), rng.integers(1, 2 ** 52, 500).view(np.float64)])
-        e = np.floor(np.log10(a)).astype(np.int64)
-        digits, fraction = _small_digits(a, e)
+        a = np.concatenate([10.0 ** rng.uniform(-323.0, -6.0, 1500), 10.0 ** rng.uniform(-6.0, 17.0, 1000),
+                            rng.integers(1, 2 ** 52, 500).view(np.float64), np.abs(exact_ties(rng, 500)),
+                            ulps([1e-6, 1e16, 1e17], np.arange(-3, 4)[:, None]).ravel()])
+        a = a[a < 1e17]
+        e = np.minimum(np.floor(np.log10(a)), 16).astype(np.int64)
+        digits, fraction = _scaled_digits(a, e)
         e += (digits >= 10 ** 17).astype(np.int64) - (digits < 10 ** 16)
-        digits, fraction = _small_digits(a, e)
+        digits, fraction = _scaled_digits(a, e)
         assert ((digits >= 10 ** 16) & (digits < 10 ** 17)).all()
+        assert (e >= -6).sum() >= 1000 and (fraction == 0.5).sum() >= 500
         for v, k, d, f in zip(a.tolist(), e.tolist(), digits.tolist(), fraction.tolist()):
-            assert abs(Fraction(v) * Fraction(10) ** (16 - k) - d - Fraction(f)) <= Fraction(57, 10 ** 16)
+            error = abs(Fraction(v) * Fraction(10) ** (16 - k) - d - Fraction(f))
+            assert error == 0 if 16 - k <= 22 else error <= Fraction(57, 10 ** 16)
 
     def test_no_rounding_reaches_a_power_of_ten(self):
-        # why the kernel has no carry from 9.99..9 up to 1.00..0 with the next exponent
+        # from 1e-6 on no rounding carries from 9.99..9 up to 1.00..0 with the next exponent; the
+        # kernel's carry serves only smaller values, such as the double nearest 1e-14 (the deep class)
         for k in range(-6, 18):
             below = max(v for v in ulps(float(f"1e{k}"), np.array([-1, 0])) if Fraction(v) < Fraction(10) ** k)
             assert not ("%.16e" % below).startswith("1.0000000000000000e")

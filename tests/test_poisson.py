@@ -327,7 +327,7 @@ class TestCanonicalForm:
         core = canonical_skew_matrix([1.0])
         form = SkewCanonicalForm(
             n=4, p=1, d=2, skew=nsk, basis=np.eye(4)[[0, 2, 1, 3]],
-            frequencies=np.array([1.0]), core=core,
+            frequencies=np.array([1.0]),
             pseudo_inverse=np.pad(-core, ((0, 2), (0, 2))), rank_tol=1e-2,
         )
         _validate_form(form, 1e-2)
@@ -351,7 +351,7 @@ class TestCanonicalForm:
         v = 1e6 + error
         form = SkewCanonicalForm(
             n=2, p=1, d=0, skew=canonical_skew_matrix([1e6]), basis=np.eye(2),
-            frequencies=np.array([v]), core=canonical_skew_matrix([v]),
+            frequencies=np.array([v]),
             pseudo_inverse=-canonical_skew_matrix([1e-6]), rank_tol=1e-9,
         )
         if accepted:
