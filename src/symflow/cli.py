@@ -9,9 +9,10 @@ The writers live in :mod:`symflow._io`; this module parses, resolves the
 config and dispatches.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error (a config
-that cannot be read or parsed, nesting past the parser's depth included; an
-output path that cannot be created or written; sizes past the memory), 3
-numerical abort.
+that cannot be read or parsed, nesting past the parser's depth included; a
+canonical ``v`` that is not a JSON list; a frequency of N so small
+(subnormal) that its reciprocal passes the float range; an output path that
+cannot be created or written; sizes past the memory), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -161,7 +162,11 @@ def _read_matrix(spec, name: str, n, seed, explicit, random, **kinds) -> np.ndar
 
 def _canonical_n(payload) -> np.ndarray:
     payload = _object(payload, "canonical N", ("v", "d"))
-    freqs = payload.get("v") or []
+    freqs = payload.get("v")
+    if freqs is None:
+        freqs = []
+    if not isinstance(freqs, list):
+        raise ConfigError(f"canonical N field v must be a JSON list of numbers, got {_JSON_KINDS[type(freqs)]}")
     d = _integer(payload.get("d", 0), "canonical N field d", 0)
     if not freqs and d == 0:
         raise ConfigError("canonical N needs a frequency list v")

@@ -62,20 +62,30 @@ def sym_matrix(a) -> np.ndarray:
     inputs whose max-abs asymmetry exceeds :data:`ASYM_REJECT_TOL` times
     their max-abs entry.
     """
-    a = as_square(a)
-    defect, bound = max_abs(a - a.T), ASYM_REJECT_TOL * max_abs(a)
-    if defect > bound:
-        raise ValueError(f"matrix is not symmetric (defect {defect:.3e} > bound {bound:.3e})")
-    return (a + a.T) / 2.0
+    return _projection(a, np.add, np.subtract, "symmetric")
 
 
 def skew_matrix(a) -> np.ndarray:
     """Validating constructor for a skew-symmetric matrix (projects, rejects past the relative :data:`ASYM_REJECT_TOL`)."""
+    return _projection(a, np.subtract, np.add, "skew-symmetric")
+
+
+def _projection(a, keep, drop, kind: str) -> np.ndarray:
+    """``keep(a, a.T) / 2`` of a square ``a`` whose ``drop(a, a.T)`` is within the relative bound.
+
+    A sum past the float range warns nothing: as a defect it reads inf and
+    is rejected, and in the projection its entries are ``keep(a/2, a.T/2)``,
+    exact there because both halves are far above the subnormals, where
+    halving first would lose a bit.
+    """
     a = as_square(a)
-    defect, bound = max_abs(a + a.T), ASYM_REJECT_TOL * max_abs(a)
+    with np.errstate(over="ignore"):
+        defect, whole = max_abs(drop(a, a.T)), keep(a, a.T)
+    bound = ASYM_REJECT_TOL * max_abs(a)
     if defect > bound:
-        raise ValueError(f"matrix is not skew-symmetric (defect {defect:.3e} > bound {bound:.3e})")
-    return (a - a.T) / 2.0
+        raise ValueError(f"matrix is not {kind} (defect {defect:.3e} > bound {bound:.3e})")
+    half = a / 2.0
+    return np.where(np.isfinite(whole), whole / 2.0, keep(half, half.T))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

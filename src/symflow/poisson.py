@@ -160,9 +160,10 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     ``n_skew`` is exactly skew, as :func:`symflow.matrix_core.skew_matrix`,
     :func:`canonical_skew_matrix` and :func:`symflow.matrix_core.random_skew`
     make it.  Raises ``ValueError`` if ``rank_tol`` is not positive, if the
-    cut splits an eigenvalue pair, if the form misses its structural
-    invariants at :data:`CANONICAL_TOL`, or if its kernel block exceeds the
-    rank cut ``rank_tol * v_max``.
+    cut splits an eigenvalue pair, if a frequency is so small (subnormal)
+    that its reciprocal passes the float range, if the form misses its
+    structural invariants at :data:`CANONICAL_TOL`, or if its kernel block
+    exceeds the rank cut ``rank_tol * v_max``.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
@@ -185,10 +186,14 @@ def canonical_form(n_skew: np.ndarray, rank_tol: float = 1e-9) -> SkewCanonicalF
     freqs, image = freqs[order], np.vstack([u[order], w[order]])
     # the kernel rows are the null eigenvectors of the projector onto the image, none at full rank
     kernel = np.linalg.eigh(image.T @ image)[1][:, :n - 2 * p].T if 2 * p < n else np.empty((0, n))
+    with np.errstate(over="ignore", divide="ignore"):  # a subnormal N's frequencies can round to 0
+        inverse = 1.0 / freqs
+    if not np.isfinite(inverse).all():
+        raise ValueError(f"frequency {float(freqs[np.isfinite(inverse).argmin()])!r} has no finite reciprocal")
 
     form = SkewCanonicalForm(
         n=n, p=p, d=n - 2 * p, skew=n_skew, basis=np.vstack([image, kernel]),
-        frequencies=freqs, pseudo_inverse=_block_form(1.0 / freqs, n - 2 * p).T.copy(), rank_tol=rank_tol,
+        frequencies=freqs, pseudo_inverse=_block_form(inverse, n - 2 * p).T.copy(), rank_tol=rank_tol,
     )
     _validate_form(form, max(CANONICAL_TOL, rank_tol * v_max))
     return form
@@ -387,12 +392,19 @@ def rank_certified(vectors, tol: float) -> int:
     and is re-counted at s > 10 * tol * s[0].  Raises
     :class:`RankInstabilityError` when the two counts disagree, which flags
     a spectrum straddling the threshold instead of silently returning either
-    answer.  A zero matrix has rank 0.  Expects at least one vector and a
-    positive ``tol``.
+    answer.  A zero matrix has rank 0.  Raises ``OverflowError`` when an
+    entry or a singular value passes the float range (LAPACK returns inf
+    singular values for entries near the float maximum, and garbage for
+    non-finite ones), where either count would be wrong.  Expects at least
+    one vector and a positive ``tol``.
     """
     work = np.asarray(vectors, dtype=float)
+    if not np.isfinite(work).all():
+        raise OverflowError("the tensor matrix of a leaf rank passes the float range")
     s = np.linalg.svd(work.reshape(len(work), work[0].size), compute_uv=False)
     top = s.max(initial=0.0)
+    if not np.isfinite(top):
+        raise OverflowError("the tensor matrix of a leaf rank passes the float range")
     r, r_loose = int(np.sum(s > tol * top)), int(np.sum(s > 10.0 * tol * top))
     if r != r_loose:
         raise RankInstabilityError(

@@ -43,7 +43,7 @@ from .poisson import (
     lie_poisson_casimir_gradients,
     lie_poisson_tensor,
 )
-from .dynamics import lax_residual, vector_field
+from .dynamics import lax_residual
 
 #: The tolerances of ``symflow verify``, keyed as a config's ``tolerances``: identity (involution), casimir,
 #: recursion and lax bound their suites' residuals, and rank is the relative
@@ -487,15 +487,3 @@ def certificates(form: SkewCanonicalForm, names, samples: int, seed: int, tolera
             outcome = outcomes[name]
         yield outcome
 
-
-def flow_generation_defect(x: np.ndarray, n_skew: np.ndarray) -> tuple[float, float]:
-    """Defects of generating the flow through each Poisson structure.
-
-    The Lie-Poisson tensor applied to the gradient of trace(x^2)/2 and the
-    frozen tensor applied to the gradient of trace(x^3)/3 must both equal
-    the right-hand side.
-    """
-    f = vector_field(x, n_skew)
-    lp = max_abs(f - lie_poisson_tensor(x, x, n_skew))
-    fr = max_abs(f - frozen_tensor(x @ x, n_skew))
-    return lp, fr

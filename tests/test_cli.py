@@ -209,6 +209,14 @@ class TestNumericalAbort:
         assert capsys.readouterr().err == "numerical abort: Casimir C_2 passes the float range at X0\n"
         assert [path.name for path in out.iterdir()] == ["runconfig.json"]
 
+    def test_leaf_rank_past_the_float_range_exit_3(self, tmp_path, capsys):
+        # the frozen tensor's matrix of N = 1e308 J has singular values past the float range,
+        # which would read a frozen leaf dimension of 0
+        code, out = run(tmp_path, "leaf-dims", dict(BASE, n=2, N={"explicit": [[0, 1e308], [-1e308, 0]]}))
+        assert code == 3
+        assert capsys.readouterr().err == "numerical abort: the tensor matrix of a leaf rank passes the float range\n"
+        assert [path.name for path in out.iterdir()] == ["runconfig.json"]
+
 
 SUITE_ORDER_KINDS = {
     "distinct-8": {"v": [0.6, 0.9, 1.2, 1.45], "d": 0},
@@ -592,7 +600,6 @@ UNREACHED_REFERENCES = {
     "matrix_core.frobenius_inner": "the trace pairing of the two bracket references",
     "poisson.lie_poisson_bracket": "pair-by-pair reference for the involution suite",
     "poisson.poisson_jacobi_defect": "compatibility of the two Poisson structures, acceptance C09",
-    "verify.flow_generation_defect": "the flow generated through each Poisson structure, acceptance C10",
 }
 
 
@@ -764,6 +771,7 @@ class TestOneWayIn:
         assert not out.exists()
 
     ROWS = "rows must be JSON lists of numbers, got a JSON"
+    V_LIST = "canonical N field v must be a JSON list of numbers, got a JSON"
 
     @pytest.mark.parametrize("fields, message", [
         ({"N": None}, "config is missing N"),
@@ -772,6 +780,11 @@ class TestOneWayIn:
         ({"N": {"canonical": {}}}, "canonical N needs a frequency list v"),
         ({"N": {"canonical": {"v": ["a"]}}}, "canonical N field v must be real, got 'a'"),
         ({"N": {"canonical": {"v": [1.0], "d": -1}}}, "canonical N field d must be >= 0, got -1"),
+        ({"N": {"canonical": {"v": 0}}}, f"{V_LIST} number"),
+        ({"N": {"canonical": {"v": 5}}}, f"{V_LIST} number"),
+        ({"N": {"canonical": {"v": False}}}, f"{V_LIST} boolean"),
+        ({"N": {"canonical": {"v": "12"}}}, f"{V_LIST} string"),
+        ({"N": {"canonical": {"v": {"a": 1}}}}, f"{V_LIST} object"),
         ({"N": {"canonical": {"v": [0.0, 1.0]}}}, "canonical N rejected: frequencies must be positive"),
         ({"N": {"explicit": [[0, "a"], [1, 0]]}}, "explicit N entry must be real, got 'a'"),
         ({"N": {"explicit": [[0, 1, 2], [1, 0, 3]]}},
@@ -798,7 +811,9 @@ class TestOneWayIn:
         ({"X0": {"random": []}}, "random X0 must be a JSON object, got []"),
         ({"X0": {"random": {"seed": True}}}, "random X0 field seed must be integral, got True"),
     ], ids=["N-missing", "N-one-key", "N-kind", "canonical-N-v-missing", "canonical-N-v-entry",
-            "canonical-N-d", "canonical-N-rejected", "explicit-N-entry", "explicit-N-rejected",
+            "canonical-N-d", "canonical-N-v-zero", "canonical-N-v-number", "canonical-N-v-false",
+            "canonical-N-v-string", "canonical-N-v-object", "canonical-N-rejected", "explicit-N-entry",
+            "explicit-N-rejected",
             "explicit-N-rows", "explicit-N-object", "explicit-N-number-row", "explicit-N-ragged",
             "random-N-size", "random-N-object", "random-N-seed",
             "X0-one-key", "X0-kind", "explicit-X0-entry", "explicit-X0-rejected", "explicit-X0-rows",
@@ -811,20 +826,46 @@ class TestOneWayIn:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_canonical_v_null_is_empty(self, tmp_path):
+        code, out = run(tmp_path, "simulate", dict(BASE, N={"canonical": {"v": None, "d": 4}}))
+        assert code == 0
+        assert json.loads((out / "runconfig.json").read_text())["N"] == [[0.0] * 4] * 4
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "casimirs", "leaf-dims"])
+    @pytest.mark.parametrize("fields", [
+        {"N": {"canonical": {"v": [1e-320], "d": 1}}, "n": 3},
+        {"N": {"explicit": [[0, 1e-320], [-1e-320, 0]]}, "n": 2, "X0": {"random": {"seed": 1}}},
+    ], ids=["canonical", "explicit"])
+    def test_subnormal_frequency_exit_2(self, tmp_path, capsys, command, fields):
+        # its reciprocal, an entry of the pseudo-inverse, passes the float range
+        code, _ = run(tmp_path, command, dict(BASE, **fields))
+        assert code == 2
+        assert capsys.readouterr().err == "config error: frequency 1e-320 has no finite reciprocal\n"
+
+    def test_entries_to_the_float_maximum_echoed(self, tmp_path):
+        # X0 + X0^T passes the float range; the constructor halves first, and the echo keeps 1.7e308
+        x0 = [[1.7e308, 0.0], [0.0, 1.0]]
+        config = dict(BASE, n=2, N={"canonical": {"v": [1.0], "d": 0}}, X0={"explicit": x0})
+        code, out = run(tmp_path, "verify", config)
+        assert code == 0
+        assert json.loads((out / "runconfig.json").read_text())["X0"] == x0
+
     @pytest.mark.parametrize("command", list(symflow.cli.COMMANDS))
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_unusable_out_exit_2(self, tmp_path, capsys, command, below):
         (tmp_path / "afile").write_text("")
         code, _ = run(tmp_path, command, BASE, out="afile/sub" if below else "afile")
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert (tmp_path / "afile").read_text() == ""
 
     def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture

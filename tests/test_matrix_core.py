@@ -75,6 +75,21 @@ class TestConstructors:
         y = skew_matrix(n_skew)
         assert np.array_equal(y, -y.T)
 
+    def test_exact_inputs_kept_to_the_float_maximum(self):
+        # a + a^T passes the float range above about 9e307: those entries are halved first, and
+        # every entry keeps its bits, the subnormals beside them included, with no RuntimeWarning
+        values = [np.finfo(float).max, -1.7e308, 5e-324, 9e307, -1e300, 1.0, -2.2e-308, 1e-320]
+        upper = np.triu(np.resize(values, (6, 6)), 1)
+        sym = upper + upper.T + np.diag(np.resize(values[::-1], 6))
+        assert sym_matrix(sym).tobytes() == sym.tobytes()
+        assert skew_matrix(upper - upper.T).tobytes() == (upper - upper.T).tobytes()
+
+    def test_wrong_symmetry_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("not symmetric (defect inf > bound")):
+            sym_matrix(canonical_skew_matrix([1e308]))
+        with pytest.raises(ValueError, match=re.escape("not skew-symmetric (defect inf > bound")):
+            skew_matrix(np.array([[0.0, 1e308], [1e308, 0.0]]))
+
     def test_tiny_wrong_symmetry_rejected(self):
         # a symmetric matrix of entries about 1e-10 is not skew at any scale
         tiny = 1e-10 * np.array([[1.0, 2.0], [2.0, 3.0]])

@@ -770,6 +770,14 @@ class TestLeafDimensions:
         assert rank_certified(vecs, 1e-9) == 2
         assert rank_certified(np.array(vecs), 1e-9) == 2
 
+    @pytest.mark.parametrize("rows", [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0]],
+                                      [[0.0, 0.0, -1.5e308], [0.0, 0.0, 1.5e308], [1.5e308, -1.5e308, 0.0]]],
+                             ids=["inf", "nan", "singular-values-past-the-range"])
+    def test_rank_certified_past_the_float_range_raises(self, rows):
+        # LAPACK returns inf singular values for the last, which would count rank 0
+        with pytest.raises(OverflowError, match="passes the float range"):
+            rank_certified(np.array(rows), 1e-9)
+
     def test_rank_certified_relative_to_largest_singular_value(self):
         # four equal rows make the largest singular value 2, twice the
         # largest row norm: 1.5e-9 sits inside the decade relative to the
